@@ -51,9 +51,12 @@ Measurement runAndCompare(const TargetProgram& tp, const Program& prog,
     for (const auto& sym : prog.symbols.all()) {
       if (sym->kind != SymKind::Output) continue;
       int words = sym->isArray() ? sym->arraySize : 1;
+      // One golden fetch per symbol: Interp::array returns a copy.
+      const std::vector<int64_t> golden =
+          sym->isArray() ? gold.array(sym->name)
+                         : std::vector<int64_t>{gold.scalar(sym->name)};
       for (int i = 0; i < words; ++i) {
-        int64_t want = sym->isArray() ? gold.array(sym->name)[static_cast<size_t>(i)]
-                                      : gold.scalar(sym->name);
+        int64_t want = golden[static_cast<size_t>(i)];
         int64_t got = mach.readSymbol(sym->name, i);
         if (want != got) {
           m.error = formatv("tick %d: %s[%d] = %lld, golden model says %lld",

@@ -100,6 +100,7 @@ const char* Machine::translateMode() {
 
 Machine::Machine(const TargetProgram& prog)
     : prog_(prog),
+      symbols_(prog),
       data_(static_cast<size_t>(prog.config.dataWords), 0),
       ar_(static_cast<size_t>(prog.config.numAddrRegs), 0) {
   // Labels resolve exactly once, here; re-decodes (decode faults) reuse the
@@ -146,15 +147,11 @@ int64_t Machine::readData(int addr) const {
 }
 
 void Machine::writeSymbol(const std::string& sym, int offset, int64_t v) {
-  int base = prog_.addrOf(sym);
-  if (base < 0) throw std::runtime_error("unknown symbol: " + sym);
-  writeData(base + offset, v);
+  writeData(symbols_.base(sym) + offset, v);
 }
 
 int64_t Machine::readSymbol(const std::string& sym, int offset) const {
-  int base = prog_.addrOf(sym);
-  if (base < 0) throw std::runtime_error("unknown symbol: " + sym);
-  return readData(base + offset);
+  return readData(symbols_.base(sym) + offset);
 }
 
 void Machine::setAcc(int64_t v) { acc_ = wrap32(v); }

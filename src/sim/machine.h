@@ -15,6 +15,11 @@
 // differential pinning and as the throughput baseline of
 // bench/sim_throughput.
 //
+// A Machine is single-threaded, const accessors included: readSymbol
+// updates the symbol memo (sim/symbols.h), so one Machine must not be read
+// from two threads at once. Separate Machines over one shared
+// TargetProgram are independent.
+//
 // Fault injection (decode substitution) supports the §4.5 self-test
 // experiments: a fault makes one opcode behave as another, and a good
 // self-test program must detect it. Faults remap the decoded handler (the
@@ -28,6 +33,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/symbols.h"
 #include "sim/translate.h"
 #include "target/isa.h"
 
@@ -68,7 +74,10 @@ class Machine {
   // bits and readData returns it without further extension.
   void writeData(int addr, int64_t v);
   int64_t readData(int addr) const;
-  /// Symbol-relative access via the program's layout.
+  /// Symbol-relative access via the program's layout, resolved through a
+  /// per-machine one-entry memo (sim/symbols.h): consecutive words of one
+  /// symbol cost a name compare, not a symbol-table scan. Throws "unknown
+  /// symbol: X" before any range check.
   void writeSymbol(const std::string& sym, int offset, int64_t v);
   int64_t readSymbol(const std::string& sym, int offset = 0) const;
 
@@ -142,6 +151,7 @@ class Machine {
   bool decodeAddr(const Operand& o, DecOperand* out, std::string* why) const;
 
   const TargetProgram& prog_;
+  SymbolResolver symbols_;  // writeSymbol/readSymbol name -> base address
   std::function<Opcode(Opcode)> decodeFault_;
   Profile* profile_ = nullptr;        // attached collector (may be null)
   Profile* activeProfile_ = nullptr;  // == profile_ only while run()ning, so

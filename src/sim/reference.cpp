@@ -9,6 +9,7 @@ namespace record {
 
 ReferenceMachine::ReferenceMachine(const TargetProgram& prog)
     : prog_(prog),
+      symbols_(prog),
       data_(static_cast<size_t>(prog.config.dataWords), 0),
       ar_(static_cast<size_t>(prog.config.numAddrRegs), 0) {
   branchTarget_.resize(prog.code.size(), -1);
@@ -52,16 +53,12 @@ int64_t ReferenceMachine::readData(int addr) const {
 
 void ReferenceMachine::writeSymbol(const std::string& sym, int offset,
                                    int64_t v) {
-  int base = prog_.addrOf(sym);
-  if (base < 0) throw std::runtime_error("unknown symbol: " + sym);
-  writeData(base + offset, v);
+  writeData(symbols_.base(sym) + offset, v);
 }
 
 int64_t ReferenceMachine::readSymbol(const std::string& sym,
                                      int offset) const {
-  int base = prog_.addrOf(sym);
-  if (base < 0) throw std::runtime_error("unknown symbol: " + sym);
-  return readData(base + offset);
+  return readData(symbols_.base(sym) + offset);
 }
 
 void ReferenceMachine::setAcc(int64_t v) { acc_ = wrap32(v); }

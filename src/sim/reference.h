@@ -14,6 +14,11 @@
 // negative RPT counts, per-repeat `branched` reset, the LTD single
 // architectural read, and the immediate trap for fault-injected branches
 // without a target.
+//
+// Symbol I/O is not part of that cost model: writeSymbol/readSymbol share
+// Machine's per-engine memoized SymbolResolver (sim/symbols.h), so a
+// ReferenceMachine is single-threaded in the same way, const accessors
+// included.
 #pragma once
 
 #include <cstdint>
@@ -22,6 +27,7 @@
 #include <vector>
 
 #include "sim/machine.h"
+#include "sim/symbols.h"
 #include "target/isa.h"
 
 namespace record {
@@ -75,6 +81,7 @@ class ReferenceMachine {
   int64_t ovmSub(int64_t a, int64_t b) const;
 
   const TargetProgram& prog_;
+  SymbolResolver symbols_;  // writeSymbol/readSymbol name -> base address
   std::function<Opcode(Opcode)> decodeFault_;
   Profile* profile_ = nullptr;
   Profile* activeProfile_ = nullptr;

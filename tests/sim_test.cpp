@@ -540,6 +540,115 @@ TEST(Machine, RepeatedBranchFollowsLastRepeat) {
   EXPECT_EQ(ref.readSymbol("n"), 1);
 }
 
+// Symbol I/O resolves through a per-engine one-entry memo (sim/symbols.h).
+// Both engines must resolve, diagnose and range-check exactly as the plain
+// symbol-table scan did, whatever the memo holds.
+template <class Engine>
+class SymbolIo : public ::testing::Test {
+ protected:
+  static std::string thrown(const std::function<void()>& f) {
+    try {
+      f();
+    } catch (const std::runtime_error& e) {
+      return e.what();
+    }
+    return "(no exception)";
+  }
+
+  TargetProgram tp = asmProg(R"(
+      .sym a 4
+      .sym b 4
+      .sym c 1
+      HALT
+  )");
+};
+
+using SimEngines = ::testing::Types<Machine, ReferenceMachine>;
+TYPED_TEST_SUITE(SymbolIo, SimEngines);
+
+TYPED_TEST(SymbolIo, AlternatingSymbolsResolve) {
+  TypeParam m(this->tp);
+  for (int i = 0; i < 4; ++i) {
+    m.writeSymbol("a", i, 10 + i);
+    m.writeSymbol("b", i, 20 + i);
+  }
+  m.writeSymbol("c", 0, 99);
+  const int a = this->tp.addrOf("a"), b = this->tp.addrOf("b");
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(m.readData(a + i), 10 + i);
+    EXPECT_EQ(m.readData(b + i), 20 + i);
+    EXPECT_EQ(m.readSymbol("b", i), 20 + i);
+    EXPECT_EQ(m.readSymbol("a", i), 10 + i);
+  }
+  EXPECT_EQ(m.readSymbol("c"), 99);
+  EXPECT_EQ(m.readData(this->tp.addrOf("c")), 99);
+}
+
+TYPED_TEST(SymbolIo, NameChangedInPlaceResolvesNewSymbol) {
+  TypeParam m(this->tp);
+  std::string name = "a";
+  m.writeSymbol(name, 1, 7);
+  const char* buf = name.data();
+  name[0] = 'b';  // same buffer, new contents
+  ASSERT_EQ(name.data(), buf);
+  m.writeSymbol(name, 1, 8);
+  EXPECT_EQ(m.readData(this->tp.addrOf("a") + 1), 7);
+  EXPECT_EQ(m.readData(this->tp.addrOf("b") + 1), 8);
+  EXPECT_EQ(m.readSymbol(name, 1), 8);
+  name[0] = 'a';
+  EXPECT_EQ(m.readSymbol(name, 1), 7);
+}
+
+TYPED_TEST(SymbolIo, UnknownNameAfterHitThrows) {
+  TypeParam m(this->tp);
+  m.writeSymbol("a", 0, 1);
+  m.writeSymbol("a", 1, 2);  // memo hit
+  EXPECT_EQ(this->thrown([&] { m.readSymbol("zz"); }), "unknown symbol: zz");
+  EXPECT_EQ(this->thrown([&] { m.writeSymbol("zz", 0, 1); }),
+            "unknown symbol: zz");
+  // The empty name is a prefix of every name and matches none.
+  EXPECT_EQ(this->thrown([&] { m.readSymbol(""); }), "unknown symbol: ");
+  EXPECT_EQ(m.readSymbol("a", 1), 2);
+}
+
+TYPED_TEST(SymbolIo, OutOfRangeOnHitThrowsSameMessage) {
+  TypeParam m(this->tp);
+  const int words = this->tp.config.dataWords;
+  const std::string addr = std::to_string(this->tp.addrOf("b") + words);
+  EXPECT_EQ(m.readSymbol("b", 0), 0);  // prime the memo
+  EXPECT_EQ(this->thrown([&] { m.readSymbol("b", words); }),
+            "data read out of range: " + addr);
+  m.writeSymbol("b", 0, 5);
+  EXPECT_EQ(this->thrown([&] { m.writeSymbol("b", words, 1); }),
+            "data write out of range: " + addr);
+  EXPECT_EQ(this->thrown([&] { m.readData(this->tp.addrOf("b") + words); }),
+            "data read out of range: " + addr);
+  EXPECT_EQ(m.readSymbol("b", 0), 5);
+}
+
+TEST(SymbolIo, EnginesHoldIdenticalMemoryAfterSameWrites) {
+  auto tp = asmProg(R"(
+      .sym a 4
+      .sym b 4
+      .sym c 1
+      HALT
+  )");
+  Machine dec(tp);
+  ReferenceMachine ref(tp);
+  const std::pair<const char*, int> writes[] = {
+      {"a", 0}, {"b", 1}, {"a", 1}, {"c", 0},
+      {"c", 0}, {"b", 3}, {"b", 2}, {"a", 3}};
+  int64_t v = 40000;  // exercises wrap16 on both engines
+  for (const auto& [name, off] : writes) {
+    dec.writeSymbol(name, off, v);
+    ref.writeSymbol(name, off, v);
+    v -= 9001;
+  }
+  for (int addr = 0; addr < tp.config.dataWords; ++addr)
+    ASSERT_EQ(dec.readData(addr), ref.readData(addr)) << "data[" << addr << "]";
+  EXPECT_EQ(dec.readSymbol("a"), wrap16(40000));
+}
+
 // The decode-once engine -- with superblock translation forced on AND
 // forced off -- and the pre-decode reference must be bit-identical on every
 // committed corpus program, across the full config sweep: same RunResult,
