@@ -107,6 +107,22 @@ void verifyOnce() {
   }
 }
 
+/// Fold one compile's stats into a suite total: every field
+/// bench::recordCompileStats reports.
+void accumulate(CompileStats& total, const CompileStats& s) {
+  total.sizeWords += s.sizeWords;
+  total.statements += s.statements;
+  total.variantsTried += s.variantsTried;
+  total.variantsPruned += s.variantsPruned;
+  total.patternsUsed += s.patternsUsed;
+  total.memoHits += s.memoHits;
+  total.memoMisses += s.memoMisses;
+  total.msRewrite += s.msRewrite;
+  total.msSearch += s.msSearch;
+  total.msReduce += s.msReduce;
+  total.msLate += s.msLate;
+}
+
 bench::DualTimes timesOf(const std::function<void()>& fn, int reps) {
   bench::DualTimer t;
   for (int i = 0; i < reps; ++i) fn();
@@ -143,20 +159,8 @@ void printHeadline() {
   CompileStats total;
   CompileStats slowTotal;
   for (const Program& p : suitePrograms()) {
-    auto res = fastRc.compile(p);
-    total.variantsTried += res.stats.variantsTried;
-    total.variantsPruned += res.stats.variantsPruned;
-    total.memoHits += res.stats.memoHits;
-    total.memoMisses += res.stats.memoMisses;
-    total.msRewrite += res.stats.msRewrite;
-    total.msSearch += res.stats.msSearch;
-    total.msReduce += res.stats.msReduce;
-    total.msLate += res.stats.msLate;
-    auto sres = slowRc.compile(p);
-    slowTotal.msRewrite += sres.stats.msRewrite;
-    slowTotal.msSearch += sres.stats.msSearch;
-    slowTotal.msReduce += sres.stats.msReduce;
-    slowTotal.msLate += sres.stats.msLate;
+    accumulate(total, fastRc.compile(p).stats);
+    accumulate(slowTotal, slowRc.compile(p).stats);
   }
   std::printf(
       "phase ms (fast): rewrite %.2f search %.2f reduce %.2f late %.2f\n",

@@ -18,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <fstream>
 #include <map>
 #include <set>
@@ -184,6 +185,103 @@ void expectSameOutcome(const CompileOutcome& hand, const CompileOutcome& gen,
   EXPECT_EQ(hand.words, gen.words) << what;
 }
 
+// ---------------------------------------------------------------------------
+// The frozen codegen oracle: tests/golden/tdsp_codegen.golden
+// ---------------------------------------------------------------------------
+// One line per (source, program, config, mode): accept/reject plus FNV-64
+// digests of the source-annotated listing, the data layout and the encoded
+// words; `sim` lines add simulated cycles, instructions, per-OpClass cycles
+// and the per-line cycle attribution of the DSPStone kernels on the default
+// and dual-mul cores. A differing line is reported with its actual text, so
+// a deliberate codegen change updates the file by pasting those lines.
+
+uint64_t fnv64(const std::string& s) {
+  uint64_t h = 1469598103934665603ull;
+  for (unsigned char c : s) {
+    h ^= c;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+std::string digest(const std::string& s) {
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016llx",
+                static_cast<unsigned long long>(fnv64(s)));
+  return buf;
+}
+
+std::string goldenLine(const std::string& key, const CompileOutcome& o) {
+  if (!o.accepted) return key + " reject";
+  std::string layout;
+  for (const auto& [name, addr] : o.symbolAddr)
+    layout += name + "=" + std::to_string(addr) + ";";
+  layout += "|";
+  for (const auto& [addr, value] : o.dataInit)
+    layout += std::to_string(addr) + ":" + std::to_string(value) + ";";
+  std::string words;
+  for (uint64_t w : o.words) words += std::to_string(w) + ",";
+  return key + " accept listing=" + digest(o.listing) + " layout=" +
+         digest(layout) + " words=" + (o.encoded ? digest(words) : "none");
+}
+
+std::string modeName(bool fast) { return fast ? "fast" : "slow"; }
+
+/// Golden lines keyed by their first four words (section, program,
+/// config, mode).
+std::string lineKey(const std::string& line) {
+  std::istringstream in(line);
+  std::string w, key;
+  for (int i = 0; i < 4 && in >> w; ++i) key += (i ? " " : "") + w;
+  return key;
+}
+
+void expectGoldenSection(const std::string& section,
+                         const std::vector<std::string>& actual) {
+  std::map<std::string, std::string> expected;
+  {
+    std::istringstream in(
+        readFile(std::string(RECORD_GOLDEN_DIR) + "/tdsp_codegen.golden"));
+    std::string line;
+    while (std::getline(in, line))
+      if (line.rfind(section + " ", 0) == 0) expected[lineKey(line)] = line;
+  }
+  for (const std::string& line : actual) {
+    auto it = expected.find(lineKey(line));
+    if (it == expected.end()) {
+      ADD_FAILURE() << "no golden line for '" << lineKey(line)
+                    << "'\n  actual:   " << line;
+      continue;
+    }
+    EXPECT_EQ(it->second, line) << "\n  expected: " << it->second
+                                << "\n  actual:   " << line;
+    expected.erase(it);
+  }
+  for (const auto& [key, line] : expected)
+    ADD_FAILURE() << "golden line not produced: " << line;
+}
+
+/// The `sim` line of one compiled kernel: run it on its stimulus under the
+/// execution profiler.
+std::string simLine(const std::string& key, const TargetProgram& tp,
+                    const Program& prog, int ticks) {
+  Profile prof(tp);
+  Measurement m = runAndCompare(tp, prog, defaultStimulus(prog, 7, ticks),
+                                &prof);
+  EXPECT_TRUE(m.ok) << key << ": " << m.error;
+  std::string line = key + " cycles=" + std::to_string(m.cycles) +
+                     " insns=" + std::to_string(m.instructions);
+  for (int c = 0; c < kNumOpClasses; ++c) {
+    auto cls = static_cast<OpClass>(c);
+    line += std::string(" ") + opClassName(cls) + "=" +
+            std::to_string(prof.classCycles(cls));
+  }
+  std::string lines;
+  for (const auto& [l, cyc] : prof.lineCycles())
+    lines += std::to_string(l) + ":" + std::to_string(cyc) + ";";
+  return line + " lines=" + digest(lines);
+}
+
 // The headline sweep: every DSPStone kernel, every sweep configuration,
 // fast and slow compile modes; generated-rule compiles must be bit-identical
 // to hand-written-table compiles.
@@ -191,6 +289,7 @@ TEST(IsdGen, KernelCompilesBitIdenticalAcrossSweep) {
   const isdgen::TargetDesc& desc = isdgen::generatedTdspDesc();
   std::vector<Program> progs;
   for (const auto& k : dspstoneKernels()) progs.push_back(dfl::parseDflOrDie(k.dfl));
+  std::vector<std::string> lines;
   for (const auto& pt : difftest::defaultSweep()) {
     for (bool fast : {false, true}) {
       CodegenOptions opt = difftest::oracleOptions(fast);
@@ -199,11 +298,15 @@ TEST(IsdGen, KernelCompilesBitIdenticalAcrossSweep) {
       for (size_t i = 0; i < progs.size(); ++i) {
         std::string what = pt.name + (fast ? "/fast/" : "/slow/") +
                            dspstoneKernels()[i].name;
-        expectSameOutcome(outcomeOf(hand, progs[i]), outcomeOf(gen, progs[i]),
-                          what);
+        CompileOutcome handOutcome = outcomeOf(hand, progs[i]);
+        expectSameOutcome(handOutcome, outcomeOf(gen, progs[i]), what);
+        lines.push_back(goldenLine("kernel " + dspstoneKernels()[i].name +
+                                       " " + pt.name + " " + modeName(fast),
+                                   handOutcome));
       }
     }
   }
+  expectGoldenSection("kernel", lines);
 }
 
 // Simulated cycles and profiler attribution: compile the kernels through
@@ -211,39 +314,42 @@ TEST(IsdGen, KernelCompilesBitIdenticalAcrossSweep) {
 // per-line / per-class cycle attribution.
 TEST(IsdGen, SimCyclesAndProfileMatch) {
   const isdgen::TargetDesc& desc = isdgen::generatedTdspDesc();
-  TargetConfig cfgs[] = {TargetConfig{}, [] {
-                           TargetConfig c;
-                           c.hasDualMul = true;
-                           c.memBanks = 2;
-                           return c;
-                         }()};
-  for (const auto& cfg : cfgs) {
-    RecordCompiler hand(cfg, difftest::oracleOptions(true));
-    RecordCompiler gen(isdgen::rulesFor(desc, cfg), difftest::oracleOptions(true));
-    for (const auto& k : dspstoneKernels()) {
-      SCOPED_TRACE(k.name);
-      Program prog = dfl::parseDflOrDie(k.dfl);
-      TargetProgram tpHand = hand.compile(prog).prog;
-      TargetProgram tpGen = gen.compile(prog).prog;
-      Stimulus stim = defaultStimulus(prog, 7, k.ticks);
-      Profile profHand(tpHand), profGen(tpGen);
-      Measurement mHand = runAndCompare(tpHand, prog, stim, &profHand);
-      Measurement mGen = runAndCompare(tpGen, prog, stim, &profGen);
-      EXPECT_TRUE(mHand.ok) << mHand.error;
-      EXPECT_TRUE(mGen.ok) << mGen.error;
-      EXPECT_EQ(mHand.cycles, mGen.cycles);
-      EXPECT_EQ(mHand.instructions, mGen.instructions);
-      EXPECT_EQ(mHand.sizeWords, mGen.sizeWords);
-      EXPECT_EQ(profHand.totalCycles(), profGen.totalCycles());
-      EXPECT_EQ(profHand.lineCycles(), profGen.lineCycles());
-      for (int c = 0; c < kNumOpClasses; ++c) {
-        EXPECT_EQ(profHand.classCycles(static_cast<OpClass>(c)),
-                  profGen.classCycles(static_cast<OpClass>(c)))
-            << opClassName(static_cast<OpClass>(c));
+  std::vector<std::string> lines;
+  for (const auto& pt : difftest::defaultSweep()) {
+    if (pt.name != "default" && pt.name != "dual-mul") continue;
+    for (bool fast : {false, true}) {
+      RecordCompiler hand(pt.cfg, difftest::oracleOptions(fast));
+      RecordCompiler gen(isdgen::rulesFor(desc, pt.cfg),
+                         difftest::oracleOptions(fast));
+      for (const auto& k : dspstoneKernels()) {
+        SCOPED_TRACE(k.name);
+        Program prog = dfl::parseDflOrDie(k.dfl);
+        TargetProgram tpHand = hand.compile(prog).prog;
+        TargetProgram tpGen = gen.compile(prog).prog;
+        Stimulus stim = defaultStimulus(prog, 7, k.ticks);
+        Profile profHand(tpHand), profGen(tpGen);
+        Measurement mHand = runAndCompare(tpHand, prog, stim, &profHand);
+        Measurement mGen = runAndCompare(tpGen, prog, stim, &profGen);
+        EXPECT_TRUE(mHand.ok) << mHand.error;
+        EXPECT_TRUE(mGen.ok) << mGen.error;
+        EXPECT_EQ(mHand.cycles, mGen.cycles);
+        EXPECT_EQ(mHand.instructions, mGen.instructions);
+        EXPECT_EQ(mHand.sizeWords, mGen.sizeWords);
+        EXPECT_EQ(profHand.totalCycles(), profGen.totalCycles());
+        EXPECT_EQ(profHand.lineCycles(), profGen.lineCycles());
+        for (int c = 0; c < kNumOpClasses; ++c) {
+          EXPECT_EQ(profHand.classCycles(static_cast<OpClass>(c)),
+                    profGen.classCycles(static_cast<OpClass>(c)))
+              << opClassName(static_cast<OpClass>(c));
+        }
+        EXPECT_EQ(profHand.text(10), profGen.text(10));
+        lines.push_back(simLine(
+            "sim " + k.name + " " + pt.name + " " + modeName(fast), tpHand,
+            prog, k.ticks));
       }
-      EXPECT_EQ(profHand.text(10), profGen.text(10));
     }
   }
+  expectGoldenSection("sim", lines);
 }
 
 // The committed difftest corpus through the same bit-identity gate.
@@ -251,6 +357,7 @@ TEST(IsdGen, CorpusCompilesBitIdenticalAcrossSweep) {
   const isdgen::TargetDesc& desc = isdgen::generatedTdspDesc();
   auto files = difftest::listCorpusFiles(RECORD_CORPUS_DIR);
   ASSERT_FALSE(files.empty());
+  std::vector<std::string> lines;
   for (const auto& path : files) {
     difftest::CorpusEntry entry;
     std::string err;
@@ -263,11 +370,16 @@ TEST(IsdGen, CorpusCompilesBitIdenticalAcrossSweep) {
         CodegenOptions opt = difftest::oracleOptions(fast);
         RecordCompiler hand(pt.cfg, opt);
         RecordCompiler gen(isdgen::rulesFor(desc, pt.cfg), opt);
-        expectSameOutcome(outcomeOf(hand, *prog), outcomeOf(gen, *prog),
+        CompileOutcome handOutcome = outcomeOf(hand, *prog);
+        expectSameOutcome(handOutcome, outcomeOf(gen, *prog),
                           entry.name + "/" + pt.name + (fast ? "/fast" : "/slow"));
+        lines.push_back(goldenLine(
+            "corpus " + entry.name + " " + pt.name + " " + modeName(fast),
+            handOutcome));
       }
     }
   }
+  expectGoldenSection("corpus", lines);
 }
 
 // Seeded oracle run with the generated-table shadow compile enabled: the
@@ -284,6 +396,25 @@ TEST(IsdGen, SeededDifftestShadowCompileAgrees) {
   }
   EXPECT_EQ(stats.divergences, 0);
   EXPECT_GT(stats.runs, 0);
+}
+
+// The difftest generator's first ten programs through the frozen oracle.
+TEST(IsdGen, SeededProgramsMatchGolden) {
+  std::vector<std::string> lines;
+  for (uint64_t seed = 1; seed <= 10; ++seed) {
+    DiagEngine diag;
+    auto prog = dfl::parseDfl(difftest::generateProgram(seed).render(), diag);
+    ASSERT_TRUE(prog.has_value()) << diag.str();
+    for (const auto& pt : difftest::defaultSweep()) {
+      for (bool fast : {false, true}) {
+        RecordCompiler rc(pt.cfg, difftest::oracleOptions(fast));
+        lines.push_back(goldenLine("gen seed-" + std::to_string(seed) + " " +
+                                       pt.name + " " + modeName(fast),
+                                   outcomeOf(rc, *prog)));
+      }
+    }
+  }
+  expectGoldenSection("gen", lines);
 }
 
 // Installing the generated table must leave simulator behavior untouched:
