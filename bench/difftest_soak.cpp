@@ -137,7 +137,6 @@ int main(int argc, char** argv) {
     else if (arg("--corpus")) corpusIn = argv[++i];
     else if (arg("--mutation-pct")) opt.mutationPct = std::atoi(argv[++i]);
     else if (std::strcmp(argv[i], "--service") == 0) useService = true;
-    else if (arg("--isd")) opt.isdPath = argv[++i];
     else if (arg("--report")) reportPath = argv[++i];
     else if (arg("--pin")) pinSeeds.push_back(std::strtoull(argv[++i], nullptr, 0));
     else if (arg("--pin-dfl")) pinFiles.push_back(argv[++i]);
@@ -148,8 +147,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr,
                    "usage: %s [--seconds N] [--seeds N] [--base SEED] "
                    "[--jobs N] [--shards N] [--no-minimize]\n"
-                   "          [--corpus DIR] [--mutation-pct N] [--service] "
-                   "[--isd FILE]\n"
+                   "          [--corpus DIR] [--mutation-pct N] [--service]\n"
                    "          [--corpus-out DIR] [--report FILE]\n"
                    "          [--pin SEED]... [--pin-dfl FILE "
                    "[--pin-seed S] [--pin-ticks T]]...\n",

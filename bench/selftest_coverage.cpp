@@ -51,7 +51,7 @@ void printTable() {
       "--------------------------------------------------------------------"
       "-----\n");
   for (const auto& [label, cfg] : configs()) {
-    auto rules = buildTdspRules(cfg);
+    auto rules = rulesFor(tdspDesc(), cfg);
     auto st = generateSelfTest(rules, 42);
     auto clean = runSelfTest(st);
     if (!clean.pass) {
@@ -73,7 +73,7 @@ void printTable() {
       "mode-shadowed):\n");
   {
     TargetConfig cfg;
-    auto st = generateSelfTest(buildTdspRules(cfg), 42);
+    auto st = generateSelfTest(rulesFor(tdspDesc(), cfg), 42);
     auto fc = runFaultCampaign(st);
     for (const auto& f : fc.faults) {
       if (!f.detected)
@@ -85,7 +85,7 @@ void printTable() {
 
 void BM_GenerateSelfTest(benchmark::State& state) {
   TargetConfig cfg;
-  auto rules = buildTdspRules(cfg);
+  auto rules = rulesFor(tdspDesc(), cfg);
   for (auto _ : state) {
     auto st = record::selftest::generateSelfTest(rules, 42);
     benchmark::DoNotOptimize(st.checks.size());
@@ -95,7 +95,7 @@ BENCHMARK(BM_GenerateSelfTest);
 
 void BM_FaultCampaign(benchmark::State& state) {
   TargetConfig cfg;
-  auto st = record::selftest::generateSelfTest(buildTdspRules(cfg), 42);
+  auto st = record::selftest::generateSelfTest(rulesFor(tdspDesc(), cfg), 42);
   for (auto _ : state) {
     auto fc = record::selftest::runFaultCampaign(st);
     benchmark::DoNotOptimize(fc.detected);

@@ -15,9 +15,9 @@
 //   --dual-mul            dual-operand multiplier + 2 memory banks
 //   --no-sat --no-rpt --no-dmov      strip core features
 //   --emit-isd            print the core's instruction-set description
-//   --emit-desc           print the full target description (insn clauses
-//                         + feature-gated rules, src/isd/gen.h grammar) --
-//                         the checked-in src/target/tdsp.isd is this output
+//   --emit-desc           print the authoritative target description, the
+//                         embedded src/target/tdsp.isd (insn clauses +
+//                         feature-gated rules, target/desc.h grammar)
 //   --isd FILE            retarget: compile against an ISD text file.
 //   --isd=FILE            Plain rule files swap the BURS rules only; a
 //                         full target description (starting with a
@@ -69,7 +69,6 @@
 #include "codegen/pipeline.h"
 #include "dfl/frontend.h"
 #include "dspstone/kernels.h"
-#include "isd/gen.h"
 #include "server/compileservice.h"
 #include "sim/machine.h"
 #include "sim/profile.h"
@@ -157,11 +156,11 @@ int main(int argc, char** argv) {
   }
 
   if (emitIsd) {
-    std::printf("%s", buildTdspRules(cfg).str().c_str());
+    std::printf("%s", rulesFor(tdspDesc(), cfg).str().c_str());
     return 0;
   }
   if (emitDesc) {
-    std::printf("%s", isdgen::deriveTdspDesc().str().c_str());
+    std::printf("%s", tdspIsdText().c_str());
     return 0;
   }
 
@@ -326,19 +325,19 @@ int main(int argc, char** argv) {
       const bool fullDesc = isdText.find("target ") != std::string::npos ||
                             isdText.find("insn ") != std::string::npos;
       if (fullDesc) {
-        auto desc = isdgen::parseTargetDesc(isdText, isdDiag);
-        if (!desc || !isdgen::validateDesc(*desc, isdDiag)) {
+        auto desc = parseTargetDesc(isdText, isdDiag);
+        if (!desc || !validateDesc(*desc, isdDiag)) {
           std::fprintf(stderr, "%s", isdDiag.str().c_str());
           return 1;
         }
-        auto table = isdgen::buildIsaTable(*desc, isdDiag);
+        auto table = buildIsaTable(*desc, isdDiag);
         if (!table) {
           std::fprintf(stderr, "%s", isdDiag.str().c_str());
           return 1;
         }
         generatedTable = std::move(*table);
         setActiveIsaTable(&*generatedTable);
-        compilerStorage.emplace(isdgen::rulesFor(*desc, cfg), opt);
+        compilerStorage.emplace(rulesFor(*desc, cfg), opt);
       } else {
         auto rules = parseIsd(isdText, isdDiag);
         if (!rules) {

@@ -13,7 +13,7 @@ int main() {
   using namespace record::selftest;
 
   TargetConfig cfg;
-  auto rules = buildTdspRules(cfg);
+  auto rules = rulesFor(tdspDesc(), cfg);
   auto st = generateSelfTest(rules, 2026);
 
   std::printf("self-test for %s: %d words, %zu checks, %.0f%% of %zu "

@@ -16,7 +16,6 @@
 #include "codegen/binder.h"
 #include "codegen/layout.h"
 #include "ir/interner.h"
-#include "isd/gen.h"
 #include "regalloc/arfile.h"
 #include "rewrite/enumerate.h"
 #include "support/threadpool.h"
@@ -1127,20 +1126,9 @@ class Emitter {
 
 namespace {
 
-/// The default rule set for a config: hand-written, or -- in the
-/// generated-tables build -- compiled from src/target/tdsp.isd (proven
-/// bit-identical by tests/isdgen_test.cpp).
-RuleSet defaultRules(const TargetConfig& cfg) {
-#ifdef RECORD_ISD_GENERATED
-  return isdgen::generatedTdspRules(cfg);
-#else
-  return buildTdspRules(cfg);
-#endif
-}
-
-/// Process-wide cache of built-in rule sets: building one is identical for
-/// identical configs, so compilers can share an immutable instance instead
-/// of re-deriving ~70 rules per construction.
+/// Process-wide cache of default rule sets: selecting one from tdsp.isd is
+/// identical for identical configs, so compilers can share an immutable
+/// instance instead of copying ~70 rules per construction.
 std::shared_ptr<const RuleSet> cachedTdspRules(const TargetConfig& cfg) {
   static std::mutex mu;
   static std::map<std::string, std::shared_ptr<const RuleSet>> cache;
@@ -1150,7 +1138,8 @@ std::shared_ptr<const RuleSet> cachedTdspRules(const TargetConfig& cfg) {
                 cfg.memBanks, cfg.dataWords, cfg.numAddrRegs);
   std::lock_guard<std::mutex> lock(mu);
   auto& slot = cache[key];
-  if (!slot) slot = std::make_shared<const RuleSet>(defaultRules(cfg));
+  if (!slot)
+    slot = std::make_shared<const RuleSet>(rulesFor(tdspDesc(), cfg));
   return slot;
 }
 
@@ -1175,9 +1164,9 @@ std::string CodegenOptions::fingerprint() const {
 RecordCompiler::RecordCompiler(TargetConfig cfg, CodegenOptions opt)
     : cfg_(std::move(cfg)),
       opt_(opt),
-      rules_(opt.cacheRules
-                 ? cachedTdspRules(cfg_)
-                 : std::make_shared<const RuleSet>(defaultRules(cfg_))) {}
+      rules_(opt.cacheRules ? cachedTdspRules(cfg_)
+                            : std::make_shared<const RuleSet>(
+                                  rulesFor(tdspDesc(), cfg_))) {}
 
 RecordCompiler::RecordCompiler(RuleSet rules, CodegenOptions opt)
     : cfg_(rules.config),

@@ -174,14 +174,6 @@ struct CrossCheckOpts {
   /// every oracle run into a differential test of the interpreter rewrite
   /// itself; the cost is one extra (cheap) reference execution per run.
   bool checkEngines = true;
-  /// Path to a target description (src/isd/gen.h grammar). When set, every
-  /// (config x mode) pair is ALSO compiled with the rule set generated
-  /// from this description and compared bit-for-bit against the
-  /// hand-written-table compile (listing, encoding, data layout, accept/
-  /// reject decision); any mismatch is a divergence. The description is
-  /// parsed once and cached; an unreadable or invalid description throws
-  /// std::logic_error (harness misconfiguration, not a finding).
-  std::string isdPath;
 };
 
 /// The oracle's compiler settings for one compile mode: fast-path layers

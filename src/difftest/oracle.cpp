@@ -1,16 +1,12 @@
 #include "difftest/difftest.h"
 
 #include <fstream>
-#include <map>
-#include <mutex>
 #include <sstream>
 #include <stdexcept>
 
 #include "codegen/baseline.h"
 #include "dfl/frontend.h"
-#include "isd/gen.h"
 #include "server/compileservice.h"
-#include "target/encode.h"
 #include "trace/trace.h"
 
 namespace record::difftest {
@@ -45,68 +41,6 @@ bool compileVia(const CrossCheckOpts& opts, const std::string& source,
   } catch (const std::runtime_error&) {
     return false;
   }
-}
-
-/// Parse-once cache for CrossCheckOpts::isdPath descriptions. Throws
-/// std::logic_error when the file is unreadable or does not compile: that
-/// is harness misconfiguration, never a difftest finding.
-const isdgen::TargetDesc& descForPath(const std::string& path) {
-  static std::mutex mu;
-  static std::map<std::string, std::unique_ptr<isdgen::TargetDesc>> cache;
-  std::lock_guard<std::mutex> lock(mu);
-  auto& slot = cache[path];
-  if (slot) return *slot;
-  std::ifstream in(path);
-  if (!in)
-    throw std::logic_error("cannot read target description: " + path);
-  std::ostringstream text;
-  text << in.rdbuf();
-  DiagEngine diag;
-  diag.setSourceName(path);
-  auto desc = isdgen::parseTargetDesc(text.str(), diag);
-  if (!desc || !isdgen::validateDesc(*desc, diag))
-    throw std::logic_error("target description does not compile:\n" +
-                           diag.str());
-  slot = std::make_unique<isdgen::TargetDesc>(std::move(*desc));
-  return *slot;
-}
-
-/// Generated-vs-hand-written equivalence for one (config, mode) pair:
-/// compile with the rule set generated from opts.isdPath and require the
-/// exact outcome the hand-written compile `hand` had (null = rejected) --
-/// same accept/reject decision, same listing, same data layout, same
-/// encoded words. Returns "" on agreement, a divergence message otherwise.
-std::string compareGeneratedCompile(const CrossCheckOpts& opts,
-                                    const Program& prog,
-                                    const TargetConfig& cfg, bool fastPath,
-                                    const TargetProgram* hand) {
-  RuleSet rules = isdgen::rulesFor(descForPath(opts.isdPath), cfg);
-  std::optional<TargetProgram> gen;
-  try {
-    RecordCompiler rc(std::move(rules), oracleOptions(fastPath, opts));
-    gen = rc.compile(prog).prog;
-  } catch (const std::runtime_error&) {
-  }
-  if (!hand && !gen) return "";
-  if (hand && !gen)
-    return "generated tables reject a program hand-written tables accept";
-  if (!hand && gen)
-    return "generated tables accept a program hand-written tables reject";
-  if (std::string h = hand->listing(true), g = gen->listing(true); h != g)
-    return "generated-table listing differs:\n--- hand-written ---\n" + h +
-           "--- generated ---\n" + g;
-  if (hand->symbolAddr != gen->symbolAddr || hand->dataInit != gen->dataInit)
-    return "generated-table data layout differs";
-  std::string herr, gerr;
-  auto himg = encode(*hand, &herr);
-  auto gimg = encode(*gen, &gerr);
-  if (himg.has_value() != gimg.has_value())
-    return "generated-table encodability differs (hand: " +
-           (himg ? std::string("ok") : herr) +
-           ", generated: " + (gimg ? std::string("ok") : gerr) + ")";
-  if (himg && himg->words != gimg->words)
-    return "generated-table encoding differs";
-  return "";
 }
 
 }  // namespace
@@ -176,24 +110,6 @@ std::vector<Repro> crossCheck(const ProgSpec& spec,
     for (bool fast : {true, false}) {
       std::shared_ptr<const TargetProgram> tp;
       bool accepted = compileVia(opts, source, *prog, pt.cfg, fast, &tp);
-      if (!opts.isdPath.empty()) {
-        // Generated-table equivalence rides along: the description-derived
-        // compiler must reproduce the hand-written outcome exactly,
-        // including the accept/reject decision.
-        std::string gdiff = compareGeneratedCompile(
-            opts, *prog, pt.cfg, fast, accepted ? tp.get() : nullptr);
-        if (!gdiff.empty()) {
-          Repro r;
-          r.seed = spec.seed;
-          r.config = pt.name;
-          r.configDesc = pt.cfg.describe();
-          r.fastPath = fast;
-          r.divergence = gdiff;
-          r.source = source;
-          out.push_back(std::move(r));
-          if (stats) ++stats->divergences;
-        }
-      }
       if (!accepted) {
         // Capability rejection (no saturation hardware, inexpressible wide
         // intermediate, ...): a clean skip, not a divergence.
@@ -250,11 +166,6 @@ StillFailing divergesAt(const SweepPoint& pt, bool fastPath,
     if (!prog) return false;  // a mutation broke the program; reject it
     std::shared_ptr<const TargetProgram> tp;
     bool accepted = compileVia(opts, source, *prog, pt.cfg, fastPath, &tp);
-    if (!opts.isdPath.empty() &&
-        !compareGeneratedCompile(opts, *prog, pt.cfg, fastPath,
-                                 accepted ? tp.get() : nullptr)
-             .empty())
-      return true;  // generated-table divergences minimize too
     if (!accepted)
       return false;  // now rejected instead of miscompiled; not the bug
     Stimulus stim = makeStimulus(*prog, spec.seed, spec.ticks);

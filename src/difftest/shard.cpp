@@ -132,7 +132,6 @@ SoakReport runShardedSoak(const SoakOptions& opt,
   CrossCheckOpts ccOpts;
   ccOpts.sequentialSearch = true;
   ccOpts.service = opt.service;
-  ccOpts.isdPath = opt.isdPath;
   // Seed-pure program choice: mutate a corpus shape or generate fresh,
   // decided by a hash of the seed alone so the work set stays independent
   // of jobs/shards scheduling.

@@ -82,10 +82,6 @@ struct SoakOptions {
   /// seed coalesce or hit, and any stale or torn cached program shows up
   /// as a divergence. Null = direct compiles.
   server::CompileService* service = nullptr;
-  /// Target-description path (CrossCheckOpts::isdPath): every oracle
-  /// compile is shadowed by a generated-table compile and any output
-  /// difference reported as a divergence. Empty = off.
-  std::string isdPath;
   /// Test seam: replaces crossCheck(). Receives the spec, the sweep and a
   /// per-shard stats accumulator; must be safe to call from several
   /// threads at once. Null = the real oracle.

@@ -19,6 +19,7 @@
 #include "ir/program.h"
 #include "ise/extract.h"
 #include "netlist/model.h"
+#include "target/isd.h"
 
 namespace record::ise {
 
@@ -84,5 +85,13 @@ std::map<std::string, int64_t> runGenerated(
     const nl::Netlist& nl, const GenProgram& gp,
     const std::map<std::string, int64_t>& inputs,
     const std::vector<std::string>& outputs);
+
+/// Map extracted instructions onto BURS rules of the stock grammar, so a
+/// processor described only as a netlist retargets the *full* compiler
+/// pipeline, not just the straight-line GeneratedCompiler. Adds the spill
+/// / immediate-widening plumbing rules the matcher needs when the
+/// extraction provides a store / an immediate load.
+RuleSet rulesFromExtraction(const std::vector<GenRule>& extracted,
+                            const TargetConfig& cfg);
 
 }  // namespace record::ise

@@ -1,13 +1,12 @@
-// Extraction -> generated rules: the RECORD loop closed. src/ise/bridge.h
+// Extraction -> BURS rules: the RECORD loop closed. src/ise/bridge.h
 // classifies netlist-extracted patterns into capability kinds; this file
 // maps each kind onto a BURS rule of the stock grammar so the extracted
 // instruction set retargets the full compiler pipeline (isel, regalloc,
 // mode minimization, encode) instead of only the straight-line
 // GeneratedCompiler.
-#include "isd/gen.h"
 #include "ise/bridge.h"
 
-namespace record::isdgen {
+namespace record::ise {
 
 namespace {
 
@@ -38,21 +37,21 @@ Rule binRule(const char* name, Op op, Nonterm rightNt, Opcode emit,
 
 }  // namespace
 
-RuleSet rulesFromExtraction(const std::vector<ise::GenRule>& extracted,
+RuleSet rulesFromExtraction(const std::vector<GenRule>& extracted,
                             const TargetConfig& cfg) {
   RuleSet rs;
   rs.config = cfg;
   bool have[9] = {};
-  for (const ise::GenRule& g : extracted) {
+  for (const GenRule& g : extracted) {
     int k = static_cast<int>(g.kind);
     if (k >= 0 && k < 9) have[k] = true;
   }
-  auto has = [&](ise::GenRuleKind k) { return have[static_cast<int>(k)]; };
+  auto has = [&](GenRuleKind k) { return have[static_cast<int>(k)]; };
   auto add = [&](Rule r) { rs.rules.push_back(std::move(r)); };
-  using K = ise::GenRuleKind;
+  using K = GenRuleKind;
 
-  // Emission order mirrors buildTdspRules: statements first, then loads,
-  // then the ALU families -- deterministic regardless of extraction order.
+  // Emission order follows tdsp.isd: statements first, then loads, then
+  // the ALU families -- deterministic regardless of extraction order.
   if (has(K::StoreAcc)) {
     Rule r;
     r.name = "gen_store";
@@ -107,4 +106,4 @@ RuleSet rulesFromExtraction(const std::vector<ise::GenRule>& extracted,
   return rs;
 }
 
-}  // namespace record::isdgen
+}  // namespace record::ise

@@ -1,13 +1,9 @@
-#include "isd/gen.h"
+#include "target/desc.h"
 
-#include <algorithm>
 #include <map>
 #include <sstream>
-#include <stdexcept>
 
-#include "target/tdsp.h"
-
-namespace record::isdgen {
+namespace record {
 
 namespace {
 
@@ -57,19 +53,6 @@ bool opClassFromName(const std::string& name, OpClass* out) {
     OpClass c = static_cast<OpClass>(i);
     if (name == opClassName(c)) {
       *out = c;
-      return true;
-    }
-  }
-  return false;
-}
-
-/// Resolve an insn name against the BUILT-IN table (the opcode numbering a
-/// generated table must agree with), not the active one.
-bool builtinOpcodeFromName(const std::string& name, Opcode* out) {
-  const IsaTable& t = builtinIsaTable();
-  for (int i = 0; i < kNumOpcodes; ++i) {
-    if (name == t.names[i]) {
-      *out = static_cast<Opcode>(i);
       return true;
     }
   }
@@ -168,8 +151,7 @@ struct DescParser {
     return true;
   }
 
-  bool parseRuleLine(const std::vector<std::string>& toks,
-                     const std::string& line, DescRule* out) {
+  bool parseRuleLine(const std::vector<std::string>& toks, DescRule* out) {
     // The optional `when` gate trails the rule: find the last "when" token
     // that comes after the (mandatory) "cost" token, split there, and feed
     // the prefix through the stock ISD parser.
@@ -199,7 +181,6 @@ struct DescParser {
       if (i) ruleText += ' ';
       ruleText += toks[i];
     }
-    (void)line;
     DiagEngine sub;
     auto rs = parseIsd(ruleText, sub);
     for (const Diagnostic& d : sub.all())
@@ -315,12 +296,13 @@ std::optional<TargetDesc> parseTargetDesc(const std::string& text,
         continue;
       }
       desc.name = toks[1];
+      desc.line = p.lineNo;
     } else if (toks[0] == "insn") {
       DescInsn insn;
       if (p.parseInsn(toks, &insn)) desc.insns.push_back(std::move(insn));
     } else if (toks[0] == "rule") {
       DescRule rule;
-      if (p.parseRuleLine(toks, line, &rule))
+      if (p.parseRuleLine(toks, &rule))
         desc.rules.push_back(std::move(rule));
     } else {
       p.error("unknown directive '" + toks[0] + "'");
@@ -341,7 +323,7 @@ bool validateDesc(const TargetDesc& desc, DiagEngine& diag) {
   for (const DescInsn& i : desc.insns) {
     SourceLoc loc{i.line, 0};
     Opcode op;
-    if (!builtinOpcodeFromName(i.name, &op))
+    if (!opcodeFromName(i.name, op))
       diag.error(loc, "insn '" + i.name + "' names no known opcode");
     auto [it, fresh] = insnLine.emplace(i.name, i.line);
     if (!fresh)
@@ -429,112 +411,58 @@ RuleSet rulesFor(const TargetDesc& desc, const TargetConfig& cfg) {
   return rs;
 }
 
-std::optional<IsaTable> buildIsaTable(const TargetDesc& desc,
-                                      DiagEngine& diag) {
+namespace {
+
+/// Write the insn clauses of `desc` over the rows of `t`; `seen` counts
+/// the clauses naming each opcode.
+bool applyInsns(const TargetDesc& desc, IsaTable& t,
+                std::array<int, kNumOpcodes>& seen, DiagEngine& diag) {
   const int errorsBefore = diag.errorCount();
-  IsaTable t = builtinIsaTable();
   t.name = desc.name;
   for (const DescInsn& i : desc.insns) {
     Opcode op;
-    if (!builtinOpcodeFromName(i.name, &op)) {
+    if (!opcodeFromName(i.name, op)) {
       diag.error({i.line, 0}, "insn '" + i.name + "' names no known opcode");
       continue;
     }
     size_t idx = static_cast<size_t>(op);
+    ++seen[idx];
     t.info[idx] = i.info;
     t.cls[idx] = i.cls;
     t.takesAr[idx] = i.takesAr;
     t.needs[idx] = i.needs;
     t.decodeCycles[idx] = static_cast<uint8_t>(i.cycles);
   }
-  if (diag.errorCount() > errorsBefore) return std::nullopt;
+  return diag.errorCount() == errorsBefore;
+}
+
+}  // namespace
+
+std::optional<IsaTable> buildIsaTable(const TargetDesc& desc,
+                                      DiagEngine& diag) {
+  IsaTable t = defaultIsaTable();
+  std::array<int, kNumOpcodes> seen{};
+  if (!applyInsns(desc, t, seen, diag)) return std::nullopt;
   return t;
 }
 
-TargetDesc deriveTdspDesc() {
-  TargetDesc desc;
-  desc.name = "tdsp";
-  const IsaTable& t = builtinIsaTable();
+std::optional<IsaTable> buildCompleteIsaTable(const TargetDesc& desc,
+                                              DiagEngine& diag) {
+  IsaTable t;
+  std::array<int, kNumOpcodes> seen{};
+  bool ok = applyInsns(desc, t, seen, diag);
   for (int i = 0; i < kNumOpcodes; ++i) {
-    DescInsn insn;
-    insn.name = t.names[i];
-    insn.cls = t.cls[i];
-    insn.info = t.info[i];
-    insn.takesAr = t.takesAr[i];
-    insn.needs = t.needs[i];
-    insn.cycles = t.decodeCycles[i];
-    desc.insns.push_back(std::move(insn));
+    if (seen[i] == 1) continue;
+    std::string op = opcodeName(static_cast<Opcode>(i));
+    diag.error({desc.line, 0},
+               seen[i] == 0 ? "description has no insn clause for opcode '" +
+                                  op + "'"
+                            : "description names opcode '" + op + "' " +
+                                  std::to_string(seen[i]) + " times");
+    ok = false;
   }
-  // Rule gates are inferred, not hard-coded: sweep every feature
-  // combination through buildTdspRules and take, per rule name, the
-  // intersection of the feature masks it appears under. That is exactly
-  // the weakest conjunction `when` can express, so rulesFor() reproduces
-  // buildTdspRules() for every config.
-  std::map<std::string, uint8_t> gate;
-  for (uint8_t m = 0; m <= kFeatAll; ++m) {
-    TargetConfig c;
-    c.hasMac = m & kFeatMac;
-    c.hasDualMul = m & kFeatDualMul;
-    c.hasSat = m & kFeatSat;
-    c.hasRpt = m & kFeatRpt;
-    c.hasDmov = m & kFeatDmov;
-    for (const Rule& r : buildTdspRules(c).rules) {
-      auto [it, fresh] = gate.emplace(r.name, m);
-      if (!fresh) it->second &= m;
-    }
-  }
-  TargetConfig all;
-  all.hasMac = all.hasDualMul = all.hasSat = all.hasRpt = all.hasDmov = true;
-  for (Rule& r : buildTdspRules(all).rules) {
-    DescRule dr;
-    dr.when = gate.at(r.name);
-    dr.rule = std::move(r);
-    desc.rules.push_back(std::move(dr));
-  }
-  return desc;
+  if (!ok) return std::nullopt;
+  return t;
 }
 
-const TargetDesc& generatedTdspDesc() {
-  static const TargetDesc desc = [] {
-    DiagEngine diag;
-    diag.setSourceName("tdsp.isd");
-    auto d = parseTargetDesc(tdspIsdText(), diag);
-    if (!d || !validateDesc(*d, diag))
-      throw std::logic_error("embedded tdsp.isd does not compile:\n" +
-                             diag.str());
-    return *d;
-  }();
-  return desc;
-}
-
-RuleSet generatedTdspRules(const TargetConfig& cfg) {
-  return rulesFor(generatedTdspDesc(), cfg);
-}
-
-const IsaTable& generatedTdspIsaTable() {
-  static const IsaTable table = [] {
-    DiagEngine diag;
-    diag.setSourceName("tdsp.isd");
-    auto t = buildIsaTable(generatedTdspDesc(), diag);
-    if (!t)
-      throw std::logic_error("embedded tdsp.isd has no ISA table:\n" +
-                             diag.str());
-    return *t;
-  }();
-  return table;
-}
-
-#ifdef RECORD_ISD_GENERATED
-namespace {
-// Generated-tables build: swap the generated IsaTable in before main() so
-// every consumer (assembler, encoder, optimizer, simulator decode) runs on
-// it from the first instruction. The isdgen library is an OBJECT library in
-// this configuration precisely so this initializer links into every binary.
-[[maybe_unused]] const bool kGeneratedTablesInstalled = [] {
-  setActiveIsaTable(&generatedTdspIsaTable());
-  return true;
-}();
-}  // namespace
-#endif
-
-}  // namespace record::isdgen
+}  // namespace record

@@ -8,10 +8,11 @@
 //   * a RuleSet of BURS rules for src/isel/burs (rulesFor),
 //   * an IsaTable driving the assembler/encoder/optimizer predicates and
 //     the simulator's decode-once cycle hints (buildIsaTable), installable
-//     via setActiveIsaTable,
-//   * generated-vs-hand-written equivalence: deriveTdspDesc() recovers the
-//     description from the built-in tables, and tests/isdgen_test.cpp
-//     proves the round trip bit-identical.
+//     via setActiveIsaTable.
+//
+// src/target/tdsp.isd is the one description of the built-in core: the
+// default IsaTable and every default RuleSet are compiled from it (see
+// target/tdsp.h).
 //
 // Grammar (one clause per line, '#' starts a comment):
 //
@@ -24,9 +25,7 @@
 // `rule` lines are exactly RuleSet::str() / parseIsd() syntax plus the
 // optional trailing `when` gate (a conjunction of feature names: mac,
 // dualmul, sat, rpt, dmov). `flags` uses the opInfoFlags() alphabet
-// ("-" = none). The ISE bridge (rulesFromExtraction) maps instructions
-// extracted from an RT netlist onto the same Rule representation, so
-// discovered instructions drop in as generated rules.
+// ("-" = none).
 #pragma once
 
 #include <cstdint>
@@ -38,11 +37,7 @@
 #include "target/isa.h"
 #include "target/isd.h"
 
-namespace record::ise {
-struct GenRule;
-}  // namespace record::ise
-
-namespace record::isdgen {
+namespace record {
 
 /// One `insn` clause: every per-opcode fact an IsaTable row carries.
 struct DescInsn {
@@ -62,10 +57,11 @@ struct DescRule {
   int line = 0;
 };
 
-/// A parsed target description. str() renders the canonical text form;
-/// parseTargetDesc(str()) is a fixed point.
+/// A parsed target description. str() renders the canonical text form
+/// (comments dropped); parseTargetDesc(str()) is a fixed point.
 struct TargetDesc {
   std::string name = "tdsp";
+  int line = 0;  // line of the `target` clause
   std::vector<DescInsn> insns;
   std::vector<DescRule> rules;
 
@@ -95,39 +91,17 @@ bool validateDesc(const TargetDesc& desc, DiagEngine& diag);
 /// set to cfg.
 RuleSet rulesFor(const TargetDesc& desc, const TargetConfig& cfg);
 
-/// Compile the insn clauses into an IsaTable (rows not named by the
-/// description keep their built-in values). Returns nullopt with located
-/// diagnostics when an insn name is unknown.
+/// Compile the insn clauses of a retargeting description into an IsaTable:
+/// rows the description does not name keep their defaultIsaTable() values.
+/// Returns nullopt with located diagnostics when an insn name is unknown.
 std::optional<IsaTable> buildIsaTable(const TargetDesc& desc,
                                       DiagEngine& diag);
 
-/// Recover the full tdsp description from the hand-written tables:
-/// insn clauses from builtinIsaTable(), rule clauses from
-/// buildTdspRules() with feature gates inferred by sweeping all feature
-/// combinations. src/target/tdsp.isd is this, checked in.
-TargetDesc deriveTdspDesc();
+/// Compile a description that must stand alone: starts from an empty
+/// table, and every opcode must be named by exactly one insn clause.
+/// Returns nullopt with a located diagnostic naming each missing or
+/// repeated opcode. defaultIsaTable() is this over tdsp.isd.
+std::optional<IsaTable> buildCompleteIsaTable(const TargetDesc& desc,
+                                              DiagEngine& diag);
 
-/// The checked-in src/target/tdsp.isd text, embedded at build time.
-const std::string& tdspIsdText();
-
-/// tdsp.isd parsed and validated (throws std::logic_error with the
-/// diagnostics if the checked-in description ever fails to compile --
-/// that is a build break, not a runtime condition).
-const TargetDesc& generatedTdspDesc();
-
-/// Generated equivalents of the hand-written tables: proven bit-identical
-/// to buildTdspRules()/builtinIsaTable() by tests/isdgen_test.cpp. These
-/// replace the hand-written tables build-wide under -DRECORD_ISD_GENERATED.
-RuleSet generatedTdspRules(const TargetConfig& cfg);
-const IsaTable& generatedTdspIsaTable();
-
-/// ISE bridge: map instructions extracted from an RT netlist
-/// (src/ise/bridge.h classification) onto generated BURS rules, so a
-/// processor described only as a netlist retargets the *full* compiler
-/// pipeline, not just the straight-line GeneratedCompiler. Adds the
-/// spill / immediate-widening plumbing rules the matcher needs when the
-/// extraction provides a store / an immediate load.
-RuleSet rulesFromExtraction(const std::vector<ise::GenRule>& extracted,
-                            const TargetConfig& cfg);
-
-}  // namespace record::isdgen
+}  // namespace record

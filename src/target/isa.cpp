@@ -1,6 +1,7 @@
 #include "target/isa.h"
 
 #include <atomic>
+#include <iterator>
 
 #include "target/config.h"
 
@@ -8,7 +9,9 @@ namespace record {
 
 namespace {
 
-const char* const kOpcodeNames[kNumOpcodes] = {
+// Mnemonics, indexed by Opcode. The only opcode-name table: every
+// description's insn clauses are resolved against it.
+constexpr const char* kOpcodeNames[] = {
     "LAC",  "LACK", "ZAC",  "SACL", "SACH",  //
     "ADD",  "ADDK", "SUB",  "SUBK", "NEG",   //
     "AND",  "ANDK", "OR",   "XOR",           //
@@ -20,94 +23,8 @@ const char* const kOpcodeNames[kNumOpcodes] = {
     "B",    "BZ",   "BGEZ", "BANZ", "RPT",  "DMOV",  //
     "SOVM", "ROVM", "SSXM", "RSXM", "NOP",  "HALT",
 };
-
-uint8_t builtinNeeds(Opcode op) {
-  switch (op) {
-    case Opcode::LT:
-    case Opcode::MPY:
-    case Opcode::MPYK:
-    case Opcode::PAC:
-    case Opcode::APAC:
-    case Opcode::SPAC:
-    case Opcode::SPL:
-    case Opcode::LTA:
-    case Opcode::LTP:
-      return kFeatMac;
-    case Opcode::LTD:
-      return kFeatMac | kFeatDmov;
-    case Opcode::MPYXY:
-    case Opcode::MACXY:
-      return kFeatDualMul;
-    case Opcode::SOVM:
-    case Opcode::ROVM:
-      return kFeatSat;
-    case Opcode::RPT:
-      return kFeatRpt;
-    case Opcode::DMOV:
-      return kFeatDmov;
-    default:
-      return 0;
-  }
-}
-
-OpClass builtinClassOf(Opcode op) {
-  switch (op) {
-    case Opcode::LT:
-    case Opcode::MPY:
-    case Opcode::MPYK:
-    case Opcode::PAC:
-    case Opcode::APAC:
-    case Opcode::SPAC:
-    case Opcode::SPL:
-    case Opcode::LTA:
-    case Opcode::LTP:
-    case Opcode::LTD:
-    case Opcode::MPYXY:
-    case Opcode::MACXY:
-      return OpClass::Mac;
-    case Opcode::LAC:
-    case Opcode::SACL:
-    case Opcode::SACH:
-    case Opcode::DMOV:
-      return OpClass::LoadStore;
-    case Opcode::LARK:
-    case Opcode::LAR:
-    case Opcode::SAR:
-    case Opcode::ADRK:
-    case Opcode::SBRK:
-      return OpClass::Agu;
-    case Opcode::B:
-    case Opcode::BZ:
-    case Opcode::BGEZ:
-    case Opcode::BANZ:
-      return OpClass::Branch;
-    case Opcode::SOVM:
-    case Opcode::ROVM:
-    case Opcode::SSXM:
-    case Opcode::RSXM:
-      return OpClass::Mode;
-    case Opcode::RPT:
-    case Opcode::NOP:
-    case Opcode::HALT:
-      return OpClass::Control;
-    default:
-      return OpClass::AccAlu;
-  }
-}
-
-bool builtinTakesAr(Opcode op) {
-  switch (op) {
-    case Opcode::LARK:
-    case Opcode::LAR:
-    case Opcode::SAR:
-    case Opcode::ADRK:
-    case Opcode::SBRK:
-    case Opcode::BANZ:
-      return true;
-    default:
-      return false;
-  }
-}
+static_assert(std::size(kOpcodeNames) == kNumOpcodes,
+              "kOpcodeNames must name every Opcode, in enum order");
 
 std::atomic<const IsaTable*>& activeSlot() {
   static std::atomic<const IsaTable*> slot{nullptr};
@@ -165,74 +82,9 @@ uint8_t configFeatureMask(const TargetConfig& cfg) {
   return m;
 }
 
-const IsaTable& builtinIsaTable() {
-  static const IsaTable table = [] {
-    IsaTable t;
-    t.name = "tdsp";
-    auto set = [&](Opcode op, int nOps, const char* flags) {
-      opInfoParseFlags(nOps, flags, &t.info[static_cast<size_t>(op)]);
-    };
-    set(Opcode::LAC, 1, "amC");
-    set(Opcode::LACK, 1, "C");
-    set(Opcode::ZAC, 0, "C");
-    set(Opcode::SACL, 1, "aMc");
-    set(Opcode::SACH, 1, "aMc");
-    set(Opcode::ADD, 1, "amcC");
-    set(Opcode::ADDK, 1, "cC");
-    set(Opcode::SUB, 1, "amcC");
-    set(Opcode::SUBK, 1, "cC");
-    set(Opcode::NEG, 0, "cC");
-    set(Opcode::AND, 1, "amcC");
-    set(Opcode::ANDK, 1, "cC");
-    set(Opcode::OR, 1, "amcC");
-    set(Opcode::XOR, 1, "amcC");
-    set(Opcode::SFL, 0, "cC");
-    set(Opcode::SFR, 0, "cC");
-    set(Opcode::LT, 1, "amT");
-    set(Opcode::MPY, 1, "amtP");
-    set(Opcode::MPYK, 1, "tP");
-    set(Opcode::PAC, 0, "pC");
-    set(Opcode::APAC, 0, "pcC");
-    set(Opcode::SPAC, 0, "pcC");
-    set(Opcode::SPL, 1, "aMp");
-    set(Opcode::LTA, 1, "ampcCT");
-    set(Opcode::LTP, 1, "ampCT");
-    set(Opcode::LTD, 1, "amMpcCT");
-    set(Opcode::MPYXY, 2, "abmP");
-    set(Opcode::MACXY, 2, "abmpcCP");
-    set(Opcode::LARK, 2, "");
-    set(Opcode::LAR, 2, "bm");
-    set(Opcode::SAR, 2, "bM");
-    set(Opcode::ADRK, 2, "");
-    set(Opcode::SBRK, 2, "");
-    set(Opcode::B, 0, "B");
-    set(Opcode::BZ, 0, "Bc");
-    set(Opcode::BGEZ, 0, "Bc");
-    set(Opcode::BANZ, 1, "B");
-    set(Opcode::RPT, 1, "");
-    set(Opcode::DMOV, 1, "amM");
-    set(Opcode::SOVM, 0, "");
-    set(Opcode::ROVM, 0, "");
-    set(Opcode::SSXM, 0, "");
-    set(Opcode::RSXM, 0, "");
-    set(Opcode::NOP, 0, "");
-    set(Opcode::HALT, 0, "");
-    for (int i = 0; i < kNumOpcodes; ++i) {
-      Opcode op = static_cast<Opcode>(i);
-      t.names[i] = kOpcodeNames[i];
-      t.cls[i] = builtinClassOf(op);
-      t.takesAr[i] = builtinTakesAr(op);
-      t.needs[i] = builtinNeeds(op);
-      t.decodeCycles[i] = t.info[i].isBranch ? 2 : 1;
-    }
-    return t;
-  }();
-  return table;
-}
-
 const IsaTable& activeIsaTable() {
   const IsaTable* t = activeSlot().load(std::memory_order_acquire);
-  return t ? *t : builtinIsaTable();
+  return t ? *t : defaultIsaTable();
 }
 
 const IsaTable* setActiveIsaTable(const IsaTable* t) {
@@ -242,13 +94,12 @@ const IsaTable* setActiveIsaTable(const IsaTable* t) {
 const char* opcodeName(Opcode op) {
   int i = static_cast<int>(op);
   if (i < 0 || i >= kNumOpcodes) return "?";
-  return activeIsaTable().names[i].c_str();
+  return kOpcodeNames[i];
 }
 
 bool opcodeFromName(const std::string& name, Opcode& out) {
-  const IsaTable& t = activeIsaTable();
   for (int i = 0; i < kNumOpcodes; ++i) {
-    if (name == t.names[i]) {
+    if (name == kOpcodeNames[i]) {
       out = static_cast<Opcode>(i);
       return true;
     }

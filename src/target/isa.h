@@ -177,9 +177,8 @@ const OpInfo& opInfo(Opcode op);
 /// no flags). Each char sets one field: a/b = operand-is-mem, B = branch,
 /// c/C = reads/writes ACC, t/T = T register, p/P = P register, m/M = data
 /// memory. Returns false on an unknown flag char (out is left
-/// partially filled). Inverse of opInfoFlags(); shared by the built-in
-/// table builder and the target-description parser so the two can never
-/// disagree on flag semantics.
+/// partially filled). Inverse of opInfoFlags(); the target-description
+/// parser reads `insn` flags with it.
 bool opInfoParseFlags(int numOperands, const std::string& flags, OpInfo* out);
 
 /// Canonical flag rendering of an OpInfo ("-" when no flag is set).
@@ -219,13 +218,13 @@ struct TargetConfig {
 // ---------------------------------------------------------------------------
 // ISA tables
 // ---------------------------------------------------------------------------
-// Every per-opcode fact above (name, OpInfo, class, AR-index flag, feature
-// availability, decode-time cycle hint) is one row of an IsaTable. The
-// hand-written built-in table is the default; src/isd/gen can build an
-// equivalent table from a textual target description and install it here,
-// swapping the tables under the assembler, encoder, optimizer and the
-// simulator's decode-once lowering in one move (proven bit-identical by
-// tests/isdgen_test.cpp).
+// Every per-opcode fact above except the mnemonic (OpInfo, class, AR-index
+// flag, feature availability, decode-time cycle hint) is one row of an
+// IsaTable. The default table is compiled from src/target/tdsp.isd (see
+// target/desc.h); a retargeting description can compile its own and
+// install it here, swapping the tables under the assembler, encoder,
+// optimizer and the simulator's decode-once lowering in one move.
+// Mnemonics are fixed by enum Opcode: no description can rename one.
 
 /// Datapath feature bits, the availability vocabulary of opcodeAvailable():
 /// an opcode is implemented iff its requirement mask is a subset of the
@@ -241,36 +240,36 @@ inline constexpr uint8_t kFeatAll =
 /// The kFeat* bits a config's datapath provides.
 uint8_t configFeatureMask(const TargetConfig& cfg);
 
-/// One complete set of per-opcode tables. Plain value type: generated
-/// tables are built field-by-field and compared against the built-in one.
+/// One complete set of per-opcode tables. Plain value type, built
+/// field-by-field from a description's insn clauses.
 struct IsaTable {
   std::string name = "tdsp";
-  std::array<std::string, kNumOpcodes> names;
   std::array<OpInfo, kNumOpcodes> info;
   std::array<OpClass, kNumOpcodes> cls{};
   std::array<bool, kNumOpcodes> takesAr{};
   /// Feature-requirement masks (kFeat* bits) behind opcodeAvailable().
   std::array<uint8_t, kNumOpcodes> needs{};
   /// Decode-time cycle hints consumed by Machine::decodeOne (branches cost
-  /// 2, everything else 1 on the built-in core; MPYXY/MACXY bank-conflict
-  /// cycles stay dynamic in the simulator).
+  /// 2, everything else 1 on tdsp; MPYXY/MACXY bank-conflict cycles stay
+  /// dynamic in the simulator).
   std::array<uint8_t, kNumOpcodes> decodeCycles{};
 };
 
-/// The hand-written tdsp table (always available, never mutated).
-const IsaTable& builtinIsaTable();
+/// The tdsp table compiled from the embedded src/target/tdsp.isd on first
+/// use (never mutated). Throws std::logic_error if the description does
+/// not name every opcode exactly once.
+const IsaTable& defaultIsaTable();
 
-/// The table opcodeName/opcodeFromName/opcodeAvailable/opTakesArIndex/
-/// opInfo/opClassOf and the simulator decode currently route through; the
-/// built-in table unless one was installed.
+/// The table opcodeAvailable/opTakesArIndex/opInfo/opClassOf and the
+/// simulator decode currently route through; the default table unless one
+/// was installed.
 const IsaTable& activeIsaTable();
 
-/// Install `t` as the active table (null restores the built-in). The
+/// Install `t` as the active table (null restores the default). The
 /// pointed-to table must outlive its installation; the slot is atomic, but
 /// swapping tables while other threads compile is the caller's hazard --
-/// intended use is process start-up (the generated-tables build) or
-/// single-threaded tools (recordc --isd). Returns the previously installed
-/// table (null = built-in).
+/// intended use is single-threaded tools (recordc --isd). Returns the
+/// previously installed table (null = default).
 const IsaTable* setActiveIsaTable(const IsaTable* t);
 
 /// A compiled (or assembled) program for one tdsp variant: instructions plus

@@ -1,274 +1,34 @@
 #include "target/tdsp.h"
 
 #include <sstream>
+#include <stdexcept>
 
 namespace record {
 
-namespace {
-
-using K = OperTemplate;
-
-struct RuleBuilder {
-  RuleSet& rs;
-
-  Rule& add(const std::string& name, Nonterm lhs, PatNode pat, int size,
-            int cycles, ModeReq mode = {}) {
-    Rule r;
-    r.name = name;
-    r.lhs = lhs;
-    r.pat = std::move(pat);
-    assignSlots(r.pat);
-    r.size = size;
-    r.cycles = cycles;
-    r.mode = mode;
-    rs.rules.push_back(std::move(r));
-    return rs.rules.back();
-  }
-};
-
-void emit(Rule& r, Opcode op, OperTemplate a = K::none(),
-          OperTemplate b = K::none()) {
-  r.emit.push_back({op, a, b});
+const TargetDesc& tdspDesc() {
+  static const TargetDesc desc = [] {
+    DiagEngine diag;
+    diag.setSourceName("tdsp.isd");
+    auto d = parseTargetDesc(tdspIsdText(), diag);
+    if (!d || !validateDesc(*d, diag))
+      throw std::logic_error("embedded tdsp.isd does not compile:\n" +
+                             diag.str());
+    return *d;
+  }();
+  return desc;
 }
 
-PatNode acc() { return PatNode::leaf(Nonterm::Acc); }
-PatNode mem() { return PatNode::leaf(Nonterm::Mem); }
-PatNode imm8() { return PatNode::leaf(Nonterm::Imm8); }
-PatNode imm16() { return PatNode::leaf(Nonterm::Imm16); }
-
-}  // namespace
-
-RuleSet buildTdspRules(const TargetConfig& cfg) {
-  RuleSet rs;
-  rs.config = cfg;
-  RuleBuilder b{rs};
-
-  // --- data routing ---------------------------------------------------------
-  {
-    Rule& r = b.add("store", Nonterm::Stmt,
-                    PatNode::node(Op::Store, {mem(), acc()}), 1, 1);
-    emit(r, Opcode::SACL, K::fromSlot(0));
-  }
-  {
-    Rule& r = b.add("load", Nonterm::Acc, mem(), 1, 1);
-    emit(r, Opcode::LAC, K::fromSlot(0));
-  }
-  {
-    Rule& r = b.add("lack", Nonterm::Acc, imm8(), 1, 1);
-    emit(r, Opcode::LACK, K::fromSlot(0));
-  }
-  // Pure conversion chain: any 8-bit immediate is also a 16-bit one.
-  b.add("imm8to16", Nonterm::Imm16, imm8(), 0, 0);
-  {
-    // Data routing through memory: the reducer allocates the temp.
-    Rule& r = b.add("spill", Nonterm::Mem, acc(), 1, 1);
-    emit(r, Opcode::SACL, K::temp());
-  }
-  {
-    Rule& r = b.add("zero", Nonterm::Acc, PatNode::constant(0), 1, 1);
-    emit(r, Opcode::ZAC);
-  }
-
-  // --- wrap-around ALU ------------------------------------------------------
-  {
-    Rule& r = b.add("add_mem", Nonterm::Acc,
-                    PatNode::node(Op::Add, {acc(), mem()}), 1, 1,
-                    ModeReq{0, -1});
-    emit(r, Opcode::ADD, K::fromSlot(0));
-  }
-  {
-    Rule& r = b.add("add_imm", Nonterm::Acc,
-                    PatNode::node(Op::Add, {acc(), imm8()}), 1, 1,
-                    ModeReq{0, -1});
-    emit(r, Opcode::ADDK, K::fromSlot(0));
-  }
-  {
-    Rule& r = b.add("sub_mem", Nonterm::Acc,
-                    PatNode::node(Op::Sub, {acc(), mem()}), 1, 1,
-                    ModeReq{0, -1});
-    emit(r, Opcode::SUB, K::fromSlot(0));
-  }
-  {
-    Rule& r = b.add("sub_imm", Nonterm::Acc,
-                    PatNode::node(Op::Sub, {acc(), imm8()}), 1, 1,
-                    ModeReq{0, -1});
-    emit(r, Opcode::SUBK, K::fromSlot(0));
-  }
-  {
-    Rule& r = b.add("neg", Nonterm::Acc, PatNode::node(Op::Neg, {acc()}), 1,
-                    1, ModeReq{0, -1});
-    emit(r, Opcode::NEG);
-  }
-
-  // --- bitwise --------------------------------------------------------------
-  {
-    Rule& r = b.add("and_mem", Nonterm::Acc,
-                    PatNode::node(Op::And, {acc(), mem()}), 1, 1);
-    emit(r, Opcode::AND, K::fromSlot(0));
-  }
-  {
-    Rule& r = b.add("and_imm", Nonterm::Acc,
-                    PatNode::node(Op::And, {acc(), imm16()}), 1, 1);
-    emit(r, Opcode::ANDK, K::fromSlot(0));
-  }
-  {
-    Rule& r = b.add("or_mem", Nonterm::Acc,
-                    PatNode::node(Op::Or, {acc(), mem()}), 1, 1);
-    emit(r, Opcode::OR, K::fromSlot(0));
-  }
-  {
-    Rule& r = b.add("xor_mem", Nonterm::Acc,
-                    PatNode::node(Op::Xor, {acc(), mem()}), 1, 1);
-    emit(r, Opcode::XOR, K::fromSlot(0));
-  }
-
-  // --- shifts (SFL/SFR shift by one; shift-by-k unrolls) --------------------
-  for (int k = 1; k <= 14; ++k) {
-    Rule& r = b.add("shl" + std::to_string(k), Nonterm::Acc,
-                    PatNode::node(Op::Shl, {acc(), PatNode::constant(k)}), k,
-                    k);
-    for (int i = 0; i < k; ++i) emit(r, Opcode::SFL);
-  }
-  for (int k = 1; k <= 14; ++k) {
-    Rule& r = b.add("shr" + std::to_string(k), Nonterm::Acc,
-                    PatNode::node(Op::Shr, {acc(), PatNode::constant(k)}), k,
-                    k, ModeReq{-1, 1});
-    for (int i = 0; i < k; ++i) emit(r, Opcode::SFR);
-  }
-  for (int k = 1; k <= 14; ++k) {
-    Rule& r = b.add("shru" + std::to_string(k), Nonterm::Acc,
-                    PatNode::node(Op::Shru, {acc(), PatNode::constant(k)}),
-                    k, k, ModeReq{-1, 0});
-    for (int i = 0; i < k; ++i) emit(r, Opcode::SFR);
-  }
-
-  // --- T/P multiplier pipeline ---------------------------------------------
-  if (cfg.hasMac) {
-    {
-      Rule& r = b.add("mul", Nonterm::Acc,
-                      PatNode::node(Op::Mul, {mem(), mem()}), 3, 3);
-      emit(r, Opcode::LT, K::fromSlot(0));
-      emit(r, Opcode::MPY, K::fromSlot(1));
-      emit(r, Opcode::PAC);
-    }
-    {
-      Rule& r = b.add("mul_imm", Nonterm::Acc,
-                      PatNode::node(Op::Mul, {mem(), imm8()}), 3, 3);
-      emit(r, Opcode::LT, K::fromSlot(0));
-      emit(r, Opcode::MPYK, K::fromSlot(1));
-      emit(r, Opcode::PAC);
-    }
-    {
-      Rule& r = b.add(
-          "mac", Nonterm::Acc,
-          PatNode::node(Op::Add,
-                        {acc(), PatNode::node(Op::Mul, {mem(), mem()})}),
-          3, 3, ModeReq{0, -1});
-      emit(r, Opcode::LT, K::fromSlot(0));
-      emit(r, Opcode::MPY, K::fromSlot(1));
-      emit(r, Opcode::APAC);
-    }
-    {
-      Rule& r = b.add(
-          "mac_imm", Nonterm::Acc,
-          PatNode::node(Op::Add,
-                        {acc(), PatNode::node(Op::Mul, {mem(), imm8()})}),
-          3, 3, ModeReq{0, -1});
-      emit(r, Opcode::LT, K::fromSlot(0));
-      emit(r, Opcode::MPYK, K::fromSlot(1));
-      emit(r, Opcode::APAC);
-    }
-    {
-      Rule& r = b.add(
-          "msub", Nonterm::Acc,
-          PatNode::node(Op::Sub,
-                        {acc(), PatNode::node(Op::Mul, {mem(), mem()})}),
-          3, 3, ModeReq{0, -1});
-      emit(r, Opcode::LT, K::fromSlot(0));
-      emit(r, Opcode::MPY, K::fromSlot(1));
-      emit(r, Opcode::SPAC);
-    }
-  }
-
-  // --- saturating forms (OVM=1 rides on the same ALU) -----------------------
-  if (cfg.hasSat) {
-    {
-      Rule& r = b.add("sadd_mem", Nonterm::Acc,
-                      PatNode::node(Op::SatAdd, {acc(), mem()}), 1, 1,
-                      ModeReq{1, -1});
-      emit(r, Opcode::ADD, K::fromSlot(0));
-    }
-    {
-      Rule& r = b.add("sadd_imm", Nonterm::Acc,
-                      PatNode::node(Op::SatAdd, {acc(), imm8()}), 1, 1,
-                      ModeReq{1, -1});
-      emit(r, Opcode::ADDK, K::fromSlot(0));
-    }
-    {
-      Rule& r = b.add("ssub_mem", Nonterm::Acc,
-                      PatNode::node(Op::SatSub, {acc(), mem()}), 1, 1,
-                      ModeReq{1, -1});
-      emit(r, Opcode::SUB, K::fromSlot(0));
-    }
-    {
-      Rule& r = b.add("ssub_imm", Nonterm::Acc,
-                      PatNode::node(Op::SatSub, {acc(), imm8()}), 1, 1,
-                      ModeReq{1, -1});
-      emit(r, Opcode::SUBK, K::fromSlot(0));
-    }
-    if (cfg.hasMac) {
-      {
-        Rule& r = b.add(
-            "smac", Nonterm::Acc,
-            PatNode::node(Op::SatAdd,
-                          {acc(), PatNode::node(Op::Mul, {mem(), mem()})}),
-            3, 3, ModeReq{1, -1});
-        emit(r, Opcode::LT, K::fromSlot(0));
-        emit(r, Opcode::MPY, K::fromSlot(1));
-        emit(r, Opcode::APAC);
-      }
-      {
-        Rule& r = b.add(
-            "smsub", Nonterm::Acc,
-            PatNode::node(Op::SatSub,
-                          {acc(), PatNode::node(Op::Mul, {mem(), mem()})}),
-            3, 3, ModeReq{1, -1});
-        emit(r, Opcode::LT, K::fromSlot(0));
-        emit(r, Opcode::MPY, K::fromSlot(1));
-        emit(r, Opcode::SPAC);
-      }
-    }
-  }
-
-  // --- dual-multiplier datapath ---------------------------------------------
-  if (cfg.hasDualMul) {
-    {
-      Rule& r = b.add("mulxy", Nonterm::Acc,
-                      PatNode::node(Op::Mul, {mem(), mem()}), 2, 2);
-      emit(r, Opcode::MPYXY, K::fromSlot(0), K::fromSlot(1));
-      emit(r, Opcode::PAC);
-    }
-    {
-      Rule& r = b.add(
-          "macxy", Nonterm::Acc,
-          PatNode::node(Op::Add,
-                        {acc(), PatNode::node(Op::Mul, {mem(), mem()})}),
-          2, 2, ModeReq{0, -1});
-      emit(r, Opcode::MPYXY, K::fromSlot(0), K::fromSlot(1));
-      emit(r, Opcode::APAC);
-    }
-    if (cfg.hasSat) {
-      Rule& r = b.add(
-          "smacxy", Nonterm::Acc,
-          PatNode::node(Op::SatAdd,
-                        {acc(), PatNode::node(Op::Mul, {mem(), mem()})}),
-          2, 2, ModeReq{1, -1});
-      emit(r, Opcode::MPYXY, K::fromSlot(0), K::fromSlot(1));
-      emit(r, Opcode::APAC);
-    }
-  }
-
-  return rs;
+const IsaTable& defaultIsaTable() {
+  static const IsaTable table = [] {
+    DiagEngine diag;
+    diag.setSourceName("tdsp.isd");
+    auto t = buildCompleteIsaTable(tdspDesc(), diag);
+    if (!t)
+      throw std::logic_error("embedded tdsp.isd has no complete ISA table:\n" +
+                             diag.str());
+    return *t;
+  }();
+  return table;
 }
 
 std::string tdspDatapathNetlist(const TargetConfig& cfg) {

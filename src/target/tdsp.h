@@ -1,20 +1,28 @@
-// The built-in tdsp target: a hand-written ISD for the configured core
-// variant, plus the equivalent RT-level netlist of its datapath so the
-// instruction-set-extraction path (src/ise) can re-derive an instruction
-// set from structure alone and cross-check it against this ISD.
+// The built-in tdsp target: src/target/tdsp.isd, the one description of
+// the core (embedded at build time), plus the equivalent RT-level netlist
+// of its datapath so the instruction-set-extraction path (src/ise) can
+// re-derive an instruction set from structure alone and cross-check it
+// against the description.
+//
+// The default rule set of a core variant is rulesFor(tdspDesc(), cfg); the
+// default IsaTable (defaultIsaTable(), target/isa.h) is compiled from the
+// same description.
 #pragma once
 
 #include <string>
 
 #include "target/config.h"
-#include "target/isd.h"
+#include "target/desc.h"
 
 namespace record {
 
-/// Build the tdsp rule set for one core variant. Feature flags gate rule
-/// families: hasMac the T/P pipeline, hasDualMul the MPYXY path, hasSat the
-/// saturating forms.
-RuleSet buildTdspRules(const TargetConfig& cfg);
+/// The checked-in src/target/tdsp.isd text, embedded at build time.
+const std::string& tdspIsdText();
+
+/// tdsp.isd parsed and validated on first use (throws std::logic_error
+/// with the diagnostics if the embedded description does not compile --
+/// that is a build break, not a runtime condition).
+const TargetDesc& tdspDesc();
 
 /// Textual RT netlist of the tdsp datapath (accumulator, ALU with
 /// zero/immediate/product operand muxes, and -- with hasMac -- the T/P

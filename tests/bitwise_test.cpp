@@ -147,7 +147,7 @@ TEST(Bitwise, MaskExtractIdiom) {
 
 TEST(Bitwise, SelfTestCoversBitwiseRules) {
   TargetConfig cfg;
-  auto rules = buildTdspRules(cfg);
+  auto rules = rulesFor(tdspDesc(), cfg);
   bool hasAnd = false, hasOr = false, hasXor = false;
   for (const auto& r : rules.rules) {
     if (r.name == "and_mem") hasAnd = true;

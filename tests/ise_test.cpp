@@ -7,7 +7,6 @@
 
 #include "dfl/frontend.h"
 #include "ir/interp.h"
-#include "isd/gen.h"
 #include "ise/bridge.h"
 #include "ise/extract.h"
 #include "netlist/parser.h"
@@ -314,7 +313,7 @@ TEST(Bridge, ExtractedOperandKindsAndLatencies) {
   // one netlist microinstruction, so every generated BURS rule must cost
   // exactly one word and one cycle and emit a single instruction whose
   // operand comes from the pattern's only slot (the spill temp aside).
-  RuleSet rs = isdgen::rulesFromExtraction(gc.rules(), TargetConfig{});
+  RuleSet rs = ise::rulesFromExtraction(gc.rules(), TargetConfig{});
   ASSERT_FALSE(rs.rules.empty());
   for (const Rule& r : rs.rules) {
     SCOPED_TRACE(r.name);

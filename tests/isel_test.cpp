@@ -57,7 +57,7 @@ class MockBinder : public OperandBinder {
 
 class IselTest : public ::testing::Test {
  protected:
-  IselTest() : rules(buildTdspRules(TargetConfig{})) {
+  IselTest() : rules(rulesFor(tdspDesc(), TargetConfig{})) {
     a = table.define({"a", SymKind::Input, Type::Fix, 0, 0, 0});
     b = table.define({"b", SymKind::Input, Type::Fix, 0, 0, 0});
     c = table.define({"c", SymKind::Input, Type::Fix, 0, 0, 0});
@@ -189,7 +189,7 @@ TEST_F(IselTest, CycleCostModelDiffersFromSize) {
   // is in the set only for dual-mul configs.
   TargetConfig dm;
   dm.hasDualMul = true;
-  RuleSet dmRules = buildTdspRules(dm);
+  RuleSet dmRules = rulesFor(tdspDesc(), dm);
   BursMatcher m(dmRules, CostKind::Size);
   auto tree = store(Expr::binary(Op::Mul, Expr::ref(a), Expr::ref(b)));
   auto r = m.reduce(tree, Nonterm::Stmt, binder);
@@ -200,7 +200,7 @@ TEST_F(IselTest, CycleCostModelDiffersFromSize) {
 TEST_F(IselTest, UncoverableTreeReportsFailure) {
   TargetConfig noMul;
   noMul.hasMac = false;
-  RuleSet nm = buildTdspRules(noMul);
+  RuleSet nm = rulesFor(tdspDesc(), noMul);
   BursMatcher m(nm, CostKind::Size);
   auto tree = store(Expr::binary(Op::Mul, Expr::ref(a), Expr::ref(b)));
   EXPECT_FALSE(m.matchCost(tree, Nonterm::Stmt, binder).has_value());

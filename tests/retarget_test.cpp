@@ -23,7 +23,7 @@ namespace {
 
 TEST(IsdRetarget, CompilerFromIsdTextMatchesBuiltin) {
   TargetConfig cfg;
-  RuleSet builtin = buildTdspRules(cfg);
+  RuleSet builtin = rulesFor(tdspDesc(), cfg);
   // Round-trip the description through its textual form -- the "explicit
   // target model" a user would author or ISE would emit.
   DiagEngine diag;
@@ -50,7 +50,7 @@ TEST(IsdRetarget, RemovingMacRulesStillCompilesCorrectly) {
   // to mul + add covers (bigger, still correct) -- retargeting to a core
   // whose description simply lacks the pattern.
   TargetConfig cfg;
-  RuleSet rules = buildTdspRules(cfg);
+  RuleSet rules = rulesFor(tdspDesc(), cfg);
   RuleSet reduced = rules;
   reduced.rules.clear();
   for (const auto& r : rules.rules) {
@@ -72,7 +72,7 @@ TEST(IsdRetarget, CustomRuleChangesSelection) {
   // Teach the description a cheaper "add immediate 1" (a fictitious INC
   // encoded as ADDK #1 but priced at zero cost): the matcher must pick it.
   TargetConfig cfg;
-  RuleSet rules = buildTdspRules(cfg);
+  RuleSet rules = rulesFor(tdspDesc(), cfg);
   DiagEngine diag;
   auto extra = parseIsd(
       "rule inc acc <- (add acc (const 1))  emit ADDK $1  cost 0,0\n",

@@ -31,7 +31,7 @@ class SelfTestAllConfigs : public ::testing::TestWithParam<int> {
 
 TEST_P(SelfTestAllConfigs, FaultFreeMachinePasses) {
   auto cfg = makeConfig();
-  auto st = generateSelfTest(buildTdspRules(cfg), 42);
+  auto st = generateSelfTest(rulesFor(tdspDesc(), cfg), 42);
   EXPECT_FALSE(st.checks.empty());
   auto run = runSelfTest(st);
   EXPECT_TRUE(run.ran);
@@ -41,7 +41,7 @@ TEST_P(SelfTestAllConfigs, FaultFreeMachinePasses) {
 
 TEST_P(SelfTestAllConfigs, HighRuleCoverage) {
   auto cfg = makeConfig();
-  auto st = generateSelfTest(buildTdspRules(cfg), 42);
+  auto st = generateSelfTest(rulesFor(tdspDesc(), cfg), 42);
   // Every rule that emits code must be covered; only pure chain rules
   // (imm widening) may be skipped.
   EXPECT_GE(st.ruleCoverage(), 0.9) << "skipped:" << st.skippedRules.size();
@@ -53,8 +53,8 @@ INSTANTIATE_TEST_SUITE_P(Configs, SelfTestAllConfigs,
 
 TEST(SelfTest, SeedsProduceDifferentStimulus) {
   TargetConfig cfg;
-  auto a = generateSelfTest(buildTdspRules(cfg), 1);
-  auto b = generateSelfTest(buildTdspRules(cfg), 2);
+  auto a = generateSelfTest(rulesFor(tdspDesc(), cfg), 1);
+  auto b = generateSelfTest(rulesFor(tdspDesc(), cfg), 2);
   ASSERT_EQ(a.checks.size(), b.checks.size());
   bool anyDifferent = false;
   for (size_t i = 0; i < a.checks.size(); ++i)
@@ -64,7 +64,7 @@ TEST(SelfTest, SeedsProduceDifferentStimulus) {
 
 TEST(SelfTest, DetectsInjectedAddSubFault) {
   TargetConfig cfg;
-  auto st = generateSelfTest(buildTdspRules(cfg), 7);
+  auto st = generateSelfTest(rulesFor(tdspDesc(), cfg), 7);
   auto run = runSelfTest(st, [](Opcode op) {
     return op == Opcode::ADD ? Opcode::SUB : op;
   });
@@ -73,7 +73,7 @@ TEST(SelfTest, DetectsInjectedAddSubFault) {
 
 TEST(SelfTest, DetectsMultiplierFault) {
   TargetConfig cfg;
-  auto st = generateSelfTest(buildTdspRules(cfg), 7);
+  auto st = generateSelfTest(rulesFor(tdspDesc(), cfg), 7);
   auto run = runSelfTest(st, [](Opcode op) {
     return op == Opcode::MPY ? Opcode::LT : op;
   });
@@ -82,7 +82,7 @@ TEST(SelfTest, DetectsMultiplierFault) {
 
 TEST(SelfTest, FaultCampaignFindsMostFaults) {
   TargetConfig cfg;
-  auto st = generateSelfTest(buildTdspRules(cfg), 11);
+  auto st = generateSelfTest(rulesFor(tdspDesc(), cfg), 11);
   auto fc = runFaultCampaign(st);
   EXPECT_GT(fc.faults.size(), 20u);
   // The generated test must catch the overwhelming majority of decode
@@ -94,7 +94,7 @@ TEST(SelfTest, FaultCampaignFindsMostFaults) {
 
 TEST(SelfTest, CampaignListsUndetectedFaults) {
   TargetConfig cfg;
-  auto st = generateSelfTest(buildTdspRules(cfg), 11);
+  auto st = generateSelfTest(rulesFor(tdspDesc(), cfg), 11);
   auto fc = runFaultCampaign(st);
   for (const auto& f : fc.faults) {
     if (!f.detected) {

@@ -179,7 +179,7 @@ TEST(Encode, FailsOnUnresolvedLabel) {
 
 TEST(Isd, TdspRuleSetFeatureGating) {
   TargetConfig cfg;
-  auto rs = buildTdspRules(cfg);
+  auto rs = rulesFor(tdspDesc(), cfg);
   auto hasRule = [&](const std::string& name) {
     for (const auto& r : rs.rules)
       if (r.name == name) return true;
@@ -192,7 +192,7 @@ TEST(Isd, TdspRuleSetFeatureGating) {
   cfg.hasMac = false;
   cfg.hasSat = false;
   cfg.hasDualMul = true;
-  auto rs2 = buildTdspRules(cfg);
+  auto rs2 = rulesFor(tdspDesc(), cfg);
   auto hasRule2 = [&](const std::string& name) {
     for (const auto& r : rs2.rules)
       if (r.name == name) return true;
@@ -207,7 +207,7 @@ TEST(Isd, TdspRuleSetFeatureGating) {
 TEST(Isd, TextRoundTrip) {
   TargetConfig cfg;
   cfg.hasDualMul = true;
-  auto rs = buildTdspRules(cfg);
+  auto rs = rulesFor(tdspDesc(), cfg);
   std::string text = rs.str();
   DiagEngine diag;
   auto back = parseIsd(text, diag);
@@ -229,7 +229,7 @@ TEST(Isd, TextRoundTrip) {
 
 TEST(Isd, ChainRuleDetection) {
   TargetConfig cfg;
-  auto rs = buildTdspRules(cfg);
+  auto rs = rulesFor(tdspDesc(), cfg);
   int chains = 0;
   for (const auto& r : rs.rules) {
     if (r.isChain()) ++chains;
@@ -243,7 +243,7 @@ TEST(Isd, ChainRuleDetection) {
 
 TEST(Isd, NumSlots) {
   TargetConfig cfg;
-  auto rs = buildTdspRules(cfg);
+  auto rs = rulesFor(tdspDesc(), cfg);
   for (const auto& r : rs.rules) {
     if (r.name == "mac") { EXPECT_EQ(RuleSet::numSlots(r), 2); }
     if (r.name == "load") { EXPECT_EQ(RuleSet::numSlots(r), 1); }

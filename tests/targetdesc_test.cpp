@@ -1,20 +1,21 @@
-// The generated-vs-hand-written equivalence proof for the target-description
-// compiler (src/isd/gen.h), plus its property tests:
+// The target-description compiler (target/desc.h) and src/target/tdsp.isd,
+// the one description of the built-in core:
 //
-//   * src/target/tdsp.isd is exactly deriveTdspDesc().str(), parses back to
-//     itself (fixed point), and its rule set / IsaTable are bit-identical to
-//     the hand-written buildTdspRules() / builtinIsaTable() on every sweep
-//     configuration.
-//   * Compiles through the generated tables match the hand-written-table
-//     compiles bit-for-bit -- assembly listing, encoded words, data layout,
-//     simulated cycles, profiler attribution -- across the full 9-config x
-//     fast/slow sweep, the DSPStone kernels, the committed difftest corpus,
-//     and a seeded oracle run (CrossCheckOpts::isdPath).
-//   * Well-formedness properties of every generated rule set, and robustness
+//   * tdsp.isd on disk is the embedded text, names every opcode exactly
+//     once, reaches a canonical fixed point, and the default IsaTable, the
+//     opcode predicates and the cached default rule sets are exactly what
+//     its clauses say on every sweep configuration.
+//   * The frozen codegen oracle, tests/golden/tdsp_codegen.golden: compiles
+//     of the DSPStone kernels, the committed difftest corpus and seeded
+//     generated programs across the full 9-config x fast/slow sweep keep
+//     their accept/reject decision, annotated listing, data layout and
+//     encoded words; the kernels keep their simulated cycles and profiler
+//     attribution.
+//   * Well-formedness properties of every default rule set, and robustness
 //     of the description pipeline: 50 seeded mutations of tdsp.isd either
 //     compile or produce located diagnostics -- never a crash.
-//   * The ISE bridge: rules generated from a netlist extraction drive the
-//     full RecordCompiler pipeline and the result runs correctly.
+//   * The ISE bridge: rules from a netlist extraction drive the full
+//     RecordCompiler pipeline and the result runs correctly.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -33,13 +34,13 @@
 #include "dspstone/harness.h"
 #include "dspstone/kernels.h"
 #include "ir/program.h"
-#include "isd/gen.h"
 #include "ise/bridge.h"
 #include "ise/extract.h"
 #include "netlist/parser.h"
 #include "sim/machine.h"
 #include "sim/profile.h"
 #include "support/diag.h"
+#include "target/desc.h"
 #include "target/encode.h"
 #include "target/isa.h"
 #include "target/isd.h"
@@ -56,40 +57,71 @@ std::string readFile(const std::string& path) {
   return ss.str();
 }
 
+/// tdsp.isd read from the source tree (not the embedded copy), parsed and
+/// validated.
+TargetDesc onDiskDesc() {
+  DiagEngine diag;
+  auto desc = parseTargetDesc(readFile(RECORD_TDSP_ISD), diag);
+  EXPECT_TRUE(desc.has_value()) << diag.str();
+  EXPECT_TRUE(desc && validateDesc(*desc, diag)) << diag.str();
+  return desc.value_or(TargetDesc{});
+}
+
+void expectSameTable(const IsaTable& a, const IsaTable& b) {
+  EXPECT_EQ(a.name, b.name);
+  for (int i = 0; i < kNumOpcodes; ++i) {
+    SCOPED_TRACE(std::string("opcode ") + opcodeName(static_cast<Opcode>(i)));
+    EXPECT_EQ(a.cls[i], b.cls[i]);
+    EXPECT_EQ(a.takesAr[i], b.takesAr[i]);
+    EXPECT_EQ(a.needs[i], b.needs[i]);
+    EXPECT_EQ(a.decodeCycles[i], b.decodeCycles[i]);
+    EXPECT_EQ(a.info[i].numOperands, b.info[i].numOperands);
+    EXPECT_EQ(opInfoFlags(a.info[i]), opInfoFlags(b.info[i]));
+  }
+}
+
 // ---------------------------------------------------------------------------
-// Satellite: golden-file round trips
+// The checked-in description
 // ---------------------------------------------------------------------------
 
 TEST(IsdGolden, CheckedInDescMatchesDerived) {
-  // The committed description, the build-time-embedded copy, and the
-  // description re-derived from the hand-written tables are one text.
-  const std::string onDisk = readFile(RECORD_TDSP_ISD);
-  EXPECT_EQ(onDisk, isdgen::tdspIsdText());
-  EXPECT_EQ(onDisk, isdgen::deriveTdspDesc().str());
+  // The committed description is the build-time-embedded copy ...
+  EXPECT_EQ(readFile(RECORD_TDSP_ISD), tdspIsdText());
+  // ... and the insn clauses re-derived from the default table it compiles
+  // to render exactly as the parsed ones: the table keeps every fact.
+  TargetDesc derived = tdspDesc();
+  const IsaTable& t = defaultIsaTable();
+  for (DescInsn& insn : derived.insns) {
+    Opcode op;
+    ASSERT_TRUE(opcodeFromName(insn.name, op)) << insn.name;
+    auto i = static_cast<size_t>(op);
+    insn.cls = t.cls[i];
+    insn.info = t.info[i];
+    insn.takesAr = t.takesAr[i];
+    insn.needs = t.needs[i];
+    insn.cycles = t.decodeCycles[i];
+  }
+  EXPECT_EQ(derived.str(), tdspDesc().str());
 }
 
 TEST(IsdGolden, DescRoundTripFixedPoint) {
-  const std::string text = isdgen::tdspIsdText();
   DiagEngine diag;
-  auto desc = isdgen::parseTargetDesc(text, diag);
+  auto desc = parseTargetDesc(tdspIsdText(), diag);
   ASSERT_TRUE(desc.has_value()) << diag.str();
-  EXPECT_TRUE(isdgen::validateDesc(*desc, diag)) << diag.str();
-  // parse -> str is a fixed point of the canonical text.
-  EXPECT_EQ(desc->str(), text);
-  // ... and reparsing the rendering changes nothing either.
+  EXPECT_TRUE(validateDesc(*desc, diag)) << diag.str();
+  // Comments are not canonical, so the fixed point starts at the first
+  // rendering: str(parse(str(parse(text)))) == str(parse(text)).
+  const std::string canonical = desc->str();
   DiagEngine diag2;
-  auto again = isdgen::parseTargetDesc(desc->str(), diag2);
+  auto again = parseTargetDesc(canonical, diag2);
   ASSERT_TRUE(again.has_value()) << diag2.str();
-  EXPECT_EQ(again->str(), desc->str());
+  EXPECT_EQ(again->str(), canonical);
 }
 
 TEST(IsdGolden, DefaultRulesMatchGoldenFile) {
   const std::string golden =
       readFile(std::string(RECORD_GOLDEN_DIR) + "/tdsp_default_rules.isd");
-  // Hand-written and generated default-config rule sets both render to the
-  // committed golden text.
-  EXPECT_EQ(buildTdspRules(TargetConfig{}).str(), golden);
-  EXPECT_EQ(isdgen::generatedTdspRules(TargetConfig{}).str(), golden);
+  EXPECT_EQ(rulesFor(tdspDesc(), TargetConfig{}).str(), golden);
   // The golden text itself round-trips through the ISD parser.
   DiagEngine diag;
   auto rs = parseIsd(golden, diag);
@@ -98,91 +130,85 @@ TEST(IsdGolden, DefaultRulesMatchGoldenFile) {
 }
 
 // ---------------------------------------------------------------------------
-// Tentpole: generated tables == hand-written tables
+// The default tables are the description
 // ---------------------------------------------------------------------------
 
-TEST(IsdGen, IsaTableMatchesBuiltin) {
-  const IsaTable& b = builtinIsaTable();
-  const IsaTable& g = isdgen::generatedTdspIsaTable();
-  EXPECT_EQ(g.name, b.name);
+TEST(IsdGen, EmbeddedDescNamesEveryOpcodeOnce) {
+  std::map<std::string, int> clauses;
+  for (const DescInsn& insn : tdspDesc().insns) ++clauses[insn.name];
+  EXPECT_EQ(tdspDesc().insns.size(), static_cast<size_t>(kNumOpcodes));
   for (int i = 0; i < kNumOpcodes; ++i) {
-    auto op = static_cast<size_t>(i);
-    SCOPED_TRACE("opcode " + b.names[op]);
-    EXPECT_EQ(g.names[op], b.names[op]);
-    EXPECT_EQ(g.cls[op], b.cls[op]);
-    EXPECT_EQ(g.takesAr[op], b.takesAr[op]);
-    EXPECT_EQ(g.needs[op], b.needs[op]);
-    EXPECT_EQ(g.decodeCycles[op], b.decodeCycles[op]);
-    EXPECT_EQ(g.info[op].numOperands, b.info[op].numOperands);
-    EXPECT_EQ(opInfoFlags(g.info[op]), opInfoFlags(b.info[op]));
+    const char* name = opcodeName(static_cast<Opcode>(i));
+    EXPECT_EQ(clauses[name], 1) << name;
   }
 }
 
+TEST(IsdGen, DefaultTableRejectsMissingInsn) {
+  // Drop BANZ's insn clause: no rule emits BANZ, so the description still
+  // validates and the missing row is the table builder's to catch.
+  std::istringstream in(tdspIsdText());
+  std::string text, line;
+  while (std::getline(in, line))
+    if (line.rfind("insn BANZ ", 0) != 0) text += line + "\n";
+  DiagEngine diag;
+  diag.setSourceName("tdsp.isd");
+  auto desc = parseTargetDesc(text, diag);
+  ASSERT_TRUE(desc.has_value()) << diag.str();
+  ASSERT_TRUE(validateDesc(*desc, diag)) << diag.str();
+
+  EXPECT_FALSE(buildCompleteIsaTable(*desc, diag).has_value());
+  ASSERT_EQ(diag.errorCount(), 1) << diag.str();
+  EXPECT_GT(diag.all()[0].loc.line, 0) << diag.str();
+  EXPECT_NE(diag.str().find("'BANZ'"), std::string::npos) << diag.str();
+
+  // A retargeting description keeps the default row instead.
+  DiagEngine rdiag;
+  auto table = buildIsaTable(*desc, rdiag);
+  ASSERT_TRUE(table.has_value()) << rdiag.str();
+  EXPECT_TRUE(table->takesAr[static_cast<size_t>(Opcode::BANZ)]);
+}
+
+TEST(IsdGen, IsaTableMatchesBuiltin) {
+  // The lazily built default table equals tables compiled separately from
+  // the on-disk description, with and without the default rows beneath.
+  TargetDesc desc = onDiskDesc();
+  DiagEngine diag;
+  auto complete = buildCompleteIsaTable(desc, diag);
+  ASSERT_TRUE(complete.has_value()) << diag.str();
+  expectSameTable(*complete, defaultIsaTable());
+  auto over = buildIsaTable(desc, diag);
+  ASSERT_TRUE(over.has_value()) << diag.str();
+  expectSameTable(*over, defaultIsaTable());
+}
+
 TEST(IsdGen, OpcodeAvailabilityMatchesAcrossSweep) {
-  const IsaTable& b = builtinIsaTable();
-  const IsaTable& g = isdgen::generatedTdspIsaTable();
   for (const auto& pt : difftest::defaultSweep()) {
     uint8_t have = configFeatureMask(pt.cfg);
-    for (int i = 0; i < kNumOpcodes; ++i) {
-      auto op = static_cast<size_t>(i);
-      EXPECT_EQ((g.needs[op] & ~have) == 0, (b.needs[op] & ~have) == 0)
-          << pt.name << " " << b.names[op];
+    for (const DescInsn& insn : tdspDesc().insns) {
+      Opcode op;
+      ASSERT_TRUE(opcodeFromName(insn.name, op)) << insn.name;
+      EXPECT_EQ(opcodeAvailable(op, pt.cfg), (insn.needs & ~have) == 0)
+          << pt.name << " " << insn.name;
     }
   }
 }
 
 TEST(IsdGen, RulesMatchBuiltinAcrossSweep) {
+  // The compiler's default rules, cached or built per compiler, are the
+  // description's rules whose `when` gate the config satisfies.
   for (const auto& pt : difftest::defaultSweep()) {
     SCOPED_TRACE(pt.name);
-    EXPECT_EQ(isdgen::generatedTdspRules(pt.cfg).str(),
-              buildTdspRules(pt.cfg).str());
+    const std::string want = rulesFor(tdspDesc(), pt.cfg).str();
+    CodegenOptions uncached;
+    uncached.cacheRules = false;
+    EXPECT_EQ(RecordCompiler(pt.cfg).rules().str(), want);
+    EXPECT_EQ(RecordCompiler(pt.cfg, uncached).rules().str(), want);
+    uint8_t have = configFeatureMask(pt.cfg);
+    size_t gated = 0;
+    for (const DescRule& dr : tdspDesc().rules)
+      gated += (dr.when & ~have) == 0;
+    EXPECT_EQ(rulesFor(tdspDesc(), pt.cfg).rules.size(), gated);
   }
-}
-
-// One compile's externally observable result: accept/reject, the full
-// source-annotated listing, the data layout, and the encoded image.
-struct CompileOutcome {
-  bool accepted = false;
-  std::string reject;
-  std::string listing;
-  std::vector<std::pair<std::string, int>> symbolAddr;
-  std::vector<std::pair<int, int16_t>> dataInit;
-  bool encoded = false;
-  std::vector<uint64_t> words;
-};
-
-CompileOutcome outcomeOf(const RecordCompiler& rc, const Program& prog) {
-  CompileOutcome o;
-  try {
-    TargetProgram tp = rc.compile(prog).prog;
-    o.accepted = true;
-    o.listing = tp.listing(true);
-    o.symbolAddr = tp.symbolAddr;
-    o.dataInit = tp.dataInit;
-    std::string err;
-    if (auto img = encode(tp, &err)) {
-      o.encoded = true;
-      o.words = img->words;
-    } else {
-      o.reject = err;
-    }
-  } catch (const std::runtime_error& e) {
-    o.reject = e.what();
-  }
-  return o;
-}
-
-void expectSameOutcome(const CompileOutcome& hand, const CompileOutcome& gen,
-                       const std::string& what) {
-  ASSERT_EQ(hand.accepted, gen.accepted)
-      << what << ": hand " << (hand.accepted ? "accepted" : hand.reject)
-      << " / generated " << (gen.accepted ? "accepted" : gen.reject);
-  if (!hand.accepted) return;
-  EXPECT_EQ(hand.listing, gen.listing) << what;
-  EXPECT_EQ(hand.symbolAddr, gen.symbolAddr) << what;
-  EXPECT_EQ(hand.dataInit, gen.dataInit) << what;
-  ASSERT_EQ(hand.encoded, gen.encoded) << what;
-  EXPECT_EQ(hand.words, gen.words) << what;
 }
 
 // ---------------------------------------------------------------------------
@@ -211,18 +237,30 @@ std::string digest(const std::string& s) {
   return buf;
 }
 
-std::string goldenLine(const std::string& key, const CompileOutcome& o) {
-  if (!o.accepted) return key + " reject";
+/// The golden line of one compile: accept/reject, then digests of the
+/// annotated listing, the data layout and the encoded image.
+std::string goldenLine(const std::string& key, const RecordCompiler& rc,
+                       const Program& prog) {
+  TargetProgram tp;
+  try {
+    tp = rc.compile(prog).prog;
+  } catch (const std::runtime_error&) {
+    return key + " reject";
+  }
   std::string layout;
-  for (const auto& [name, addr] : o.symbolAddr)
+  for (const auto& [name, addr] : tp.symbolAddr)
     layout += name + "=" + std::to_string(addr) + ";";
   layout += "|";
-  for (const auto& [addr, value] : o.dataInit)
+  for (const auto& [addr, value] : tp.dataInit)
     layout += std::to_string(addr) + ":" + std::to_string(value) + ";";
-  std::string words;
-  for (uint64_t w : o.words) words += std::to_string(w) + ",";
-  return key + " accept listing=" + digest(o.listing) + " layout=" +
-         digest(layout) + " words=" + (o.encoded ? digest(words) : "none");
+  std::string err, words = "none";
+  if (auto img = encode(tp, &err)) {
+    words.clear();
+    for (uint64_t w : img->words) words += std::to_string(w) + ",";
+    words = digest(words);
+  }
+  return key + " accept listing=" + digest(tp.listing(true)) +
+         " layout=" + digest(layout) + " words=" + words;
 }
 
 std::string modeName(bool fast) { return fast ? "fast" : "slow"; }
@@ -282,79 +320,43 @@ std::string simLine(const std::string& key, const TargetProgram& tp,
   return line + " lines=" + digest(lines);
 }
 
-// The headline sweep: every DSPStone kernel, every sweep configuration,
-// fast and slow compile modes; generated-rule compiles must be bit-identical
-// to hand-written-table compiles.
+// Every DSPStone kernel, every sweep configuration, fast and slow compile
+// modes.
 TEST(IsdGen, KernelCompilesBitIdenticalAcrossSweep) {
-  const isdgen::TargetDesc& desc = isdgen::generatedTdspDesc();
-  std::vector<Program> progs;
-  for (const auto& k : dspstoneKernels()) progs.push_back(dfl::parseDflOrDie(k.dfl));
   std::vector<std::string> lines;
   for (const auto& pt : difftest::defaultSweep()) {
     for (bool fast : {false, true}) {
-      CodegenOptions opt = difftest::oracleOptions(fast);
-      RecordCompiler hand(pt.cfg, opt);
-      RecordCompiler gen(isdgen::rulesFor(desc, pt.cfg), opt);
-      for (size_t i = 0; i < progs.size(); ++i) {
-        std::string what = pt.name + (fast ? "/fast/" : "/slow/") +
-                           dspstoneKernels()[i].name;
-        CompileOutcome handOutcome = outcomeOf(hand, progs[i]);
-        expectSameOutcome(handOutcome, outcomeOf(gen, progs[i]), what);
-        lines.push_back(goldenLine("kernel " + dspstoneKernels()[i].name +
-                                       " " + pt.name + " " + modeName(fast),
-                                   handOutcome));
-      }
+      RecordCompiler rc(pt.cfg, difftest::oracleOptions(fast));
+      for (const auto& k : dspstoneKernels())
+        lines.push_back(goldenLine(
+            "kernel " + k.name + " " + pt.name + " " + modeName(fast), rc,
+            dfl::parseDflOrDie(k.dfl)));
     }
   }
   expectGoldenSection("kernel", lines);
 }
 
-// Simulated cycles and profiler attribution: compile the kernels through
-// both rule sources and require identical measurements and identical
-// per-line / per-class cycle attribution.
+// Simulated cycles and profiler attribution of the kernels on the default
+// and dual-mul cores.
 TEST(IsdGen, SimCyclesAndProfileMatch) {
-  const isdgen::TargetDesc& desc = isdgen::generatedTdspDesc();
   std::vector<std::string> lines;
   for (const auto& pt : difftest::defaultSweep()) {
     if (pt.name != "default" && pt.name != "dual-mul") continue;
     for (bool fast : {false, true}) {
-      RecordCompiler hand(pt.cfg, difftest::oracleOptions(fast));
-      RecordCompiler gen(isdgen::rulesFor(desc, pt.cfg),
-                         difftest::oracleOptions(fast));
+      RecordCompiler rc(pt.cfg, difftest::oracleOptions(fast));
       for (const auto& k : dspstoneKernels()) {
-        SCOPED_TRACE(k.name);
         Program prog = dfl::parseDflOrDie(k.dfl);
-        TargetProgram tpHand = hand.compile(prog).prog;
-        TargetProgram tpGen = gen.compile(prog).prog;
-        Stimulus stim = defaultStimulus(prog, 7, k.ticks);
-        Profile profHand(tpHand), profGen(tpGen);
-        Measurement mHand = runAndCompare(tpHand, prog, stim, &profHand);
-        Measurement mGen = runAndCompare(tpGen, prog, stim, &profGen);
-        EXPECT_TRUE(mHand.ok) << mHand.error;
-        EXPECT_TRUE(mGen.ok) << mGen.error;
-        EXPECT_EQ(mHand.cycles, mGen.cycles);
-        EXPECT_EQ(mHand.instructions, mGen.instructions);
-        EXPECT_EQ(mHand.sizeWords, mGen.sizeWords);
-        EXPECT_EQ(profHand.totalCycles(), profGen.totalCycles());
-        EXPECT_EQ(profHand.lineCycles(), profGen.lineCycles());
-        for (int c = 0; c < kNumOpClasses; ++c) {
-          EXPECT_EQ(profHand.classCycles(static_cast<OpClass>(c)),
-                    profGen.classCycles(static_cast<OpClass>(c)))
-              << opClassName(static_cast<OpClass>(c));
-        }
-        EXPECT_EQ(profHand.text(10), profGen.text(10));
-        lines.push_back(simLine(
-            "sim " + k.name + " " + pt.name + " " + modeName(fast), tpHand,
-            prog, k.ticks));
+        lines.push_back(
+            simLine("sim " + k.name + " " + pt.name + " " + modeName(fast),
+                    rc.compile(prog).prog, prog, k.ticks));
       }
     }
   }
   expectGoldenSection("sim", lines);
 }
 
-// The committed difftest corpus through the same bit-identity gate.
+// The committed difftest corpus through the same gate.
 TEST(IsdGen, CorpusCompilesBitIdenticalAcrossSweep) {
-  const isdgen::TargetDesc& desc = isdgen::generatedTdspDesc();
   auto files = difftest::listCorpusFiles(RECORD_CORPUS_DIR);
   ASSERT_FALSE(files.empty());
   std::vector<std::string> lines;
@@ -367,38 +369,17 @@ TEST(IsdGen, CorpusCompilesBitIdenticalAcrossSweep) {
     ASSERT_TRUE(prog.has_value()) << path << "\n" << diag.str();
     for (const auto& pt : difftest::defaultSweep()) {
       for (bool fast : {false, true}) {
-        CodegenOptions opt = difftest::oracleOptions(fast);
-        RecordCompiler hand(pt.cfg, opt);
-        RecordCompiler gen(isdgen::rulesFor(desc, pt.cfg), opt);
-        CompileOutcome handOutcome = outcomeOf(hand, *prog);
-        expectSameOutcome(handOutcome, outcomeOf(gen, *prog),
-                          entry.name + "/" + pt.name + (fast ? "/fast" : "/slow"));
+        RecordCompiler rc(pt.cfg, difftest::oracleOptions(fast));
         lines.push_back(goldenLine(
-            "corpus " + entry.name + " " + pt.name + " " + modeName(fast),
-            handOutcome));
+            "corpus " + entry.name + " " + pt.name + " " + modeName(fast), rc,
+            *prog));
       }
     }
   }
   expectGoldenSection("corpus", lines);
 }
 
-// Seeded oracle run with the generated-table shadow compile enabled: the
-// difftest hook (CrossCheckOpts::isdPath) must report zero divergences.
-TEST(IsdGen, SeededDifftestShadowCompileAgrees) {
-  difftest::CrossCheckOpts opts;
-  opts.isdPath = RECORD_TDSP_ISD;
-  difftest::OracleStats stats;
-  auto sweep = difftest::defaultSweep();
-  for (uint64_t seed = 1; seed <= 10; ++seed) {
-    auto spec = difftest::generateProgram(seed);
-    auto reps = difftest::crossCheck(spec, sweep, &stats, opts);
-    for (const auto& r : reps) ADD_FAILURE() << r.str();
-  }
-  EXPECT_EQ(stats.divergences, 0);
-  EXPECT_GT(stats.runs, 0);
-}
-
-// The difftest generator's first ten programs through the frozen oracle.
+// The difftest generator's first ten programs through the same gate.
 TEST(IsdGen, SeededProgramsMatchGolden) {
   std::vector<std::string> lines;
   for (uint64_t seed = 1; seed <= 10; ++seed) {
@@ -410,15 +391,16 @@ TEST(IsdGen, SeededProgramsMatchGolden) {
         RecordCompiler rc(pt.cfg, difftest::oracleOptions(fast));
         lines.push_back(goldenLine("gen seed-" + std::to_string(seed) + " " +
                                        pt.name + " " + modeName(fast),
-                                   outcomeOf(rc, *prog)));
+                                   rc, *prog));
       }
     }
   }
   expectGoldenSection("gen", lines);
 }
 
-// Installing the generated table must leave simulator behavior untouched:
-// same decode cycle hints, same run, with the installation fully reversible.
+// Installing a separately compiled table must leave simulator behavior
+// untouched: same decode cycle hints, same run, with the installation
+// fully reversible.
 TEST(IsdGen, InstalledTableKeepsSimBitIdentical) {
   const Kernel& k = kernelByName("fir");
   Program prog = dfl::parseDflOrDie(k.dfl);
@@ -431,10 +413,16 @@ TEST(IsdGen, InstalledTableKeepsSimBitIdentical) {
   };
   RunResult before = runOnce();
 
-  const IsaTable* prev = setActiveIsaTable(&isdgen::generatedTdspIsaTable());
-  EXPECT_EQ(&activeIsaTable(), &isdgen::generatedTdspIsaTable());
+  DiagEngine diag;
+  auto table = buildCompleteIsaTable(onDiskDesc(), diag);
+  ASSERT_TRUE(table.has_value()) << diag.str();
+  ASSERT_NE(&*table, &defaultIsaTable());
+  const IsaTable* prev = setActiveIsaTable(&*table);
+  EXPECT_EQ(prev, nullptr);
+  EXPECT_EQ(&activeIsaTable(), &*table);
   RunResult with = runOnce();
   setActiveIsaTable(prev);
+  EXPECT_EQ(&activeIsaTable(), &defaultIsaTable());
 
   EXPECT_EQ(with.status, before.status);
   EXPECT_EQ(with.cycles, before.cycles);
@@ -442,22 +430,22 @@ TEST(IsdGen, InstalledTableKeepsSimBitIdentical) {
 }
 
 // ---------------------------------------------------------------------------
-// Satellite: property tests over generated rule sets
+// Property tests over the description pipeline
 // ---------------------------------------------------------------------------
 
 TEST(IsdProps, CheckedInDescValidates) {
   DiagEngine diag;
-  auto desc = isdgen::parseTargetDesc(isdgen::tdspIsdText(), diag);
+  auto desc = parseTargetDesc(tdspIsdText(), diag);
   ASSERT_TRUE(desc.has_value()) << diag.str();
-  EXPECT_TRUE(isdgen::validateDesc(*desc, diag)) << diag.str();
+  EXPECT_TRUE(validateDesc(*desc, diag)) << diag.str();
   EXPECT_EQ(diag.errorCount(), 0);
-  auto table = isdgen::buildIsaTable(*desc, diag);
+  auto table = buildIsaTable(*desc, diag);
   EXPECT_TRUE(table.has_value()) << diag.str();
 }
 
 TEST(IsdProps, GeneratedRuleSetsAreWellFormed) {
   for (const auto& pt : difftest::defaultSweep()) {
-    RuleSet rs = isdgen::generatedTdspRules(pt.cfg);
+    RuleSet rs = rulesFor(tdspDesc(), pt.cfg);
     ASSERT_FALSE(rs.rules.empty()) << pt.name;
     std::set<std::string> names;
     std::set<Nonterm> lhsSeen;
@@ -485,7 +473,7 @@ TEST(IsdProps, GeneratedRuleSetsAreWellFormed) {
     // The start symbol is producible and the core storage classes are used.
     EXPECT_TRUE(lhsSeen.count(Nonterm::Stmt)) << pt.name;
     EXPECT_TRUE(lhsSeen.count(Nonterm::Acc)) << pt.name;
-    // Every generated rule set round-trips through the ISD text form.
+    // Every default rule set round-trips through the ISD text form.
     DiagEngine diag;
     auto back = parseIsd(rs.str(), diag);
     ASSERT_TRUE(back.has_value()) << pt.name << "\n" << diag.str();
@@ -498,21 +486,26 @@ TEST(IsdProps, GeneratedRuleSetsAreWellFormed) {
 // success with errors pending.
 void runDescPipeline(const std::string& text) {
   DiagEngine diag;
-  auto desc = isdgen::parseTargetDesc(text, diag);
+  auto desc = parseTargetDesc(text, diag);
   if (!desc.has_value()) {
     EXPECT_GT(diag.errorCount(), 0) << "parse failed without diagnostics";
     return;
   }
-  if (!isdgen::validateDesc(*desc, diag)) {
+  if (!validateDesc(*desc, diag)) {
     EXPECT_GT(diag.errorCount(), 0) << "validate failed without diagnostics";
     return;
   }
-  // A validated description must compile all the way to tables and rules.
+  // A validated description must compile all the way to tables and rules;
+  // a stand-alone table may only fail with diagnostics.
   DiagEngine tdiag;
-  auto table = isdgen::buildIsaTable(*desc, tdiag);
+  auto table = buildIsaTable(*desc, tdiag);
   EXPECT_TRUE(table.has_value()) << tdiag.str();
+  DiagEngine cdiag;
+  if (!buildCompleteIsaTable(*desc, cdiag)) {
+    EXPECT_GT(cdiag.errorCount(), 0) << "table failed without diagnostics";
+  }
   for (const auto& pt : difftest::defaultSweep()) {
-    RuleSet rs = isdgen::rulesFor(*desc, pt.cfg);
+    RuleSet rs = rulesFor(*desc, pt.cfg);
     for (const auto& r : rs.rules) {
       int slots = RuleSet::numSlots(r);
       for (const auto& e : r.emit) {
@@ -530,7 +523,7 @@ void runDescPipeline(const std::string& text) {
 TEST(IsdProps, SeededMutationsNeverCrash) {
   std::vector<std::string> baseLines;
   {
-    std::istringstream in(isdgen::tdspIsdText());
+    std::istringstream in(tdspIsdText());
     std::string line;
     while (std::getline(in, line)) baseLines.push_back(line);
   }
@@ -595,8 +588,8 @@ TEST(IsdProps, SeededMutationsNeverCrash) {
 void expectRejects(const std::string& text, const std::string& needle,
                    bool wantLocated = true) {
   DiagEngine diag;
-  auto desc = isdgen::parseTargetDesc(text, diag);
-  bool ok = desc.has_value() && isdgen::validateDesc(*desc, diag);
+  auto desc = parseTargetDesc(text, diag);
+  bool ok = desc.has_value() && validateDesc(*desc, diag);
   EXPECT_FALSE(ok) << "description unexpectedly valid:\n" << text;
   ASSERT_GT(diag.errorCount(), 0);
   EXPECT_NE(diag.str().find(needle), std::string::npos)
@@ -617,9 +610,9 @@ rule load acc <- mem emit LAC $0 cost 1,1
 
 TEST(IsdProps, ToyDescIsValid) {
   DiagEngine diag;
-  auto desc = isdgen::parseTargetDesc(kToyDesc, diag);
+  auto desc = parseTargetDesc(kToyDesc, diag);
   ASSERT_TRUE(desc.has_value()) << diag.str();
-  EXPECT_TRUE(isdgen::validateDesc(*desc, diag)) << diag.str();
+  EXPECT_TRUE(validateDesc(*desc, diag)) << diag.str();
 }
 
 TEST(IsdProps, MalformedDescriptionsDiagnoseWithLocations) {
@@ -675,7 +668,7 @@ TEST(IsdProps, MalformedDescriptionsDiagnoseWithLocations) {
 }
 
 // ---------------------------------------------------------------------------
-// Satellite: the ISE bridge retargets the full pipeline
+// The ISE bridge retargets the full pipeline
 // ---------------------------------------------------------------------------
 
 TEST(IsdBridge, ExtractionRulesDriveFullCompiler) {
@@ -684,7 +677,7 @@ TEST(IsdBridge, ExtractionRulesDriveFullCompiler) {
   ASSERT_TRUE(gc.usable()) << gc.describe();
 
   TargetConfig cfg;
-  RuleSet rs = isdgen::rulesFromExtraction(gc.rules(), cfg);
+  RuleSet rs = ise::rulesFromExtraction(gc.rules(), cfg);
   ASSERT_FALSE(rs.rules.empty());
 
   // The generated grammar round-trips as ISD text like any other rule set.
