@@ -7,8 +7,9 @@
 //   ./bench/compile_server                      # default 3000-request stream
 //   ./bench/compile_server --programs 500       # CI smoke size
 //   ./bench/compile_server --workers 4
-//   ./bench/compile_server --slow-trace slow.json --slow-ms 1 \
-//       --request-log requests.jsonl            # telemetry artifacts
+//   ./bench/compile_server --slow-trace slow.json --slow-ms 1
+//       --request-log requests.jsonl            # telemetry artifacts,
+//                                               # one command line
 //
 // Latency numbers come from the service's own telemetry (the per-outcome
 // server.latency.* histograms merged per run), not from client-side

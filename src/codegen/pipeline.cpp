@@ -25,9 +25,9 @@
 namespace record {
 
 /// Fast-path state a RecordCompiler keeps alive across compiles: the
-/// hash-consing arena and the rewrite-neighbor cache keyed on its canonical
-/// pointers. Rewriting is purely structural, so entries stay valid for the
-/// arena's (= this object's) whole lifetime.
+/// hash-consing arena and the rewrite and label caches indexed by its node
+/// IDs. Rewriting is purely structural, so rewrite entries stay valid for
+/// the arena's (= this object's) whole lifetime.
 struct FastPathState {
   /// Synthetic symbols canonicalized by name. The emitter names synthetics
   /// deterministically, so reusing one Symbol object per name keeps
@@ -39,6 +39,9 @@ struct FastPathState {
   std::unordered_map<std::string, std::unique_ptr<Symbol>> synths;
   ExprInterner interner;
   RewriteCache rewrite{interner};
+  /// Label-memo storage, one per search worker: indexed by intern ID, so
+  /// it grows with the interner once rather than with every compile.
+  std::vector<BursMatcher::LabelMemo> labelMemos;
 };
 
 namespace {
@@ -333,10 +336,6 @@ class Emitter {
       interner_ = &fast->interner;
       rcache_ = &fast->rewrite;
     }
-    // The label memo keys on node pointers, so it is only sound with the
-    // interner keeping canonical nodes alive.
-    const bool memoOn = opt.memoLabels && interner_ != nullptr;
-    if (memoOn) matcher_.enableMemo(true);
     matchers_.push_back(&matcher_);
     int want = opt.searchThreads;
     if (want <= 0)
@@ -350,8 +349,16 @@ class Emitter {
     for (int i = 1; i < threads_; ++i) {
       extraMatchers_.push_back(
           std::make_unique<BursMatcher>(rules, opt.cost));
-      if (memoOn) extraMatchers_.back()->enableMemo(true);
       matchers_.push_back(extraMatchers_.back().get());
+    }
+    // The label memo is indexed by intern ID, so it is only sound when
+    // every labeled tree is canonical in the interner. Each search worker
+    // gets its own memo storage, kept in the fast-path state.
+    if (opt.memoLabels && fast_) {
+      if (fast_->labelMemos.size() < matchers_.size())
+        fast_->labelMemos.resize(matchers_.size());
+      for (size_t i = 0; i < matchers_.size(); ++i)
+        matchers_[i]->enableMemo(&fast_->labelMemos[i]);
     }
   }
 

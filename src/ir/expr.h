@@ -59,9 +59,9 @@ struct Expr {
 
   Type type = Type::Fix;
 
-  // Hash-consing tag (see ir/interner.h): the interner that canonicalized
-  // this node, and its dense ID there. Owned by the interner; everyone else
-  // treats these as opaque.
+  // Hash-consing tag (see ir/interner.h): the interner that built this
+  // canonical node, and its dense ID there. Written only by the interner;
+  // the ID-indexed caches (rewrite cache, BURS label memo) read internId.
   mutable const void* internOwner = nullptr;
   mutable uint32_t internId = 0;
 

@@ -1,77 +1,122 @@
 #include "ir/interner.h"
 
+#include <cassert>
+#include <stdexcept>
+
 namespace record {
 
-uint64_t ExprInterner::shapeHash(const Expr& e) {
+ExprInterner::~ExprInterner() {
+  // One pass, parents (higher IDs) before their kids: clear each tag (the
+  // node may outlive us in someone else's hands), then drop our reference.
+  for (auto it = nodes_.rbegin(); it != nodes_.rend(); ++it) {
+    (*it)->internOwner = nullptr;
+    it->reset();
+  }
+}
+
+uint32_t ExprInterner::shapeHash(Op op, Type type, int64_t value,
+                                 const Symbol* sym, const Expr* const* kids,
+                                 size_t numKids) {
   uint64_t h = 0x9e3779b97f4a7c15ull;
   auto mix = [&h](uint64_t v) {
     h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
   };
-  mix(static_cast<uint64_t>(e.op));
-  mix(static_cast<uint64_t>(e.type));
-  mix(static_cast<uint64_t>(e.value));
-  mix(reinterpret_cast<uintptr_t>(e.sym));
+  mix(static_cast<uint64_t>(op));
+  mix(static_cast<uint64_t>(type));
+  mix(static_cast<uint64_t>(value));
+  mix(reinterpret_cast<uintptr_t>(sym));
   // Kid identity: kids are canonical by the time a node is hashed.
-  for (const auto& k : e.kids) mix(reinterpret_cast<uintptr_t>(k.get()));
-  return h;
+  for (size_t i = 0; i < numKids; ++i) mix(kids[i]->internId);
+  // Final avalanche so the low bits (the table index) see every field.
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdull;
+  h ^= h >> 33;
+  return static_cast<uint32_t>(h);
 }
 
 ExprPtr ExprInterner::intern(const ExprPtr& e) {
-  // An already-canonical node needs no rebuild (fast path for the common
-  // case of re-interning shared spines).
-  if (e->internOwner == this) {
-    ++hits_;
-    return e;
-  }
-  std::vector<ExprPtr> kids;
-  kids.reserve(e->kids.size());
-  for (const auto& k : e->kids) kids.push_back(intern(k));
-  return internNode(e, std::move(kids));
+  const Expr* c = canonical(*e);
+  return c == e.get() ? e : nodes_[c->internId];
 }
 
-ExprPtr ExprInterner::internNode(const ExprPtr& e, std::vector<ExprPtr> kids) {
-  // Probe with the canonical kids in place. `e` may still hold the
-  // un-interned originals, so compare against the canonical `kids` vector.
-  Expr probe;
-  probe.op = e->op;
-  probe.type = e->type;
-  probe.value = e->value;
-  probe.sym = e->sym;
-  probe.kids = std::move(kids);
-  uint64_t h = shapeHash(probe);
+const Expr* ExprInterner::canonical(const Expr& e) {
+  // An already-canonical node needs no rebuild (fast path for the common
+  // case of re-interning shared spines).
+  if (e.internOwner == this) {
+    ++hits_;
+    return &e;
+  }
+  // Expression nodes have at most two kids (opArity).
+  if (e.kids.size() > 2)
+    throw std::logic_error("ExprInterner: node with more than two kids");
+  const Expr* kids[2] = {nullptr, nullptr};
+  for (size_t i = 0; i < e.kids.size(); ++i) kids[i] = canonical(*e.kids[i]);
+  return lookupOrAdd(e.op, e.type, e.value, e.sym, kids, e.kids.size());
+}
 
-  auto& bucket = table_[h];
-  for (const ExprPtr& cand : bucket) {
-    if (cand->op != probe.op || cand->type != probe.type ||
-        cand->value != probe.value || cand->sym != probe.sym ||
-        cand->kids.size() != probe.kids.size())
-      continue;
-    bool same = true;
-    for (size_t i = 0; i < probe.kids.size(); ++i)
-      same &= cand->kids[i].get() == probe.kids[i].get();
-    if (same) {
-      ++hits_;
-      return cand;
+const Expr* ExprInterner::make(Op op, Type type, int64_t value,
+                               const Symbol* sym,
+                               std::initializer_list<const Expr*> kids) {
+  return lookupOrAdd(op, type, value, sym, kids.begin(), kids.size());
+}
+
+const Expr* ExprInterner::lookupOrAdd(Op op, Type type, int64_t value,
+                                      const Symbol* sym,
+                                      const Expr* const* kids,
+                                      size_t numKids) {
+  const uint32_t h = shapeHash(op, type, value, sym, kids, numKids);
+  if (!table_.empty()) {
+    const size_t mask = table_.size() - 1;
+    for (size_t i = h & mask;; i = (i + 1) & mask) {
+      const Slot& s = table_[i];
+      if (s.id == kEmpty) break;
+      if (s.hash != h) continue;
+      const Expr& c = *nodes_[s.id];
+      if (c.op != op || c.type != type || c.value != value || c.sym != sym ||
+          c.kids.size() != numKids)
+        continue;
+      bool same = true;
+      for (size_t k = 0; k < numKids; ++k)
+        same &= c.kids[k].get() == kids[k];
+      if (same) {
+        ++hits_;
+        return &c;
+      }
     }
   }
 
-  // Reuse `e` itself as the representative when its kids were already
-  // canonical; otherwise rebuild with the canonical kids.
-  bool kidsCanonical = true;
-  for (size_t i = 0; i < probe.kids.size(); ++i)
-    kidsCanonical &= probe.kids[i].get() == e->kids[i].get();
-  ExprPtr canon = e;
-  if (!kidsCanonical) {
-    auto n = std::make_shared<Expr>(*e);
-    n->kids = std::move(probe.kids);
-    canon = n;
+  // Miss: build the representative from the canonical kids.
+  auto n = std::make_shared<Expr>();
+  n->op = op;
+  n->type = type;
+  n->value = value;
+  n->sym = sym;
+  n->kids.reserve(numKids);
+  for (size_t k = 0; k < numKids; ++k) {
+    assert(kids[k]->internOwner == this && "kids must be canonical here");
+    n->kids.push_back(nodes_[kids[k]->internId]);
   }
+  const auto id = static_cast<uint32_t>(nodes_.size());
+  n->internOwner = this;
+  n->internId = id;
+  nodes_.push_back(std::move(n));
 
-  canon->internOwner = this;
-  canon->internId = static_cast<uint32_t>(nodes_.size());
-  nodes_.push_back(canon);
-  bucket.push_back(canon);
-  return canon;
+  if (2 * nodes_.size() > table_.size()) {
+    // Keep the table at most half full: double it and reinsert every slot.
+    std::vector<Slot> old = std::move(table_);
+    table_.assign(old.empty() ? 64 : 2 * old.size(), Slot{});
+    for (const Slot& s : old)
+      if (s.id != kEmpty) insertSlot(s);
+  }
+  insertSlot({id, h});
+  return nodes_.back().get();
+}
+
+void ExprInterner::insertSlot(Slot s) {
+  const size_t mask = table_.size() - 1;
+  size_t i = s.hash & mask;
+  while (table_[i].id != kEmpty) i = (i + 1) & mask;
+  table_[i] = s;
 }
 
 }  // namespace record

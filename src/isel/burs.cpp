@@ -48,9 +48,18 @@ void BursMatcher::setTrace(TraceContext* trace, const std::string* loc) {
   rulesFired_ = trace ? trace->counter("isel.rules_fired") : nullptr;
 }
 
-void BursMatcher::enableMemo(bool on) {
-  memo_ = on;
+void BursMatcher::LabelMemo::newEpoch() {
+  states.clear();
+  if (++epoch == 0) {  // wrapped: no stale stamp may match
+    std::fill(index.begin(), index.end(), Slot{});
+    epoch = 1;
+  }
+}
+
+void BursMatcher::enableMemo(LabelMemo* memo) {
+  memo_ = memo;
   states_.clear();
+  if (memo_) memo_->newEpoch();
   memoSig_ = ~0ull;
 }
 
@@ -58,7 +67,7 @@ void BursMatcher::beginLabeling(OperandBinder& binder) {
   if (memo_) {
     uint64_t sig = binder.stateSignature();
     if (sig != memoSig_) {
-      states_.clear();
+      memo_->newEpoch();
       memoSig_ = sig;
     }
   } else {
@@ -66,13 +75,38 @@ void BursMatcher::beginLabeling(OperandBinder& binder) {
   }
 }
 
+const BursMatcher::NodeState* BursMatcher::findState(const Expr* e) const {
+  if (memo_) {
+    assert(e->internOwner && "the label memo needs canonical nodes");
+    const uint32_t id = e->internId;
+    const auto& index = memo_->index;
+    if (id >= index.size() || index[id].epoch != memo_->epoch) return nullptr;
+    return &memo_->states[index[id].slot];
+  }
+  auto it = states_.find(e);
+  return it == states_.end() ? nullptr : &it->second;
+}
+
+const BursMatcher::NodeState* BursMatcher::storeState(const Expr* e,
+                                                      const NodeState& st) {
+  if (!memo_) return &states_.emplace(e, st).first->second;
+  const uint32_t id = e->internId;
+  auto& index = memo_->index;
+  if (id >= index.size())  // grow geometrically: IDs arrive ascending
+    index.resize(std::max<size_t>({id + 1, 2 * index.size(), 512}));
+  index[id] = {memo_->epoch, static_cast<uint32_t>(memo_->states.size())};
+  memo_->states.push_back(st);
+  return &memo_->states.back();
+}
+
 int BursMatcher::subtreeMin(const Expr* e) const {
   // Constant nodes can be absorbed by ConstLeaf pattern positions at no
   // cost, so they never contribute to a lower bound.
   if (e->op == Op::Const) return 0;
-  const NodeState& st = states_.at(e);
+  const NodeState* st = findState(e);
+  assert(st && "subtreeMin of an unlabeled node");
   int best = kInfCost;
-  for (const Choice& c : st.nt)
+  for (const Choice& c : st->nt)
     if (c.kind != Choice::Kind::None) best = std::min(best, c.cost);
   return best;
 }
@@ -103,12 +137,11 @@ bool BursMatcher::matchPattern(const PatNode& pat, const ExprPtr& e,
   return false;
 }
 
-BursMatcher::NodeState* BursMatcher::label(const ExprPtr& e,
-                                           OperandBinder& binder) {
-  auto it = states_.find(e.get());
-  if (it != states_.end()) {
+const BursMatcher::NodeState* BursMatcher::label(const ExprPtr& e,
+                                                 OperandBinder& binder) {
+  if (const NodeState* known = findState(e.get())) {
     if (memo_) ++memoHits_;
-    return &it->second;
+    return known;
   }
   if (memo_) ++memoMisses_;
 
@@ -194,7 +227,7 @@ BursMatcher::NodeState* BursMatcher::label(const ExprPtr& e,
         if (rules_.rules[ri].pat.kind == PatNode::Kind::NtLeaf) apply(ri);
     });
   }
-  return &states_.emplace(e.get(), st).first->second;
+  return storeState(e.get(), st);
 }
 
 std::optional<int> BursMatcher::matchCost(const ExprPtr& tree, Nonterm goal,
@@ -235,8 +268,9 @@ void BursMatcher::collectLeafBindings(
 Operand BursMatcher::reduceTo(const ExprPtr& e, Nonterm nt,
                               OperandBinder& binder, std::vector<MInstr>& out,
                               int& patterns, bool isStoreDest) {
-  const NodeState& st = states_.at(e.get());
-  const Choice& c = st.nt[static_cast<int>(nt)];
+  const NodeState* st = findState(e.get());
+  assert(st && "reducing an unlabeled node");
+  const Choice c = st->nt[static_cast<int>(nt)];
   assert(c.kind != Choice::Kind::None && "reducing an uncovered node");
 
   if (c.kind == Choice::Kind::LeafBind)

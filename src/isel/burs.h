@@ -84,7 +84,36 @@ struct MatchOutcome {
 };
 
 class BursMatcher {
+  struct Choice {
+    enum class Kind : uint8_t { None, LeafBind, Rule } kind = Kind::None;
+    int rule = -1;
+    int cost = kInfCost;
+  };
+  struct NodeState {
+    Choice nt[kNumNonterms];
+  };
+  static constexpr int kInfCost = 1 << 28;
+
  public:
+  /// Storage of the label memo: node states indexed by intern ID. A node is
+  /// labeled in the current epoch when index[id].epoch == epoch; its state
+  /// is then states[index[id].slot]. The index holds two ints per ID, so
+  /// growing it never constructs a NodeState, and states are stored
+  /// compactly in labeling order. Kept apart from the matcher so a compiler
+  /// can reuse one per search worker across compiles: the index is then
+  /// sized once for the interner instead of regrown by every new matcher.
+  class LabelMemo {
+    friend class BursMatcher;
+    struct Slot {
+      uint32_t epoch = 0;
+      uint32_t slot = 0;
+    };
+    uint32_t epoch = 1;
+    std::vector<Slot> index;
+    std::vector<NodeState> states;
+    void newEpoch();
+  };
+
   BursMatcher(const RuleSet& rules, CostKind costKind);
 
   /// Cost of covering `tree` to `goal`, or nullopt if no cover exists.
@@ -103,11 +132,13 @@ class BursMatcher {
   /// Full selection: label then reduce, emitting code.
   CoverResult reduce(const ExprPtr& tree, Nonterm goal, OperandBinder& binder);
 
-  /// Keep node labels across matchCost/reduce calls, keyed on node identity
-  /// and the binder's stateSignature(). Only sound when callers guarantee
-  /// expression nodes outlive the memo (e.g. trees held by an
-  /// ExprInterner); the memo is dropped whenever the signature changes.
-  void enableMemo(bool on);
+  /// Keep node labels across matchCost/reduce calls in `memo` (null turns
+  /// the memo off), indexed by intern ID and valid for one binder
+  /// stateSignature(). Every tree labeled with the memo on must be
+  /// canonical in one ExprInterner that outlives the memo, and a memo
+  /// serves one matcher at a time. Enabling, and every signature change,
+  /// start a new epoch: the memo is dropped in O(1).
+  void enableMemo(LabelMemo* memo);
 
   int64_t memoHits() const { return memoHits_; }
   int64_t memoMisses() const { return memoMisses_; }
@@ -122,16 +153,6 @@ class BursMatcher {
   const RuleSet& rules() const { return rules_; }
 
  private:
-  struct Choice {
-    enum class Kind : uint8_t { None, LeafBind, Rule } kind = Kind::None;
-    int rule = -1;
-    int cost = kInfCost;
-  };
-  struct NodeState {
-    Choice nt[kNumNonterms];
-  };
-  static constexpr int kInfCost = 1 << 28;
-
   int ruleCost(const Rule& r) const {
     return costKind_ == CostKind::Size ? r.size : r.cycles;
   }
@@ -143,8 +164,13 @@ class BursMatcher {
 
   /// Post-order labeling with branch-and-bound: returns nullptr when the
   /// running lower bound exceeded limit_ (only possible when bounding is
-  /// active). Completed node states are always correct and reusable.
-  NodeState* label(const ExprPtr& e, OperandBinder& binder);
+  /// active). Completed node states are always correct and reusable. The
+  /// pointer stays valid until the next label() call that labels a new node.
+  const NodeState* label(const ExprPtr& e, OperandBinder& binder);
+
+  /// The label state of `e`, or nullptr when `e` is not labeled yet.
+  const NodeState* findState(const Expr* e) const;
+  const NodeState* storeState(const Expr* e, const NodeState& st);
 
   /// Reset or revalidate the label map for a new match/reduce call.
   void beginLabeling(OperandBinder& binder);
@@ -174,11 +200,14 @@ class BursMatcher {
   // straightforward full scan as the reference implementation.
   std::vector<std::vector<int>> rulesByOp_;
   std::vector<int> chainRules_;
+  // Label states of the flags-off path, rebuilt on every call: the
+  // reference implementation the memo below must agree with.
   std::unordered_map<const Expr*, NodeState> states_;
   OperandBinder* binder_ = nullptr;  // valid during a match/reduce call
 
-  // Label memo (states_ kept across calls while the binder signature holds).
-  bool memo_ = false;
+  // Label memo (null = off), kept across calls while the binder signature
+  // holds.
+  LabelMemo* memo_ = nullptr;
   uint64_t memoSig_ = ~0ull;
   int64_t memoHits_ = 0;
   int64_t memoMisses_ = 0;

@@ -25,7 +25,7 @@
 // structural-hash otherwise.
 #pragma once
 
-#include <unordered_map>
+#include <cstdint>
 #include <vector>
 
 #include "ir/expr.h"
@@ -34,21 +34,38 @@ namespace record {
 
 class ExprInterner;
 
-/// Memoized single-step neighbor lists, keyed on canonical node pointers.
+/// Memoized rewrite results, indexed by the interner's dense node IDs.
 /// Rewriting is purely structural, so the neighbors of a canonical subtree
 /// are the same wherever it appears -- across variants, statements, and
-/// compiles. The cache must not outlive its interner (pointer keys).
+/// compiles. The cache must not outlive its interner (ID keys).
 struct RewriteCache {
   explicit RewriteCache(ExprInterner& in) : interner(&in) {}
   ExprInterner* interner;
-  /// canonical node -> its canonical single-step rewrites, in rule order.
-  std::unordered_map<const Expr*, std::vector<ExprPtr>> neighbors;
-  /// canonical root -> full enumerateVariants result at `variantBudget`.
-  /// The whole BFS is a pure function of (root, budget), so a repeat root
-  /// -- every statement after the first compile of a program -- skips
-  /// enumeration entirely. Invalidated when the budget changes.
+
+  /// A run [begin, end) of one of the ID pools below; begin == kUnset marks
+  /// an entry not computed yet.
+  static constexpr uint32_t kUnset = ~0u;
+  struct Span {
+    uint32_t begin = kUnset;
+    uint32_t end = 0;
+  };
+
+  /// Node ID -> its canonical single-step rewrites, in rule order, as a
+  /// run of `neighborIds`.
+  std::vector<Span> neighbors;
+  std::vector<uint32_t> neighborIds;
+  /// Root ID -> full enumerateVariants result at `variantBudget`, as a run
+  /// of `variantIds`. The whole BFS is a pure function of (root, budget),
+  /// so a repeat root -- every statement after the first compile of a
+  /// program -- skips enumeration entirely. Invalidated when the budget
+  /// changes.
   int variantBudget = -1;
-  std::unordered_map<const Expr*, std::vector<ExprPtr>> variants;
+  std::vector<Span> variants;
+  std::vector<uint32_t> variantIds;
+  /// BFS dedup: seen[id] == seenEpoch marks a node already enumerated by
+  /// the current call, so starting a call costs O(1).
+  std::vector<uint32_t> seen;
+  uint32_t seenEpoch = 0;
 
   /// Observability: whole-enumeration cache hits/misses (enumeration is
   /// single-threaded, so plain ints). Read by the trace layer; never
@@ -63,8 +80,9 @@ struct RewriteCache {
 /// subtrees across variants are pointer-identical, duplicate detection is
 /// exact, and the trees stay alive as long as the interner does. With
 /// `cache` (which carries its own interner), per-subtree neighbor lists are
-/// additionally reused across calls; the enumeration order is identical in
-/// all three modes.
+/// additionally reused across calls and rebuilt spines are made directly
+/// from canonical kids; the enumeration order is identical in all three
+/// modes.
 std::vector<ExprPtr> enumerateVariants(const ExprPtr& root, int budget,
                                        ExprInterner* interner = nullptr,
                                        RewriteCache* cache = nullptr);

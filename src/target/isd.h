@@ -5,9 +5,10 @@
 // immediates) into a sequence of target instructions.
 //
 // The textual form round-trips (RuleSet::str <-> parseIsd) so retargeting
-// experiments can edit rule sets as text:
+// experiments can edit rule sets as text. A rule is one line; this one is
+// wrapped here to fit:
 //
-//   rule mac acc <- (add acc (mul mem mem)) emit LT $1 ; MPY $2 ; APAC \
+//   rule mac acc <- (add acc (mul mem mem)) emit LT $1 ; MPY $2 ; APAC
 //        cost 3,3
 //
 // `$k` refers to the k-th pattern leaf (preorder over ALL leaves); `#v` is

@@ -130,6 +130,10 @@ struct ErrorCase {
   const char* expectInMessage;
 };
 
+// gtest would otherwise print the three pointers' bytes, which ASLR moves
+// from run to run, and that text ends up in the ctest test name.
+void PrintTo(const ErrorCase& c, std::ostream* os) { *os << c.name; }
+
 class FrontendErrors : public ::testing::TestWithParam<ErrorCase> {};
 
 TEST_P(FrontendErrors, ReportsError) {

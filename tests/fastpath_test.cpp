@@ -2,15 +2,20 @@
 // consing, the BURS label memo, branch-and-bound pruning, and the parallel
 // variant search may only change how fast the search runs, never which
 // cover it picks. These tests pin that down (byte-identical programs across
-// all DSPStone kernels) and exercise the interner and memo directly.
+// all DSPStone kernels) and exercise the interner, the rewrite cache and
+// the label memo directly against their uncached references.
 #include <gtest/gtest.h>
 
 #include "codegen/pipeline.h"
 #include "dfl/frontend.h"
+#include "difftest/corpus.h"
+#include "difftest/difftest.h"
 #include "dspstone/kernels.h"
 #include "ir/interner.h"
+#include "isel/burs.h"
 #include "rewrite/enumerate.h"
 #include "target/encode.h"
+#include "target/tdsp.h"
 
 namespace record {
 namespace {
@@ -62,6 +67,87 @@ TEST(Interner, IdsAreStableInternOrder) {
   EXPECT_EQ(in.idOf(c.get()), 1u);
   EXPECT_TRUE(in.isInterned(ra.get()));
   EXPECT_FALSE(in.isInterned(Expr::constant(7).get()));
+
+  // Post-order interning: kids get their IDs before their parent, and a
+  // shape seen before (a) keeps its ID.
+  ExprPtr t = in.intern(Expr::binary(
+      Op::Sub, Expr::unary(Op::Neg, Expr::ref(a)), Expr::constant(5)));
+  ASSERT_EQ(in.size(), 5u);
+  EXPECT_EQ(t->kids[0]->kids[0].get(), ra.get());
+  EXPECT_EQ(in.idOf(t->kids[0].get()), 2u);  // neg a
+  EXPECT_EQ(in.idOf(t->kids[1].get()), 3u);  // 5
+  EXPECT_EQ(in.idOf(t.get()), 4u);           // sub
+
+  // Enough new shapes to grow the table several times: IDs stay dense and
+  // node(id) maps each one back.
+  for (int v = 0; v < 1000; ++v) in.intern(Expr::constant(v + 100));
+  ASSERT_EQ(in.size(), 1005u);
+  for (uint32_t id = 0; id < in.size(); ++id) {
+    ASSERT_TRUE(in.isInterned(in.node(id).get()));
+    ASSERT_EQ(in.idOf(in.node(id).get()), id);
+  }
+  // Every shape is still found after the rehashes.
+  for (int v = 0; v < 1000; ++v)
+    EXPECT_EQ(in.idOf(in.intern(Expr::constant(v + 100)).get()),
+              static_cast<uint32_t>(v + 5));
+  EXPECT_EQ(in.intern(Expr::binary(Op::Sub,
+                                   Expr::unary(Op::Neg, Expr::ref(a)),
+                                   Expr::constant(5)))
+                .get(),
+            t.get());
+  EXPECT_EQ(in.size(), 1005u);
+}
+
+TEST(Interner, NeverAdoptsCallerNodes) {
+  // Canonical nodes are the interner's own: a caller's tree is not tagged,
+  // so trees shared between interners or threads are never written to.
+  const Symbol* a = sym("a5");
+  ExprPtr leaf = Expr::ref(a);
+  ExprPtr tree = Expr::binary(Op::Add, leaf, Expr::constant(1));
+  ExprInterner in;
+  ExprPtr t = in.intern(tree);
+  EXPECT_NE(t.get(), tree.get());
+  EXPECT_NE(t->kids[0].get(), leaf.get());
+  EXPECT_FALSE(in.isInterned(tree.get()));
+  EXPECT_FALSE(in.isInterned(leaf.get()));
+  EXPECT_EQ(leaf->internOwner, nullptr);
+  EXPECT_TRUE(exprEquals(t, tree));
+}
+
+TEST(Interner, MakeHitReturnsTheInternedNode) {
+  const Symbol* a = sym("a6");
+  const Symbol* b = sym("b6");
+  auto fresh = [&] {
+    return Expr::binary(Op::Mul, Expr::ref(a),
+                        Expr::binary(Op::Add, Expr::ref(b),
+                                     Expr::constant(2)));
+  };
+  ExprInterner in;
+  ExprPtr t = in.intern(fresh());
+  const size_t before = in.size();
+  const int64_t hits = in.hits();
+
+  // Rebuild the same tree bottom-up from canonical kids: every level is a
+  // probe hit on the node intern() made, and nothing is added.
+  const Expr* ra = in.make(Op::Ref, a->type, 0, a);
+  const Expr* rb = in.make(Op::Ref, b->type, 0, b);
+  const Expr* two = in.make(Op::Const, Type::Fix, 2, nullptr);
+  const Expr* sum = in.make(Op::Add, rb->type, 0, nullptr, {rb, two});
+  const Expr* prod = in.make(Op::Mul, ra->type, 0, nullptr, {ra, sum});
+  EXPECT_EQ(prod, t.get());
+  EXPECT_EQ(sum, t->kids[1].get());
+  EXPECT_EQ(in.intern(fresh()).get(), prod);
+  EXPECT_EQ(in.size(), before);
+  // Five make() hits, then five node visits re-interning the fresh tree.
+  EXPECT_EQ(in.hits(), hits + 10);
+
+  // A new shape is a miss: one node, with the next dense ID.
+  const Expr* diff = in.make(Op::Sub, ra->type, 0, nullptr, {ra, sum});
+  EXPECT_EQ(in.size(), before + 1);
+  EXPECT_EQ(in.idOf(diff), before);
+  EXPECT_EQ(in.node(in.idOf(diff)).get(), diff);
+  EXPECT_EQ(in.make(Op::Sub, ra->type, 0, nullptr, {ra, sum}), diff);
+  EXPECT_EQ(in.size(), before + 1);
 }
 
 TEST(Interner, EnumerationDedupIsExact) {
@@ -78,6 +164,192 @@ TEST(Interner, EnumerationDedupIsExact) {
     EXPECT_EQ(with[i]->str(), without[i]->str()) << i;
   // Every interned variant is canonical: re-interning is the identity.
   for (const auto& v : with) EXPECT_EQ(in.intern(v).get(), v.get());
+}
+
+void collectRhs(const std::vector<Stmt>& body, std::vector<ExprPtr>& out) {
+  for (const Stmt& s : body) {
+    if (s.kind == Stmt::Kind::Assign)
+      out.push_back(s.rhs);
+    else
+      collectRhs(s.body, out);
+  }
+}
+
+/// Every assignment RHS of the committed corpus and of the difftest
+/// generator's first 50 programs. The programs are returned too: their
+/// symbols must outlive the trees.
+std::vector<ExprPtr> corpusAndGeneratedRhs(std::vector<Program>& progs) {
+  std::vector<std::string> sources;
+  for (const auto& path : difftest::listCorpusFiles(RECORD_CORPUS_DIR)) {
+    difftest::CorpusEntry entry;
+    std::string err;
+    EXPECT_TRUE(difftest::loadCorpusFile(path, &entry, &err)) << err;
+    sources.push_back(entry.source);
+  }
+  for (uint64_t seed = 1; seed <= 50; ++seed)
+    sources.push_back(difftest::generateProgram(seed).render());
+  for (const auto& src : sources) {
+    DiagEngine diag;
+    auto prog = dfl::parseDfl(src, diag);
+    EXPECT_TRUE(prog.has_value()) << diag.str();
+    if (prog) progs.push_back(std::move(*prog));
+  }
+  std::vector<ExprPtr> rhs;
+  for (const Program& p : progs) collectRhs(p.body, rhs);
+  return rhs;
+}
+
+/// The rewrite cache returns exactly what uncached enumeration returns, in
+/// the same order: against the interner-only path (same interner, so the
+/// very same canonical nodes) and against the plain path (structurally).
+/// One cache serves every budget in turn, so each switch -- including back
+/// to a budget cached before -- must invalidate the whole-variant entries.
+TEST(RewriteCache, MatchesUncachedEnumerationAcrossBudgets) {
+  std::vector<Program> progs;
+  const std::vector<ExprPtr> rhs = corpusAndGeneratedRhs(progs);
+  ASSERT_GT(rhs.size(), 100u);
+  ExprInterner in;
+  RewriteCache cache(in);
+  size_t multi = 0;
+  for (int budget : {1, 8, 48, 8}) {
+    for (int pass = 0; pass < 2; ++pass) {  // the second pass hits
+      for (size_t r = 0; r < rhs.size(); ++r) {
+        auto cached = enumerateVariants(rhs[r], budget, nullptr, &cache);
+        auto interned = enumerateVariants(rhs[r], budget, &in);
+        auto plain = enumerateVariants(rhs[r], budget);
+        ASSERT_EQ(cached.size(), interned.size()) << rhs[r]->str();
+        ASSERT_EQ(cached.size(), plain.size()) << rhs[r]->str();
+        for (size_t i = 0; i < cached.size(); ++i) {
+          EXPECT_EQ(cached[i].get(), interned[i].get())
+              << "budget " << budget << " variant " << i << " of "
+              << rhs[r]->str();
+          EXPECT_TRUE(exprEquals(cached[i], plain[i]) &&
+                      cached[i]->type == plain[i]->type)
+              << "budget " << budget << " variant " << i << ": "
+              << cached[i]->str() << " vs " << plain[i]->str();
+        }
+        if (cached.size() > 1) ++multi;
+      }
+    }
+  }
+  EXPECT_GT(multi, rhs.size());  // the budgets above 1 really enumerate
+  EXPECT_GT(cache.variantHits, 0);
+}
+
+/// A binder whose leafCost() answers depend on a generation counter that
+/// it also reports as stateSignature(): every bump changes what the memo
+/// would have to forget.
+class ShiftingBinder : public OperandBinder {
+ public:
+  uint64_t gen = 0;
+  int nextTemp = 100;
+
+  std::optional<int> leafCost(const Expr& e, Nonterm nt) override {
+    switch (nt) {
+      case Nonterm::Imm8:
+        if (e.op == Op::Const && gen % 3 != 1 && e.value >= -128 &&
+            e.value <= 127)
+          return 0;
+        return std::nullopt;
+      case Nonterm::Imm16:
+        if (e.op == Op::Const) return static_cast<int>(gen % 2);
+        return std::nullopt;
+      case Nonterm::Mem:
+        if (e.op == Op::Const) return 1 + static_cast<int>(gen % 2);
+        if (e.op == Op::Ref)  // each symbol gets dearer in its own turn
+          return (gen + e.sym->name.size()) % 3 == 0 ? 4 : 0;
+        return std::nullopt;
+      default:
+        return std::nullopt;
+    }
+  }
+
+  Operand bind(const Expr& e, Nonterm nt, std::vector<MInstr>&,
+               bool) override {
+    if (nt == Nonterm::Imm8 || nt == Nonterm::Imm16)
+      return Operand::imm(static_cast<int>(e.value));
+    if (e.op == Op::Const) return Operand::direct(200 + (e.value & 15));
+    return Operand::direct(static_cast<int>(e.sym->name.size()));
+  }
+
+  int allocTemp() override { return nextTemp++; }
+  uint64_t stateSignature() const override { return gen; }
+};
+
+std::string codeOf(const CoverResult& r) {
+  std::string out;
+  for (const MInstr& mi : r.code) out += mi.instr.str() + "\n";
+  return out;
+}
+
+/// The dense label memo against the flags-off reference: equal costs and
+/// equal reduce output over calls that cross several signature changes,
+/// each of which must start a new memo epoch.
+TEST(LabelMemo, SignatureChangesInvalidateTheMemo) {
+  const Symbol* a = sym("a");
+  const Symbol* bb = sym("bb");
+  const Symbol* ccc = sym("ccc");
+  const Symbol* y = sym("yyyy");
+  auto ra = [&] { return Expr::ref(a); };
+  auto rb = [&] { return Expr::ref(bb); };
+  auto rc = [&] { return Expr::ref(ccc); };
+  auto store = [&](ExprPtr rhs) {
+    return Expr::binary(Op::Store, Expr::ref(y), std::move(rhs));
+  };
+  const std::vector<ExprPtr> fresh = {
+      store(Expr::binary(Op::Add, ra(), Expr::binary(Op::Mul, rb(), rc()))),
+      store(Expr::binary(Op::Add, Expr::binary(Op::Mul, ra(), rb()),
+                         Expr::constant(3))),
+      store(Expr::binary(Op::Sub, ra(), Expr::constant(300))),
+      store(Expr::binary(Op::Add, Expr::binary(Op::Add, ra(), rb()),
+                         Expr::binary(Op::Add, rc(), Expr::constant(7)))),
+      store(Expr::binary(Op::Shl, rb(), Expr::constant(2))),
+  };
+  ExprInterner in;
+  std::vector<ExprPtr> trees;
+  for (const auto& t : fresh) trees.push_back(in.intern(t));
+
+  const RuleSet rules = rulesFor(tdspDesc(), TargetConfig{});
+  BursMatcher memo(rules, CostKind::Size);
+  BursMatcher plain(rules, CostKind::Size);
+  BursMatcher::LabelMemo storage;
+  memo.enableMemo(&storage);
+  ShiftingBinder memoBinder, plainBinder;
+
+  std::vector<std::optional<int>> firstGen;
+  bool costsMoved = false;
+  for (uint64_t gen = 0; gen < 6; ++gen) {
+    memoBinder.gen = plainBinder.gen = gen;
+    for (int pass = 0; pass < 2; ++pass) {
+      for (size_t i = 0; i < trees.size(); ++i) {
+        const ExprPtr& t = trees[i];
+        auto want = plain.matchCost(t, Nonterm::Stmt, plainBinder);
+        EXPECT_EQ(memo.matchCost(t, Nonterm::Stmt, memoBinder), want)
+            << "gen " << gen << ": " << t->str();
+        if (gen == 0 && pass == 0) firstGen.push_back(want);
+        costsMoved |= want != firstGen[i];
+
+        auto bounded = memo.matchCostBounded(t, Nonterm::Stmt, memoBinder,
+                                             want ? *want - 1 : 1);
+        auto boundedRef = plain.matchCostBounded(t, Nonterm::Stmt,
+                                                 plainBinder,
+                                                 want ? *want - 1 : 1);
+        EXPECT_EQ(bounded.cost, boundedRef.cost) << "gen " << gen;
+        EXPECT_EQ(bounded.pruned, boundedRef.pruned) << "gen " << gen;
+
+        CoverResult got = memo.reduce(t, Nonterm::Stmt, memoBinder);
+        CoverResult ref = plain.reduce(t, Nonterm::Stmt, plainBinder);
+        ASSERT_EQ(got.ok, ref.ok) << "gen " << gen << ": " << t->str();
+        EXPECT_EQ(got.cost, ref.cost) << "gen " << gen;
+        EXPECT_EQ(got.patternsUsed, ref.patternsUsed) << "gen " << gen;
+        EXPECT_EQ(codeOf(got), codeOf(ref))
+            << "gen " << gen << ": " << t->str();
+      }
+    }
+  }
+  EXPECT_TRUE(costsMoved) << "the binder must actually change the labels";
+  EXPECT_GT(memo.memoHits(), 0);
+  EXPECT_EQ(plain.memoHits(), 0);
 }
 
 CodegenOptions slowOptions() {
