@@ -1,6 +1,20 @@
+// The golden-model interpreter (ir/interp.h): operator semantics on small
+// DFL programs, the runtime error contract on hand-built programs, and the
+// frozen oracle tests/golden/interp_outputs.golden.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <map>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include "dfl/frontend.h"
+#include "difftest/corpus.h"
+#include "difftest/difftest.h"
+#include "dspstone/kernels.h"
+#include "golden.h"
 #include "ir/interp.h"
 
 namespace record {
@@ -169,6 +183,257 @@ TEST(Interp, OutOfRangeIndexThrows) {
   Interp in(prog);
   in.setScalar("k", 9);
   EXPECT_THROW(in.run(), std::runtime_error);
+}
+
+// ---------------------------------------------------------------------------
+// Runtime error contract
+// ---------------------------------------------------------------------------
+// Every error is raised when the faulting node or statement is evaluated,
+// never earlier, with a fixed message.
+
+Symbol* define(Program& p, const std::string& name, SymKind kind,
+               int arraySize = 0, int delayDepth = 0) {
+  Symbol s;
+  s.name = name;
+  s.kind = kind;
+  s.arraySize = arraySize;
+  s.delayDepth = delayDepth;
+  return p.symbols.define(std::move(s));
+}
+
+/// The message of the error `in.run()` raises, or "" if it runs through.
+std::string runError(Interp& in, int ticks = 1) {
+  try {
+    in.run(ticks);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+ExprPtr num(int64_t v) { return Expr::constant(v); }
+
+TEST(Interp, ForeignSymbolHasNoStorage) {
+  Program other;
+  const Symbol* f = define(other, "f", SymKind::Var);
+  Program p;
+  const Symbol* y = define(p, "y", SymKind::Output);
+  p.body.push_back(Stmt::assign(y, Expr::ref(f)));
+  Interp in(p);
+  EXPECT_EQ(runError(in), "no storage: f");
+}
+
+TEST(Interp, StoreToForeignSymbolHasNoStorage) {
+  Program other;
+  const Symbol* f = define(other, "f", SymKind::Var, 4);
+  Program p;
+  p.body.push_back(Stmt::assign(f, num(1), num(0)));
+  Interp in(p);
+  EXPECT_EQ(runError(in), "no storage: f");
+}
+
+TEST(Interp, ArrayRefOfInductionVarHasNoStorage) {
+  Program p;
+  const Symbol* i = define(p, "i", SymKind::Induction);
+  const Symbol* y = define(p, "y", SymKind::Output);
+  p.body.push_back(Stmt::forLoop(
+      i, 0, 1, 1, {Stmt::assign(y, Expr::arrayRef(i, num(0)))}));
+  Interp in(p);
+  EXPECT_EQ(runError(in), "no storage: i");
+}
+
+TEST(Interp, DelayOutOfRange) {
+  Program p;
+  const Symbol* x = define(p, "x", SymKind::Input, 0, 1);
+  const Symbol* y = define(p, "y", SymKind::Output);
+  p.body.push_back(Stmt::assign(y, Expr::ref(x, 1)));
+  p.body.push_back(Stmt::assign(y, Expr::ref(x, 2)));
+  Interp in(p);
+  EXPECT_EQ(runError(in), "delay out of range: x");
+}
+
+TEST(Interp, ArrayIndexOutOfRange) {
+  for (int64_t idx : {-1, 4}) {
+    Program p;
+    const Symbol* a = define(p, "a", SymKind::Input, 4);
+    const Symbol* y = define(p, "y", SymKind::Output);
+    p.body.push_back(Stmt::assign(y, Expr::arrayRef(a, num(idx))));
+    Interp in(p);
+    EXPECT_EQ(runError(in), "array index out of range: a") << idx;
+  }
+}
+
+TEST(Interp, StoreIndexOutOfRange) {
+  for (int64_t idx : {-1, 4}) {
+    Program p;
+    const Symbol* a = define(p, "a", SymKind::Output, 4);
+    p.body.push_back(Stmt::assign(a, num(1), num(idx)));
+    Interp in(p);
+    EXPECT_EQ(runError(in), "store index out of range: a") << idx;
+  }
+}
+
+TEST(Interp, InductionVarOutsideLoop) {
+  Program p;
+  const Symbol* i = define(p, "i", SymKind::Induction);
+  const Symbol* y = define(p, "y", SymKind::Output);
+  p.body.push_back(Stmt::assign(y, Expr::ref(i)));
+  Interp in(p);
+  EXPECT_EQ(runError(in), "induction var outside loop: i");
+}
+
+TEST(Interp, PatternOnlyStoreIsBadOp) {
+  Program p;
+  const Symbol* x = define(p, "x", SymKind::Var);
+  const Symbol* y = define(p, "y", SymKind::Output);
+  p.body.push_back(Stmt::assign(
+      y, Expr::binary(Op::Store, Expr::ref(x), num(1))));
+  Interp in(p);
+  EXPECT_EQ(runError(in), "bad op");
+}
+
+// Errors follow evaluation: statements before the faulting one take
+// effect, and a value-dependent fault is raised on the tick that has it.
+TEST(Interp, ErrorsAreRaisedWhenReached) {
+  Program p;
+  const Symbol* a = define(p, "a", SymKind::Input, 4);
+  const Symbol* k = define(p, "k", SymKind::Input);
+  const Symbol* y = define(p, "y", SymKind::Output);
+  const Symbol* z = define(p, "z", SymKind::Output);
+  p.body.push_back(Stmt::assign(z, Expr::ref(k)));
+  p.body.push_back(Stmt::assign(y, Expr::arrayRef(a, Expr::ref(k))));
+  Interp in(p);
+  in.setArray("a", {10, 20, 30, 40});
+  in.setStream("k", {3, 4});
+  EXPECT_EQ(runError(in), "");
+  EXPECT_EQ(in.scalar("y"), 40);
+  EXPECT_EQ(runError(in), "array index out of range: a");
+  EXPECT_EQ(in.scalar("z"), 4);
+}
+
+TEST(Interp, UnreachedBadReferenceDoesNotThrow) {
+  Program other;
+  const Symbol* f = define(other, "f", SymKind::Var);
+  Program p;
+  const Symbol* i = define(p, "i", SymKind::Induction);
+  const Symbol* y = define(p, "y", SymKind::Output);
+  p.body.push_back(Stmt::forLoop(i, 1, 0, 1,
+                                 {Stmt::assign(y, Expr::ref(f)),
+                                  Stmt::assign(f, Expr::ref(i, 3), num(9))}));
+  p.body.push_back(Stmt::assign(y, num(5)));
+  Interp in(p);
+  EXPECT_EQ(runError(in, 2), "");
+  EXPECT_EQ(in.trace("y"), (std::vector<int64_t>{5, 5}));
+}
+
+// A loop binds its induction variable for its own body only: an inner loop
+// that reuses the outer loop's variable unbinds it on exit.
+TEST(Interp, NestedLoopReusingIvarUnbindsItOnExit) {
+  Program p;
+  const Symbol* i = define(p, "i", SymKind::Induction);
+  const Symbol* y = define(p, "y", SymKind::Output);
+  const Symbol* z = define(p, "z", SymKind::Output);
+  p.body.push_back(Stmt::forLoop(
+      i, 0, 1, 1,
+      {Stmt::assign(z, Expr::ref(i)),
+       Stmt::forLoop(i, 5, 7, 1, {Stmt::assign(y, Expr::ref(i))}),
+       Stmt::assign(z, Expr::ref(i))}));
+  Interp in(p);
+  EXPECT_EQ(runError(in), "induction var outside loop: i");
+  EXPECT_EQ(in.scalar("y"), 7);
+  EXPECT_EQ(in.scalar("z"), 0);
+}
+
+// ---------------------------------------------------------------------------
+// The frozen oracle: tests/golden/interp_outputs.golden
+// ---------------------------------------------------------------------------
+// One line per (program, stimulus): an FNV-64 digest of every tick's
+// outputs -- scalars and full arrays, in symbol order. Covers the DSPStone
+// kernels, the sim_long kernel sizes, the committed difftest corpus and
+// the first 500 generated programs.
+
+std::string goldenLine(const std::string& key, const Program& prog,
+                       const Stimulus& stim) {
+  Interp in(prog);
+  for (const auto& [name, vals] : stim.arrays) in.setArray(name, vals);
+  for (const auto& [name, vals] : stim.scalars) in.setStream(name, vals);
+  std::string outs, error;
+  try {
+    for (int t = 0; t < stim.ticks; ++t) {
+      in.run(1);
+      for (const auto& sym : prog.symbols.all()) {
+        if (sym->kind != SymKind::Output) continue;
+        outs += sym->name + "=";
+        if (sym->isArray()) {
+          for (int64_t v : in.array(sym->name)) outs += std::to_string(v) + ",";
+        } else {
+          outs += std::to_string(in.scalar(sym->name));
+        }
+        outs += ";";
+      }
+      outs += "\n";
+    }
+  } catch (const std::runtime_error& e) {
+    error = std::string(" error=") + e.what();
+  }
+  return key + " ticks=" + std::to_string(stim.ticks) +
+         " outputs=" + golden::digest(outs) + error;
+}
+
+std::string seedWord(uint64_t seed) { return "seed-" + std::to_string(seed); }
+
+TEST(Interp, MatchesFrozenGolden) {
+  std::map<std::string, std::vector<std::string>> sections;
+  for (const auto& k : dspstoneKernels()) {
+    Program prog = dfl::parseDflOrDie(k.dfl);
+    sections["dspstone"].push_back(
+        goldenLine("dspstone " + k.name + " " + seedWord(1), prog,
+                   difftest::makeStimulus(prog, 1, 16)));
+  }
+  // The DSPStone loop kernels at the sizes the sim_long workload runs.
+  struct Sized {
+    const char* name;
+    const char* size;
+    const char* from;
+    const char* to;
+  };
+  for (const Sized& sk :
+       {Sized{"n_real_updates", "N480", "const N = 16;", "const N = 480;"},
+        Sized{"n_complex_updates", "N240", "const N = 16;", "const N = 240;"},
+        Sized{"fir", "N960", "const N = 16;", "const N = 960;"},
+        Sized{"convolution", "N960", "const N = 16;", "const N = 960;"},
+        Sized{"iir_biquad_n_sections", "NS256", "const NS = 4;",
+              "const NS = 256;"}}) {
+    std::string src = kernelByName(sk.name).dfl;
+    ASSERT_NE(src.find(sk.from), std::string::npos) << sk.name;
+    src.replace(src.find(sk.from), std::strlen(sk.from), sk.to);
+    Program prog = dfl::parseDflOrDie(src);
+    sections["long"].push_back(goldenLine(
+        std::string("long ") + sk.name + "-" + sk.size + " " + seedWord(1),
+        prog, difftest::makeStimulus(prog, 1, 16)));
+  }
+  auto files = difftest::listCorpusFiles(RECORD_CORPUS_DIR);
+  ASSERT_FALSE(files.empty());
+  for (const auto& path : files) {
+    difftest::CorpusEntry e;
+    std::string err;
+    ASSERT_TRUE(difftest::loadCorpusFile(path, &e, &err)) << err;
+    Program prog = dfl::parseDflOrDie(e.source);
+    sections["corpus"].push_back(
+        goldenLine("corpus " + e.name + " " + seedWord(e.seed), prog,
+                   difftest::makeStimulus(prog, e.seed, e.ticks)));
+  }
+  for (uint64_t seed = 1; seed <= 500; ++seed) {
+    difftest::ProgSpec spec = difftest::generateProgram(seed);
+    Program prog = dfl::parseDflOrDie(spec.render());
+    sections["gen"].push_back(goldenLine(
+        "gen program-" + std::to_string(seed) + " " + seedWord(seed), prog,
+        difftest::makeStimulus(prog, seed, spec.ticks)));
+  }
+  for (const auto& [section, lines] : sections)
+    golden::expectGoldenSection(
+        std::string(RECORD_GOLDEN_DIR) + "/interp_outputs.golden", section,
+        lines);
 }
 
 }  // namespace

@@ -19,8 +19,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdio>
-#include <fstream>
 #include <map>
 #include <set>
 #include <sstream>
@@ -33,6 +31,7 @@
 #include "difftest/difftest.h"
 #include "dspstone/harness.h"
 #include "dspstone/kernels.h"
+#include "golden.h"
 #include "ir/program.h"
 #include "ise/bridge.h"
 #include "ise/extract.h"
@@ -49,13 +48,8 @@
 namespace record {
 namespace {
 
-std::string readFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << "cannot open " << path;
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
-}
+using golden::digest;
+using golden::readFile;
 
 /// tdsp.isd read from the source tree (not the embedded copy), parsed and
 /// validated.
@@ -221,22 +215,6 @@ TEST(IsdGen, RulesMatchBuiltinAcrossSweep) {
 // and dual-mul cores. A differing line is reported with its actual text, so
 // a deliberate codegen change updates the file by pasting those lines.
 
-uint64_t fnv64(const std::string& s) {
-  uint64_t h = 1469598103934665603ull;
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-std::string digest(const std::string& s) {
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(fnv64(s)));
-  return buf;
-}
-
 /// The golden line of one compile: accept/reject, then digests of the
 /// annotated listing, the data layout and the encoded image.
 std::string goldenLine(const std::string& key, const RecordCompiler& rc,
@@ -265,38 +243,11 @@ std::string goldenLine(const std::string& key, const RecordCompiler& rc,
 
 std::string modeName(bool fast) { return fast ? "fast" : "slow"; }
 
-/// Golden lines keyed by their first four words (section, program,
-/// config, mode).
-std::string lineKey(const std::string& line) {
-  std::istringstream in(line);
-  std::string w, key;
-  for (int i = 0; i < 4 && in >> w; ++i) key += (i ? " " : "") + w;
-  return key;
-}
-
 void expectGoldenSection(const std::string& section,
                          const std::vector<std::string>& actual) {
-  std::map<std::string, std::string> expected;
-  {
-    std::istringstream in(
-        readFile(std::string(RECORD_GOLDEN_DIR) + "/tdsp_codegen.golden"));
-    std::string line;
-    while (std::getline(in, line))
-      if (line.rfind(section + " ", 0) == 0) expected[lineKey(line)] = line;
-  }
-  for (const std::string& line : actual) {
-    auto it = expected.find(lineKey(line));
-    if (it == expected.end()) {
-      ADD_FAILURE() << "no golden line for '" << lineKey(line)
-                    << "'\n  actual:   " << line;
-      continue;
-    }
-    EXPECT_EQ(it->second, line) << "\n  expected: " << it->second
-                                << "\n  actual:   " << line;
-    expected.erase(it);
-  }
-  for (const auto& [key, line] : expected)
-    ADD_FAILURE() << "golden line not produced: " << line;
+  golden::expectGoldenSection(
+      std::string(RECORD_GOLDEN_DIR) + "/tdsp_codegen.golden", section,
+      actual);
 }
 
 /// The `sim` line of one compiled kernel: run it on its stimulus under the
