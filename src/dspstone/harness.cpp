@@ -51,10 +51,7 @@ Measurement runAndCompare(const TargetProgram& tp, const Program& prog,
     for (const auto& sym : prog.symbols.all()) {
       if (sym->kind != SymKind::Output) continue;
       int words = sym->isArray() ? sym->arraySize : 1;
-      // One golden fetch per symbol: Interp::array returns a copy.
-      const std::vector<int64_t> golden =
-          sym->isArray() ? gold.array(sym->name)
-                         : std::vector<int64_t>{gold.scalar(sym->name)};
+      const std::vector<int64_t>& golden = gold.array(sym->name);
       for (int i = 0; i < words; ++i) {
         int64_t want = golden[static_cast<size_t>(i)];
         int64_t got = mach.readSymbol(sym->name, i);

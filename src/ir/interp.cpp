@@ -1,170 +1,344 @@
 #include "ir/interp.h"
 
-#include <cassert>
+#include <algorithm>
+#include <map>
+#include <set>
 #include <stdexcept>
 
 namespace record {
 
+namespace {
+
+/// Give every loop induction symbol of `body` a dense id.
+void collectIvars(const std::vector<Stmt>& body,
+                  std::map<const Symbol*, size_t>& ids) {
+  for (const Stmt& s : body) {
+    if (s.kind != Stmt::Kind::For) continue;
+    ids.emplace(s.ivar, ids.size());
+    collectIvars(s.body, ids);
+  }
+}
+
+}  // namespace
+
+struct Interp::Scope {
+  std::map<const Symbol*, size_t> slot;  // symbols with storage
+  std::map<const Symbol*, size_t> ivar;  // loop induction symbols
+  // Induction symbols bound where flattening stands: a loop binds its ivar
+  // for its body and unbinds it on exit, so this set is exactly the set of
+  // bindings at run time there.
+  std::set<const Symbol*> bound;
+};
+
 Interp::Interp(const Program& prog) : prog_(prog) {
+  Scope sc;
   for (const auto& s : prog.symbols.all()) {
     if (s->kind == SymKind::Const || s->kind == SymKind::Induction) continue;
     size_t n = s->isArray() ? static_cast<size_t>(s->arraySize)
                             : static_cast<size_t>(1 + s->delayDepth);
-    store_[s.get()] = std::vector<int64_t>(n, 0);
+    sc.slot[s.get()] = store_.size();
+    if (s->delayDepth > 0) delayLines_.push_back(store_.size());
+    store_.emplace_back(n, 0);
+    slotSym_.push_back(s.get());
+  }
+  for (const auto& s : prog.symbols.all())
+    if (s->kind == SymKind::Output && s->isScalar())
+      traces_.push_back({s.get(), store_[sc.slot.at(s.get())].data(), {}});
+  collectIvars(prog.body, sc.ivar);
+  ivars_.assign(sc.ivar.size(), 0);
+  flatten(prog.body, sc);
+}
+
+uint32_t Interp::message(std::string msg) {
+  traps_.push_back(std::move(msg));
+  return static_cast<uint32_t>(traps_.size() - 1);
+}
+
+void Interp::flatten(const std::vector<Stmt>& body, Scope& sc) {
+  for (const Stmt& s : body) {
+    Step st;
+    if (s.kind == Stmt::Kind::For) {
+      const size_t at = steps_.size();
+      st.kind = StepKind::Loop;
+      st.cells = &ivars_[sc.ivar.at(s.ivar)];
+      st.lo = s.lo;
+      st.step = s.step;
+      st.trips = s.tripCount();
+      steps_.push_back(st);
+      sc.bound.insert(s.ivar);
+      flatten(s.body, sc);
+      sc.bound.erase(s.ivar);
+      steps_[at].end = static_cast<uint32_t>(steps_.size());
+      continue;
+    }
+    st.rhs = flatten(*s.rhs, sc);
+    auto it = sc.slot.find(s.lhs);
+    if (it == sc.slot.end()) {
+      st.kind = StepKind::Trap;
+      st.size = message("no storage: " + s.lhs->name);
+    } else if (s.lhsIndex) {
+      st.kind = StepKind::StoreAt;
+      st.index = flatten(*s.lhsIndex, sc);
+      st.cells = store_[it->second].data();
+      st.size = static_cast<uint32_t>(store_[it->second].size());
+      st.sym = s.lhs;
+    } else {
+      st.cells = store_[it->second].data();
+    }
+    steps_.push_back(st);
   }
 }
 
-std::vector<int64_t>& Interp::cells(const Symbol* s) {
-  auto it = store_.find(s);
-  if (it == store_.end()) throw std::runtime_error("no storage: " + s->name);
-  return it->second;
-}
-
-const std::vector<int64_t>& Interp::cells(const Symbol* s) const {
-  auto it = store_.find(s);
-  if (it == store_.end()) throw std::runtime_error("no storage: " + s->name);
-  return it->second;
-}
-
-void Interp::setArray(const std::string& name,
-                      const std::vector<int64_t>& vals) {
-  const Symbol* s = prog_.symbols.lookup(name);
-  if (!s) throw std::runtime_error("unknown symbol: " + name);
-  auto& c = cells(s);
-  for (size_t i = 0; i < c.size(); ++i)
-    c[i] = i < vals.size() ? wrap16(vals[i]) : 0;
-}
-
-void Interp::setScalar(const std::string& name, int64_t v) {
-  const Symbol* s = prog_.symbols.lookup(name);
-  if (!s) throw std::runtime_error("unknown symbol: " + name);
-  cells(s)[0] = wrap16(v);
-}
-
-void Interp::setStream(const std::string& name, std::vector<int64_t> perTick) {
-  streams_[name] = std::move(perTick);
-}
-
-int64_t Interp::eval(const ExprPtr& e) const {
-  switch (e->op) {
+uint32_t Interp::flatten(const Expr& e, Scope& sc) {
+  const size_t start = nodes_.size();
+  Node n;
+  auto trapWith = [&](std::string msg) {
+    n.kind = NodeKind::Trap;
+    n.size = message(std::move(msg));
+  };
+  switch (e.op) {
     case Op::Const:
-      return e->value;
+      n.value = e.value;
+      break;
     case Op::Ref: {
-      if (e->sym->kind == SymKind::Const) return e->sym->constValue;
-      if (e->sym->kind == SymKind::Induction) {
-        auto it = inductionVals_.find(e->sym);
-        if (it == inductionVals_.end())
-          throw std::runtime_error("induction var outside loop: " +
-                                   e->sym->name);
-        return it->second;
+      if (e.sym->kind == SymKind::Const) {
+        n.value = e.sym->constValue;
+      } else if (e.sym->kind == SymKind::Induction) {
+        if (sc.bound.count(e.sym)) {
+          n.kind = NodeKind::Load;
+          n.cells = &ivars_[sc.ivar.at(e.sym)];
+        } else {
+          trapWith("induction var outside loop: " + e.sym->name);
+        }
+      } else if (auto it = sc.slot.find(e.sym); it == sc.slot.end()) {
+        trapWith("no storage: " + e.sym->name);
+      } else if (auto d = static_cast<size_t>(e.value);
+                 d >= store_[it->second].size()) {
+        trapWith("delay out of range: " + e.sym->name);
+      } else {
+        n.kind = NodeKind::Load;
+        n.cells = store_[it->second].data() + d;
       }
-      const auto& c = cells(e->sym);
-      auto d = static_cast<size_t>(e->value);
-      if (d >= c.size())
-        throw std::runtime_error("delay out of range: " + e->sym->name);
-      return c[d];
+      break;
     }
     case Op::ArrayRef: {
-      int64_t idx = eval(e->kids[0]);
-      const auto& c = cells(e->sym);
-      if (idx < 0 || static_cast<size_t>(idx) >= c.size())
-        throw std::runtime_error("array index out of range: " + e->sym->name);
-      return c[static_cast<size_t>(idx)];
+      if (e.kids.size() != 1) {
+        trapWith("bad op");
+        break;
+      }
+      // The index is evaluated before the storage check fires.
+      n.a = flatten(*e.kids[0], sc);
+      auto it = sc.slot.find(e.sym);
+      if (it == sc.slot.end()) {
+        trapWith("no storage: " + e.sym->name);
+        break;
+      }
+      const Node& idx = nodes_[n.a];
+      auto& c = store_[it->second];
+      if (idx.kind == NodeKind::Const && idx.value >= 0 &&
+          static_cast<size_t>(idx.value) < c.size()) {
+        // A constant in-range index resolves to its cell.
+        n.kind = NodeKind::Load;
+        n.cells = c.data() + static_cast<size_t>(idx.value);
+        n.a = kNone;
+        nodes_.resize(start);
+        break;
+      }
+      n.kind = NodeKind::Index;
+      n.cells = c.data();
+      n.size = static_cast<uint32_t>(c.size());
+      n.sym = e.sym;
+      break;
     }
-    case Op::Add: return wrap32(eval(e->kids[0]) + eval(e->kids[1]));
-    case Op::Sub: return wrap32(eval(e->kids[0]) - eval(e->kids[1]));
+    case Op::Neg: n.kind = NodeKind::Neg; break;
+    case Op::Add: n.kind = NodeKind::Add; break;
+    case Op::Sub: n.kind = NodeKind::Sub; break;
+    case Op::Mul: n.kind = NodeKind::Mul; break;
+    case Op::SatAdd: n.kind = NodeKind::SatAdd; break;
+    case Op::SatSub: n.kind = NodeKind::SatSub; break;
+    case Op::Shl: n.kind = NodeKind::Shl; break;
+    case Op::Shr: n.kind = NodeKind::Shr; break;
+    case Op::Shru: n.kind = NodeKind::Shru; break;
+    case Op::And: n.kind = NodeKind::And; break;
+    case Op::Or: n.kind = NodeKind::Or; break;
+    case Op::Xor: n.kind = NodeKind::Xor; break;
+    case Op::Store:  // pattern-tree only; never evaluated
+      trapWith("bad op");
+      break;
+  }
+  if (n.kind >= NodeKind::Neg) {
+    if (e.kids.size() != static_cast<size_t>(opArity(e.op))) {
+      trapWith("bad op");
+    } else {
+      n.a = flatten(*e.kids[0], sc);
+      if (n.kind != NodeKind::Neg) n.b = flatten(*e.kids[1], sc);
+    }
+  }
+  nodes_.push_back(n);
+  const auto self = static_cast<uint32_t>(nodes_.size() - 1);
+  // Fold an operator over constants with this evaluator: the operators
+  // never throw, so folding raises no error early.
+  auto isConst = [&](uint32_t k) {
+    return k == kNone || nodes_[k].kind == NodeKind::Const;
+  };
+  if (n.kind >= NodeKind::Neg && isConst(n.a) && isConst(n.b)) {
+    Node folded;
+    folded.value = eval(self);
+    nodes_.resize(start);
+    nodes_.push_back(folded);
+  }
+  return static_cast<uint32_t>(nodes_.size() - 1);
+}
+
+int64_t Interp::eval(uint32_t i) const {
+  const Node& n = nodes_[i];
+  switch (n.kind) {
+    case NodeKind::Const:
+      return n.value;
+    case NodeKind::Load:
+      return *n.cells;
+    case NodeKind::Index: {
+      int64_t idx = eval(n.a);
+      if (idx < 0 || static_cast<uint64_t>(idx) >= n.size)
+        throw std::runtime_error("array index out of range: " + n.sym->name);
+      return n.cells[idx];
+    }
+    case NodeKind::Trap:
+      if (n.a != kNone) eval(n.a);
+      throw std::runtime_error(traps_[n.size]);
+    case NodeKind::Neg:
+      return wrap32(-eval(n.a));
+    default:
+      break;
+  }
+  const int64_t a = eval(n.a);
+  const int64_t b = eval(n.b);
+  switch (n.kind) {
+    case NodeKind::Add: return wrap32(a + b);
+    case NodeKind::Sub: return wrap32(a - b);
     // Mul is defined as the hardware multiplier: operands pass through a
     // 16-bit port (T register / memory word), the product keeps 32 bits.
     // This makes spilling a compound multiplicand through a 16-bit temp an
     // *exact* implementation, not an approximation the oracle must forgive.
-    case Op::Mul: return mul16(eval(e->kids[0]), eval(e->kids[1]));
-    case Op::Neg: return wrap32(-eval(e->kids[0]));
-    case Op::SatAdd: return sat32(eval(e->kids[0]) + eval(e->kids[1]));
-    case Op::SatSub: return sat32(eval(e->kids[0]) - eval(e->kids[1]));
-    case Op::Shl: return wrapShl32(eval(e->kids[0]), eval(e->kids[1]));
-    case Op::Shr: return asr32(eval(e->kids[0]), eval(e->kids[1]));
-    case Op::Shru: return lsr32(eval(e->kids[0]), eval(e->kids[1]));
-    case Op::And: return and16(eval(e->kids[0]), eval(e->kids[1]));
-    case Op::Or: return or16(eval(e->kids[0]), eval(e->kids[1]));
-    case Op::Xor: return xor16(eval(e->kids[0]), eval(e->kids[1]));
-    case Op::Store:
-      break;  // pattern-tree only; never evaluated
+    case NodeKind::Mul: return mul16(a, b);
+    case NodeKind::SatAdd: return sat32(a + b);
+    case NodeKind::SatSub: return sat32(a - b);
+    case NodeKind::Shl: return wrapShl32(a, b);
+    case NodeKind::Shr: return asr32(a, b);
+    case NodeKind::Shru: return lsr32(a, b);
+    case NodeKind::And: return and16(a, b);
+    case NodeKind::Or: return or16(a, b);
+    case NodeKind::Xor: return xor16(a, b);
+    default: break;
   }
   throw std::runtime_error("bad op");
 }
 
-void Interp::exec(const std::vector<Stmt>& body) {
-  for (const auto& s : body) {
-    if (s.kind == Stmt::Kind::Assign) {
-      int64_t v = wrap16(eval(s.rhs));
-      auto& c = cells(s.lhs);
-      if (s.lhsIndex) {
-        int64_t idx = eval(s.lhsIndex);
-        if (idx < 0 || static_cast<size_t>(idx) >= c.size())
+void Interp::exec(uint32_t begin, uint32_t end) {
+  for (uint32_t i = begin; i < end; ++i) {
+    const Step& s = steps_[i];
+    switch (s.kind) {
+      case StepKind::Store:
+        *s.cells = wrap16(eval(s.rhs));
+        break;
+      case StepKind::StoreAt: {
+        int64_t v = wrap16(eval(s.rhs));
+        int64_t idx = eval(s.index);
+        if (idx < 0 || static_cast<uint64_t>(idx) >= s.size)
           throw std::runtime_error("store index out of range: " +
-                                   s.lhs->name);
-        c[static_cast<size_t>(idx)] = v;
-      } else {
-        c[0] = v;
+                                   s.sym->name);
+        s.cells[idx] = v;
+        break;
       }
-    } else {
-      for (int64_t v = s.lo; (s.step > 0) ? v <= s.hi : v >= s.hi;
-           v += s.step) {
-        inductionVals_[s.ivar] = v;
-        exec(s.body);
-      }
-      inductionVals_.erase(s.ivar);
+      case StepKind::Trap:
+        eval(s.rhs);
+        throw std::runtime_error(traps_[s.size]);
+      case StepKind::Loop:
+        // Iterate the trip count: a step-0 loop runs no trips, and no
+        // induction value steps past `hi`.
+        for (int64_t k = 0; k < s.trips; ++k) {
+          *s.cells = static_cast<int64_t>(
+              static_cast<uint64_t>(s.lo) +
+              static_cast<uint64_t>(k) * static_cast<uint64_t>(s.step));
+          exec(i + 1, s.end);
+        }
+        i = s.end - 1;
+        break;
     }
   }
 }
 
 void Interp::run(int ticks) {
   for (int t = 0; t < ticks; ++t) {
-    // Feed scalar streams.
-    for (const auto& [name, vals] : streams_) {
-      const Symbol* s = prog_.symbols.lookup(name);
-      if (s && static_cast<size_t>(tick_) < vals.size())
-        cells(s)[0] = wrap16(vals[static_cast<size_t>(tick_)]);
+    const auto tick = static_cast<size_t>(tick_);
+    for (const Stream& st : streams_) {
+      if (tick >= st.vals.size()) continue;
+      if (!st.cell) throw std::runtime_error("no storage: " + st.name);
+      *st.cell = wrap16(st.vals[tick]);
     }
-    exec(prog_.body);
-    // Record output traces.
-    for (const auto& sym : prog_.symbols.all()) {
-      if (sym->kind == SymKind::Output && sym->isScalar())
-        traces_[sym->name].push_back(cells(sym.get())[0]);
-    }
+    exec(0, static_cast<uint32_t>(steps_.size()));
+    for (Trace& tr : traces_) tr.vals.push_back(*tr.cell);
     // Shift delay lines: cell k becomes the value that was at k-1.
-    for (auto& [sym, c] : store_) {
-      if (sym->delayDepth > 0) {
-        for (size_t k = c.size() - 1; k >= 1; --k) c[k] = c[k - 1];
-      }
+    for (size_t slot : delayLines_) {
+      auto& c = store_[slot];
+      std::copy_backward(c.begin(), c.end() - 1, c.end());
     }
     ++tick_;
   }
 }
 
+size_t Interp::slotOf(const std::string& name) const {
+  const Symbol* s = prog_.symbols.lookup(name);
+  if (!s) throw std::runtime_error("unknown symbol: " + name);
+  auto it = std::find(slotSym_.begin(), slotSym_.end(), s);
+  if (it == slotSym_.end()) throw std::runtime_error("no storage: " + name);
+  return static_cast<size_t>(it - slotSym_.begin());
+}
+
+void Interp::setArray(const std::string& name,
+                      const std::vector<int64_t>& vals) {
+  auto& c = store_[slotOf(name)];
+  for (size_t i = 0; i < c.size(); ++i)
+    c[i] = i < vals.size() ? wrap16(vals[i]) : 0;
+}
+
+void Interp::setScalar(const std::string& name, int64_t v) {
+  store_[slotOf(name)][0] = wrap16(v);
+}
+
+void Interp::setStream(const std::string& name, std::vector<int64_t> perTick) {
+  // A name outside the program is never fed; a symbol without storage
+  // fails when it is.
+  const Symbol* s = prog_.symbols.lookup(name);
+  if (!s) return;
+  auto slot = std::find(slotSym_.begin(), slotSym_.end(), s);
+  int64_t* cell = slot == slotSym_.end()
+                      ? nullptr
+                      : store_[static_cast<size_t>(slot - slotSym_.begin())]
+                            .data();
+  auto it = std::lower_bound(
+      streams_.begin(), streams_.end(), name,
+      [](const Stream& st, const std::string& n) { return st.name < n; });
+  if (it == streams_.end() || it->name != name)
+    it = streams_.insert(it, Stream{name, nullptr, {}});
+  it->cell = cell;
+  it->vals = std::move(perTick);
+}
+
 int64_t Interp::scalar(const std::string& name) const {
-  const Symbol* s = prog_.symbols.lookup(name);
-  if (!s) throw std::runtime_error("unknown symbol: " + name);
-  return cells(s)[0];
+  return store_[slotOf(name)][0];
 }
 
-int64_t Interp::delayed(const std::string& name, int delay) const {
-  const Symbol* s = prog_.symbols.lookup(name);
-  if (!s) throw std::runtime_error("unknown symbol: " + name);
-  return cells(s).at(static_cast<size_t>(delay));
-}
-
-std::vector<int64_t> Interp::array(const std::string& name) const {
-  const Symbol* s = prog_.symbols.lookup(name);
-  if (!s) throw std::runtime_error("unknown symbol: " + name);
-  return cells(s);
+const std::vector<int64_t>& Interp::array(const std::string& name) const {
+  return store_[slotOf(name)];
 }
 
 const std::vector<int64_t>& Interp::trace(const std::string& name) const {
-  auto it = traces_.find(name);
-  if (it == traces_.end())
-    throw std::runtime_error("no trace for: " + name);
-  return it->second;
+  // Traces exist once a tick has completed.
+  if (tick_ > 0)
+    for (const Trace& tr : traces_)
+      if (tr.sym->name == name) return tr.vals;
+  throw std::runtime_error("no trace for: " + name);
 }
 
 }  // namespace record

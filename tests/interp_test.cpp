@@ -130,6 +130,8 @@ TEST(Interp, DelayedVarCarriesAcrossTicks) {
   in.setStream("x", {1, 2, 3});
   in.run(3);
   EXPECT_EQ(in.trace("y")[2], 6);
+  // A scalar's cells: its value, then its delayed values.
+  EXPECT_EQ(in.array("s"), (std::vector<int64_t>{6, 6}));
 }
 
 TEST(Interp, ArrayStore) {
@@ -342,6 +344,39 @@ TEST(Interp, NestedLoopReusingIvarUnbindsItOnExit) {
   EXPECT_EQ(runError(in), "induction var outside loop: i");
   EXPECT_EQ(in.scalar("y"), 7);
   EXPECT_EQ(in.scalar("z"), 0);
+}
+
+// Stmt::tripCount() defines a step-0 loop as zero trips; the interpreter
+// runs exactly the trip count.
+TEST(Interp, StepZeroLoopRunsNoTrips) {
+  Program p;
+  const Symbol* i = define(p, "i", SymKind::Induction);
+  const Symbol* y = define(p, "y", SymKind::Output);
+  p.body.push_back(Stmt::assign(y, num(3)));
+  for (int64_t hi : {-5, 0, 5})
+    p.body.push_back(Stmt::forLoop(
+        i, 0, hi, 0,
+        {Stmt::assign(y, Expr::binary(Op::Add, Expr::ref(y), num(1)))}));
+  Interp in(p);
+  EXPECT_EQ(runError(in), "");
+  EXPECT_EQ(in.scalar("y"), 3);
+}
+
+// A loop ending at the int64 limits stops there instead of stepping past.
+TEST(Interp, LoopAtInt64LimitsStops) {
+  constexpr int64_t kMax = INT64_MAX, kMin = INT64_MIN;
+  Program p;
+  const Symbol* i = define(p, "i", SymKind::Induction);
+  const Symbol* y = define(p, "y", SymKind::Output);
+  const Symbol* z = define(p, "z", SymKind::Output);
+  auto count = Stmt::assign(y, Expr::binary(Op::Add, Expr::ref(y), num(1)));
+  auto last = Stmt::assign(z, Expr::ref(i));
+  p.body.push_back(Stmt::forLoop(i, kMax - 4, kMax, 2, {count, last}));
+  p.body.push_back(Stmt::forLoop(i, kMin + 2, kMin, -1, {count}));
+  Interp in(p);
+  EXPECT_EQ(runError(in), "");
+  EXPECT_EQ(in.scalar("y"), 3 + 3);
+  EXPECT_EQ(in.scalar("z"), wrap16(kMax));
 }
 
 // ---------------------------------------------------------------------------
