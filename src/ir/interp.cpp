@@ -1,51 +1,80 @@
 #include "ir/interp.h"
 
 #include <algorithm>
-#include <map>
-#include <set>
+#include <cstdint>
+#include <functional>
 #include <stdexcept>
 
 namespace record {
 
-namespace {
-
-/// Give every loop induction symbol of `body` a dense id.
-void collectIvars(const std::vector<Stmt>& body,
-                  std::map<const Symbol*, size_t>& ids) {
-  for (const Stmt& s : body) {
-    if (s.kind != Stmt::Kind::For) continue;
-    ids.emplace(s.ivar, ids.size());
-    collectIvars(s.body, ids);
-  }
-}
-
-}  // namespace
-
 struct Interp::Scope {
-  std::map<const Symbol*, size_t> slot;  // symbols with storage
-  std::map<const Symbol*, size_t> ivar;  // loop induction symbols
+  static constexpr size_t kNoSlot = SIZE_MAX;
+
+  // Symbols with storage and their slots, sorted by symbol.
+  std::vector<std::pair<const Symbol*, size_t>> slots;
+  std::vector<const Symbol*> ivars;  // loop induction symbols, by cell
   // Induction symbols bound where flattening stands: a loop binds its ivar
-  // for its body and unbinds it on exit, so this set is exactly the set of
+  // for its body and unbinds it on exit, so this is exactly the set of
   // bindings at run time there.
-  std::set<const Symbol*> bound;
+  std::vector<const Symbol*> bound;
+  size_t nodes = 0, steps = 0;  // bounds on the size of the flat form
+
+  static bool before(const std::pair<const Symbol*, size_t>& p,
+                     const Symbol* s) {
+    return std::less<const Symbol*>()(p.first, s);
+  }
+  size_t slot(const Symbol* s) const {
+    auto it = std::lower_bound(slots.begin(), slots.end(), s, before);
+    return it != slots.end() && it->first == s ? it->second : kNoSlot;
+  }
+  size_t ivar(const Symbol* s) const {
+    return static_cast<size_t>(std::find(ivars.begin(), ivars.end(), s) -
+                               ivars.begin());
+  }
+  bool isBound(const Symbol* s) const {
+    return std::find(bound.begin(), bound.end(), s) != bound.end();
+  }
+
+  /// Collect the loop induction symbols of `body` and size its flat form.
+  void survey(const std::vector<Stmt>& body) {
+    for (const Stmt& s : body) {
+      ++steps;
+      if (s.kind == Stmt::Kind::For) {
+        if (ivar(s.ivar) == ivars.size()) ivars.push_back(s.ivar);
+        survey(s.body);
+      } else {
+        nodes += static_cast<size_t>(s.rhs->numNodes());
+        if (s.lhsIndex) nodes += static_cast<size_t>(s.lhsIndex->numNodes());
+      }
+    }
+  }
 };
 
 Interp::Interp(const Program& prog) : prog_(prog) {
   Scope sc;
-  for (const auto& s : prog.symbols.all()) {
+  const auto& syms = prog.symbols.all();
+  store_.reserve(syms.size());
+  slotSym_.reserve(syms.size());
+  sc.slots.reserve(syms.size());
+  for (const auto& s : syms) {
     if (s->kind == SymKind::Const || s->kind == SymKind::Induction) continue;
     size_t n = s->isArray() ? static_cast<size_t>(s->arraySize)
                             : static_cast<size_t>(1 + s->delayDepth);
-    sc.slot[s.get()] = store_.size();
+    sc.slots.push_back({s.get(), store_.size()});
     if (s->delayDepth > 0) delayLines_.push_back(store_.size());
     store_.emplace_back(n, 0);
     slotSym_.push_back(s.get());
-  }
-  for (const auto& s : prog.symbols.all())
     if (s->kind == SymKind::Output && s->isScalar())
-      traces_.push_back({s.get(), store_[sc.slot.at(s.get())].data(), {}});
-  collectIvars(prog.body, sc.ivar);
-  ivars_.assign(sc.ivar.size(), 0);
+      traces_.push_back({s.get(), store_.back().data(), {}});
+  }
+  std::sort(sc.slots.begin(), sc.slots.end(),
+            [](const auto& a, const auto& b) {
+              return Scope::before(a, b.first);
+            });
+  sc.survey(prog.body);
+  ivars_.assign(sc.ivars.size(), 0);
+  nodes_.reserve(sc.nodes);
+  steps_.reserve(sc.steps);
   flatten(prog.body, sc);
 }
 
@@ -60,30 +89,30 @@ void Interp::flatten(const std::vector<Stmt>& body, Scope& sc) {
     if (s.kind == Stmt::Kind::For) {
       const size_t at = steps_.size();
       st.kind = StepKind::Loop;
-      st.cells = &ivars_[sc.ivar.at(s.ivar)];
+      st.cells = &ivars_[sc.ivar(s.ivar)];
       st.lo = s.lo;
       st.step = s.step;
       st.trips = s.tripCount();
       steps_.push_back(st);
-      sc.bound.insert(s.ivar);
+      if (!sc.isBound(s.ivar)) sc.bound.push_back(s.ivar);
       flatten(s.body, sc);
-      sc.bound.erase(s.ivar);
+      std::erase(sc.bound, s.ivar);
       steps_[at].end = static_cast<uint32_t>(steps_.size());
       continue;
     }
     st.rhs = flatten(*s.rhs, sc);
-    auto it = sc.slot.find(s.lhs);
-    if (it == sc.slot.end()) {
+    const size_t slot = sc.slot(s.lhs);
+    if (slot == Scope::kNoSlot) {
       st.kind = StepKind::Trap;
       st.size = message("no storage: " + s.lhs->name);
     } else if (s.lhsIndex) {
       st.kind = StepKind::StoreAt;
       st.index = flatten(*s.lhsIndex, sc);
-      st.cells = store_[it->second].data();
-      st.size = static_cast<uint32_t>(store_[it->second].size());
+      st.cells = store_[slot].data();
+      st.size = static_cast<uint32_t>(store_[slot].size());
       st.sym = s.lhs;
     } else {
-      st.cells = store_[it->second].data();
+      st.cells = store_[slot].data();
     }
     steps_.push_back(st);
   }
@@ -104,20 +133,20 @@ uint32_t Interp::flatten(const Expr& e, Scope& sc) {
       if (e.sym->kind == SymKind::Const) {
         n.value = e.sym->constValue;
       } else if (e.sym->kind == SymKind::Induction) {
-        if (sc.bound.count(e.sym)) {
+        if (sc.isBound(e.sym)) {
           n.kind = NodeKind::Load;
-          n.cells = &ivars_[sc.ivar.at(e.sym)];
+          n.cells = &ivars_[sc.ivar(e.sym)];
         } else {
           trapWith("induction var outside loop: " + e.sym->name);
         }
-      } else if (auto it = sc.slot.find(e.sym); it == sc.slot.end()) {
+      } else if (size_t slot = sc.slot(e.sym); slot == Scope::kNoSlot) {
         trapWith("no storage: " + e.sym->name);
       } else if (auto d = static_cast<size_t>(e.value);
-                 d >= store_[it->second].size()) {
+                 d >= store_[slot].size()) {
         trapWith("delay out of range: " + e.sym->name);
       } else {
         n.kind = NodeKind::Load;
-        n.cells = store_[it->second].data() + d;
+        n.cells = store_[slot].data() + d;
       }
       break;
     }
@@ -128,13 +157,13 @@ uint32_t Interp::flatten(const Expr& e, Scope& sc) {
       }
       // The index is evaluated before the storage check fires.
       n.a = flatten(*e.kids[0], sc);
-      auto it = sc.slot.find(e.sym);
-      if (it == sc.slot.end()) {
+      const size_t slot = sc.slot(e.sym);
+      if (slot == Scope::kNoSlot) {
         trapWith("no storage: " + e.sym->name);
         break;
       }
       const Node& idx = nodes_[n.a];
-      auto& c = store_[it->second];
+      auto& c = store_[slot];
       if (idx.kind == NodeKind::Const && idx.value >= 0 &&
           static_cast<size_t>(idx.value) < c.size()) {
         // A constant in-range index resolves to its cell.
@@ -190,6 +219,14 @@ uint32_t Interp::flatten(const Expr& e, Scope& sc) {
   return static_cast<uint32_t>(nodes_.size() - 1);
 }
 
+// Leaves are read in place; only inner nodes cost a call.
+inline int64_t Interp::operand(uint32_t i) const {
+  const Node& n = nodes_[i];
+  if (n.kind == NodeKind::Load) return *n.cells;
+  if (n.kind == NodeKind::Const) return n.value;
+  return eval(i);
+}
+
 int64_t Interp::eval(uint32_t i) const {
   const Node& n = nodes_[i];
   switch (n.kind) {
@@ -198,7 +235,7 @@ int64_t Interp::eval(uint32_t i) const {
     case NodeKind::Load:
       return *n.cells;
     case NodeKind::Index: {
-      int64_t idx = eval(n.a);
+      int64_t idx = operand(n.a);
       if (idx < 0 || static_cast<uint64_t>(idx) >= n.size)
         throw std::runtime_error("array index out of range: " + n.sym->name);
       return n.cells[idx];
@@ -207,12 +244,12 @@ int64_t Interp::eval(uint32_t i) const {
       if (n.a != kNone) eval(n.a);
       throw std::runtime_error(traps_[n.size]);
     case NodeKind::Neg:
-      return wrap32(-eval(n.a));
+      return wrap32(-operand(n.a));
     default:
       break;
   }
-  const int64_t a = eval(n.a);
-  const int64_t b = eval(n.b);
+  const int64_t a = operand(n.a);
+  const int64_t b = operand(n.b);
   switch (n.kind) {
     case NodeKind::Add: return wrap32(a + b);
     case NodeKind::Sub: return wrap32(a - b);
@@ -243,7 +280,7 @@ void Interp::exec(uint32_t begin, uint32_t end) {
         break;
       case StepKind::StoreAt: {
         int64_t v = wrap16(eval(s.rhs));
-        int64_t idx = eval(s.index);
+        int64_t idx = operand(s.index);
         if (idx < 0 || static_cast<uint64_t>(idx) >= s.size)
           throw std::runtime_error("store index out of range: " +
                                    s.sym->name);
