@@ -7,6 +7,19 @@
 
 namespace record {
 
+namespace {
+
+// Out of line, so the evaluator's hot paths build no strings.
+[[noreturn, gnu::noinline, gnu::cold]] void fail(const std::string& msg) {
+  throw std::runtime_error(msg);
+}
+[[noreturn, gnu::noinline, gnu::cold]] void fail(const char* what,
+                                                 const Symbol* sym) {
+  throw std::runtime_error(what + sym->name);
+}
+
+}  // namespace
+
 struct Interp::Scope {
   static constexpr size_t kNoSlot = SIZE_MAX;
 
@@ -219,12 +232,25 @@ uint32_t Interp::flatten(const Expr& e, Scope& sc) {
   return static_cast<uint32_t>(nodes_.size() - 1);
 }
 
-// Leaves are read in place; only inner nodes cost a call.
+// An indexed load. Its index is most often an induction cell, read in
+// place.
+inline int64_t Interp::load(const Node& n) const {
+  const Node& k = nodes_[n.a];
+  const int64_t idx = k.kind == NodeKind::Load ? *k.cells : eval(n.a);
+  if (idx < 0 || static_cast<uint64_t>(idx) >= n.size)
+    fail("array index out of range: ", n.sym);
+  return n.cells[idx];
+}
+
+// Leaves and indexed loads are read in place; other nodes cost a call.
 inline int64_t Interp::operand(uint32_t i) const {
   const Node& n = nodes_[i];
-  if (n.kind == NodeKind::Load) return *n.cells;
-  if (n.kind == NodeKind::Const) return n.value;
-  return eval(i);
+  switch (n.kind) {
+    case NodeKind::Load: return *n.cells;
+    case NodeKind::Const: return n.value;
+    case NodeKind::Index: return load(n);
+    default: return eval(i);
+  }
 }
 
 int64_t Interp::eval(uint32_t i) const {
@@ -234,15 +260,11 @@ int64_t Interp::eval(uint32_t i) const {
       return n.value;
     case NodeKind::Load:
       return *n.cells;
-    case NodeKind::Index: {
-      int64_t idx = operand(n.a);
-      if (idx < 0 || static_cast<uint64_t>(idx) >= n.size)
-        throw std::runtime_error("array index out of range: " + n.sym->name);
-      return n.cells[idx];
-    }
+    case NodeKind::Index:
+      return load(n);
     case NodeKind::Trap:
       if (n.a != kNone) eval(n.a);
-      throw std::runtime_error(traps_[n.size]);
+      fail(traps_[n.size]);
     case NodeKind::Neg:
       return wrap32(-operand(n.a));
     default:
@@ -268,7 +290,7 @@ int64_t Interp::eval(uint32_t i) const {
     case NodeKind::Xor: return xor16(a, b);
     default: break;
   }
-  throw std::runtime_error("bad op");
+  fail("bad op");
 }
 
 void Interp::exec(uint32_t begin, uint32_t end) {
@@ -282,14 +304,13 @@ void Interp::exec(uint32_t begin, uint32_t end) {
         int64_t v = wrap16(eval(s.rhs));
         int64_t idx = operand(s.index);
         if (idx < 0 || static_cast<uint64_t>(idx) >= s.size)
-          throw std::runtime_error("store index out of range: " +
-                                   s.sym->name);
+          fail("store index out of range: ", s.sym);
         s.cells[idx] = v;
         break;
       }
       case StepKind::Trap:
         eval(s.rhs);
-        throw std::runtime_error(traps_[s.size]);
+        fail(traps_[s.size]);
       case StepKind::Loop:
         // Iterate the trip count: a step-0 loop runs no trips, and no
         // induction value steps past `hi`.

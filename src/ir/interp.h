@@ -104,6 +104,7 @@ class Interp {
   uint32_t message(std::string msg);
   int64_t eval(uint32_t n) const;
   int64_t operand(uint32_t n) const;
+  int64_t load(const Node& index) const;
   void exec(uint32_t begin, uint32_t end);
   size_t slotOf(const std::string& name) const;
 
