@@ -345,12 +345,17 @@ void Interp::run(int ticks) {
   }
 }
 
+size_t Interp::slotFor(const Symbol* s) const {
+  return static_cast<size_t>(std::find(slotSym_.begin(), slotSym_.end(), s) -
+                             slotSym_.begin());
+}
+
 size_t Interp::slotOf(const std::string& name) const {
   const Symbol* s = prog_.symbols.lookup(name);
   if (!s) throw std::runtime_error("unknown symbol: " + name);
-  auto it = std::find(slotSym_.begin(), slotSym_.end(), s);
-  if (it == slotSym_.end()) throw std::runtime_error("no storage: " + name);
-  return static_cast<size_t>(it - slotSym_.begin());
+  const size_t slot = slotFor(s);
+  if (slot == store_.size()) throw std::runtime_error("no storage: " + name);
+  return slot;
 }
 
 void Interp::setArray(const std::string& name,
@@ -369,11 +374,8 @@ void Interp::setStream(const std::string& name, std::vector<int64_t> perTick) {
   // fails when it is.
   const Symbol* s = prog_.symbols.lookup(name);
   if (!s) return;
-  auto slot = std::find(slotSym_.begin(), slotSym_.end(), s);
-  int64_t* cell = slot == slotSym_.end()
-                      ? nullptr
-                      : store_[static_cast<size_t>(slot - slotSym_.begin())]
-                            .data();
+  const size_t slot = slotFor(s);
+  int64_t* cell = slot < store_.size() ? store_[slot].data() : nullptr;
   auto it = std::lower_bound(
       streams_.begin(), streams_.end(), name,
       [](const Stream& st, const std::string& n) { return st.name < n; });

@@ -106,6 +106,8 @@ class Interp {
   int64_t operand(uint32_t n) const;
   int64_t load(const Node& index) const;
   void exec(uint32_t begin, uint32_t end);
+  /// The slot of `s`, or store_.size() when it has no storage here.
+  size_t slotFor(const Symbol* s) const;
   size_t slotOf(const std::string& name) const;
 
   const Program& prog_;
