@@ -77,8 +77,6 @@ int runBench() {
   TargetConfig cfg;
   std::printf(
       "Simulator throughput: translated vs. decode-once vs. reference\n");
-  std::printf("dispatch: %s\n", Machine::dispatchMode());
-  std::printf("translate: %s\n", Machine::translateMode());
   hr();
   std::printf("%-24s %8s %6s | %11s %11s %11s %7s %7s\n", "kernel", "cycles",
               "insns", "translated/s", "decoded/s", "reference/s", "t/d",

@@ -5,68 +5,9 @@
 #include "ir/type.h"
 #include "sim/profile.h"
 
-// ---------------------------------------------------------------------------
-// Dispatch strategy selection
-// ---------------------------------------------------------------------------
-// RECORD_SIM_DISPATCH_{THREADED,SWITCH} come from the RECORD_SIM_DISPATCH
-// CMake option. Default (auto): computed-goto threaded dispatch wherever the
-// GNU label-value extension exists, the portable switch loop elsewhere. CI
-// builds and tests both (the two must be bit-identical).
-#if defined(RECORD_SIM_DISPATCH_THREADED) && defined(RECORD_SIM_DISPATCH_SWITCH)
-#error "RECORD_SIM_DISPATCH_THREADED and RECORD_SIM_DISPATCH_SWITCH conflict"
-#endif
-#if defined(RECORD_SIM_DISPATCH_SWITCH)
-#define RECORD_SIM_THREADED 0
-#elif defined(RECORD_SIM_DISPATCH_THREADED)
-#if !defined(__GNUC__) && !defined(__clang__)
-#error "RECORD_SIM_DISPATCH=threaded needs GNU label-value support"
-#endif
-#define RECORD_SIM_THREADED 1
-#elif defined(__GNUC__) || defined(__clang__)
-#define RECORD_SIM_THREADED 1
-#else
-#define RECORD_SIM_THREADED 0
-#endif
-
-// RECORD_SIM_TRANSLATE_OFF comes from the RECORD_SIM_TRANSLATE CMake option
-// (off disables hot-region translation by default; auto/on enable it). Only
-// the *default* of setTranslate is build-time: both paths are always
-// compiled, and tests/benches force each explicitly.
-#if defined(RECORD_SIM_TRANSLATE_OFF)
-#define RECORD_SIM_TRANSLATE_DEFAULT 0
-#else
-#define RECORD_SIM_TRANSLATE_DEFAULT 1
-#endif
-
 namespace record {
 
 namespace {
-
-// The handler table must enumerate every opcode in declaration order (the
-// decoded handler index doubles as the opcode value). The mirror enum below
-// turns any drift between this list and target/isa.h into a compile error.
-#define RECORD_SIM_OPLIST(X)                                              \
-  X(LAC) X(LACK) X(ZAC) X(SACL) X(SACH) X(ADD) X(ADDK) X(SUB) X(SUBK)     \
-  X(NEG) X(AND) X(ANDK) X(OR) X(XOR) X(SFL) X(SFR) X(LT) X(MPY) X(MPYK)   \
-  X(PAC) X(APAC) X(SPAC) X(SPL) X(LTA) X(LTP) X(LTD) X(MPYXY) X(MACXY)    \
-  X(LARK) X(LAR) X(SAR) X(ADRK) X(SBRK) X(B) X(BZ) X(BGEZ) X(BANZ)        \
-  X(RPT) X(DMOV) X(SOVM) X(ROVM) X(SSXM) X(RSXM) X(NOP) X(HALT)
-
-enum : int {
-#define RECORD_SIM_MIRROR(n) kMirror_##n,
-  RECORD_SIM_OPLIST(RECORD_SIM_MIRROR)
-#undef RECORD_SIM_MIRROR
-      kMirrorCount
-};
-static_assert(kMirrorCount == kNumOpcodes,
-              "RECORD_SIM_OPLIST out of sync with Opcode");
-#define RECORD_SIM_CHECK(n) \
-  static_assert(kMirror_##n == static_cast<int>(Opcode::n));
-RECORD_SIM_OPLIST(RECORD_SIM_CHECK)
-#undef RECORD_SIM_CHECK
-
-/// Dispatch index of the decode-trap sink (one past the last opcode).
-constexpr int kMirror_TRAP = kMirrorCount;
 
 const char kNotMemRef[] = "operand is not a memory reference";
 const char kBadArIndex[] = "bad AR index";
@@ -80,22 +21,6 @@ const char* runStatusName(RunStatus s) {
     case RunStatus::Budget: return "budget";
   }
   return "?";
-}
-
-const char* Machine::dispatchMode() {
-#if RECORD_SIM_THREADED
-  return "threaded";
-#else
-  return "switch";
-#endif
-}
-
-const char* Machine::translateMode() {
-#if RECORD_SIM_TRANSLATE_DEFAULT
-  return "on";
-#else
-  return "off";
-#endif
 }
 
 Machine::Machine(const TargetProgram& prog)
@@ -116,7 +41,6 @@ Machine::Machine(const TargetProgram& prog)
       rawTarget_[i] = idx;
     }
   }
-  translateOn_ = RECORD_SIM_TRANSLATE_DEFAULT != 0;
   decodeAll();
   reset();
 }
@@ -131,17 +55,13 @@ void Machine::reset(bool clearData) {
 }
 
 void Machine::writeData(int addr, int64_t v) {
-  if (addr < 0 || static_cast<size_t>(addr) >= data_.size())
-    throw std::runtime_error("data write out of range: " +
-                             std::to_string(addr));
+  if (addr < 0 || static_cast<size_t>(addr) >= data_.size()) badWrite(addr);
   if (activeProfile_) activeProfile_->noteAccess(addr);
   data_[static_cast<size_t>(addr)] = wrap16(v);
 }
 
 int64_t Machine::readData(int addr) const {
-  if (addr < 0 || static_cast<size_t>(addr) >= data_.size())
-    throw std::runtime_error("data read out of range: " +
-                             std::to_string(addr));
+  if (addr < 0 || static_cast<size_t>(addr) >= data_.size()) badRead(addr);
   if (activeProfile_) activeProfile_->noteAccess(addr);
   return data_[static_cast<size_t>(addr)];
 }
@@ -162,7 +82,7 @@ void Machine::setAcc(int64_t v) { acc_ = wrap32(v); }
 
 DecodedOp Machine::decodeTrap(Opcode eff, std::string why) {
   DecodedOp d;
-  d.handler = static_cast<uint8_t>(kMirror_TRAP);
+  d.handler = kTrapHandler;
   d.op = eff;
   d.cyc = 1;
   d.a.val = static_cast<int32_t>(trapMsgs_.size());
@@ -338,37 +258,19 @@ void Machine::decodeAll() {
 // Execution
 // ---------------------------------------------------------------------------
 
-namespace {
-// Cold throw paths, out of line so the bounds checks in the hot loop are a
-// compare + predicted-not-taken branch with no string construction nearby.
-[[noreturn, gnu::noinline]] void badRead(int addr) {
-  throw std::runtime_error("data read out of range: " + std::to_string(addr));
-}
-[[noreturn, gnu::noinline]] void badWrite(int addr) {
-  throw std::runtime_error("data write out of range: " + std::to_string(addr));
-}
-}  // namespace
-
-// The interpreter body is written once; only VM_CASE / VM_DISPATCH change
-// between the two dispatch strategies. In threaded mode every handler ends
-// by retiring and directly jumping to the next handler through its own
-// indirect branch (so the BTB learns per-opcode successor patterns); in
-// switch mode the same macro funnels back into one switch.
-#if RECORD_SIM_THREADED
+// Every handler ends by retiring and jumping straight to the next handler
+// through its own indirect branch, so the BTB learns per-opcode successor
+// patterns.
 #define VM_CASE(n) L_##n:
 #define VM_DISPATCH() goto* kLabels[d->handler]
-#else
-#define VM_CASE(n) case kMirror_##n:
-#define VM_DISPATCH() goto vm_dispatch
-#endif
 
 // Fetch the instruction at pc and dispatch, honoring the cycle budget. The
 // budget is checked per fetch, never per repeat: an RPT batch runs to
 // completion even when it overshoots maxCycles (pre-decode loop behavior).
 // The macro expands at every VM_NEXT site so each handler keeps its own
-// fetch+dispatch indirect branch (per-opcode successor prediction -- the
-// point of threaded dispatch); under kTranslate it adds only the superblock
-// lookup, with the heavyweight block execution out of line at vm_block.
+// fetch+dispatch indirect branch; under kTranslate it adds only the
+// superblock lookup, with the heavyweight block execution out of line at
+// vm_block.
 #define VM_FETCH()                                               \
   do {                                                           \
     if (res.cycles >= maxCycles) goto budget_exhausted;          \
@@ -410,6 +312,20 @@ namespace {
     VM_FETCH();                                                           \
   } while (0)
 
+// Take the decoded branch. A taken back-edge (target at or before the
+// branch -- the same shape the profiler's BranchProfile::isBackEdge uses)
+// feeds the loop-promotion counter under kTranslate; reaching the threshold
+// forms a loop superblock entered at the very next fetch.
+#define VM_TAKE_BRANCH()                                          \
+  do {                                                            \
+    pc = d->target;                                               \
+    branched = true;                                              \
+    if constexpr (kTranslate) {                                   \
+      if (pc <= pcThis && trans_.noteBackEdge(pcThis))            \
+        trans_.tryFormLoop(decoded_, pc, pcThis);                 \
+    }                                                             \
+  } while (0)
+
 RunResult Machine::run(int64_t maxCycles) {
   // Pick the loop specialization once per run; the unprofiled loop carries
   // no profiling code at all, and a profiled run never consults the
@@ -435,13 +351,19 @@ RunResult Machine::runImpl(int64_t maxCycles) {
   RunResult res;
   const DecodedOp* const ops = decoded_.data();
   const unsigned codeSize = static_cast<unsigned>(decoded_.size());
-  int64_t* const dataPtr = data_.data();
-  const unsigned dataSize = static_cast<unsigned>(data_.size());
-  int* const arPtr = ar_.data();
   // Per-PC superblock map as a raw pointer: the fetch path consults it once
   // per instruction, so it must be a single load (stable across block
   // formation -- see TranslationSet::blockMap).
   [[maybe_unused]] const int16_t* const blockMap = trans_.blockMap();
+
+  // Data access with the same bounds/trap semantics as writeData/readData;
+  // only a profiled run observes the accesses.
+  auto note = [&](int addr) {
+    if constexpr (kProfile) activeProfile_->noteAccess(addr);
+  };
+  const SimMemory<decltype(note)> mem{
+      data_.data(), static_cast<unsigned>(data_.size()), ar_.data(),
+      &prog_.config, note};
 
   // Architectural state lives in locals for the duration of the run (the
   // members would force a load/store per instruction); every exit path
@@ -467,49 +389,21 @@ RunResult Machine::runImpl(int64_t maxCycles) {
     pc_ = pc;
   };
 
-  // Data access with the same bounds/trap semantics as writeData/readData,
-  // minus the per-access profiler null check (specialized out) and with the
-  // throw paths out of line.
-  auto loadWord = [&](int addr) -> int64_t {
-    if (static_cast<unsigned>(addr) >= dataSize) badRead(addr);
-    if constexpr (kProfile) activeProfile_->noteAccess(addr);
-    return dataPtr[static_cast<unsigned>(addr)];
-  };
-  auto storeWord = [&](int addr, int64_t v) {
-    if (static_cast<unsigned>(addr) >= dataSize) badWrite(addr);
-    if constexpr (kProfile) activeProfile_->noteAccess(addr);
-    dataPtr[static_cast<unsigned>(addr)] = wrap16(v);
-  };
-
-  // Pre-split operand access. Indirect ARs were validated at decode, so no
-  // bounds check remains on the hot path; the post-modification writeback
-  // is unconditional (delta 0 re-stores the same masked value).
-  auto addrOf = [&](const DecOperand& o) {
-    if (o.kind == 2) {
-      int a = arPtr[o.val];
-      arPtr[o.val] = (a + o.post) & 0xffff;
-      return a;
+  // This engine's XY hook: the conflict cycle is charged on the
+  // instruction itself.
+  auto xyConflict = [&](bool conflict) {
+    cyc = conflict ? 2 : 1;
+    if constexpr (kProfile) {
+      if (conflict) activeProfile_->noteConflict();
     }
-    return static_cast<int>(o.val);
-  };
-  auto readOp = [&](const DecOperand& o) {
-    return o.kind == 0 ? static_cast<int64_t>(o.val) : loadWord(addrOf(o));
-  };
-  auto addOvm = [&](int64_t a, int64_t b) {
-    return ovm ? sat32(a + b) : wrap32(a + b);
-  };
-  auto subOvm = [&](int64_t a, int64_t b) {
-    return ovm ? sat32(a - b) : wrap32(a - b);
   };
 
-#if RECORD_SIM_THREADED
   static const void* const kLabels[] = {
-#define RECORD_SIM_LABEL(n) &&L_##n,
-      RECORD_SIM_OPLIST(RECORD_SIM_LABEL)
-#undef RECORD_SIM_LABEL
-          &&L_TRAP,
+#define VM_LABEL(n) &&L_##n,
+      RECORD_OPCODES(VM_LABEL, VM_LABEL)
+#undef VM_LABEL
+      &&L_TRAP,
   };
-#endif
 
   // Hot run-entry regions: the straight-line prefix at the PC a run starts
   // from is a superblock candidate once the same entry recurs (tiny
@@ -541,28 +435,29 @@ RunResult Machine::runImpl(int64_t maxCycles) {
           // run and are dominated by fixed per-run cost, so this path is
           // what makes them faster than the decoded loop; the out-of-line
           // threaded executor keeps the multi-pass Loop/Rpt blocks, where
-          // per-op dispatch quality dominates instead. The micro-op bodies
-          // expand against runImpl's own access lambdas (identical
-          // semantics; kProfile is false on every translated run).
+          // per-op dispatch quality dominates instead.
           if (res.cycles + b.maxCyclesPerPass > maxCycles) {
             ++trans_.stats().deopts;
             goto vm_block_stay;
           }
           ++trans_.stats().blockRuns;
-          int* const ar = arPtr;
-          const TargetConfig& cfg = prog_.config;
           const TransOp* op = b.body.data();
           int sub = 0;
           int64_t extra = 0;
+          // The block engine's XY hook (shadowing the decoded one): charge
+          // the worst case up front, refund when the banks differ.
+          auto xyConflict = [&](bool conflict) {
+            if (!conflict) extra -= 1;
+          };
           try {
             for (;; sub = 0, ++op) {
               switch (op->kind) {
-#define RECORD_TB_EXEC_INLINE(k, ...) \
-  case TK::k: {                       \
-    __VA_ARGS__;                      \
+#define VM_ENTRY_OP(k)             \
+  case TK::k: {                    \
+    RECORD_SEM_##k(op->a, op->b);  \
   } break;
-                RECORD_TB_OPS(RECORD_TB_EXEC_INLINE)
-#undef RECORD_TB_EXEC_INLINE
+                RECORD_TB_KINDS(VM_ENTRY_OP)
+#undef VM_ENTRY_OP
                 case TK::End:
                   goto vm_entry_close;
                 default:
@@ -605,7 +500,7 @@ RunResult Machine::runImpl(int64_t maxCycles) {
         SimState st{acc, tr, pr, ovm, sxm, pc};
         BlockExit ex;
         try {
-          ex = runSuperblock(b, prog_.config, dataPtr, dataSize, arPtr, st,
+          ex = runSuperblock(b, prog_.config, mem.data, mem.size, mem.ar, st,
                              maxCycles, res.cycles, res.instructions,
                              trans_.stats());
         } catch (...) {
@@ -626,12 +521,6 @@ RunResult Machine::runImpl(int64_t maxCycles) {
         sxm = st.sxm;
         pc = st.pc;
         if (ex == BlockExit::Flow) VM_FETCH();
-        if (ex == BlockExit::Halted) {
-          res.status = RunStatus::Halted;
-          res.halted = true;
-          flush();
-          return res;
-        }
       }
       // BlockExit::Stay (or the inline pre-check above bailing): a
       // worst-case pass might overrun the budget, so replay this iteration
@@ -653,216 +542,54 @@ RunResult Machine::runImpl(int64_t maxCycles) {
       VM_DISPATCH();
     }
 
-#if !RECORD_SIM_THREADED
-  vm_dispatch:
-    switch (d->handler) {
-#endif
+    // Straight-line opcodes: one handler per RECORD_SEM body.
+#define VM_BODY(n)                 \
+  VM_CASE(n) {                     \
+    RECORD_SEM_##n(d->a, d->b);    \
+  }                                \
+  VM_NEXT();
+    RECORD_OPCODES(VM_BODY, RECORD_SIM_NONE)
+#undef VM_BODY
 
-      VM_CASE(LAC) { acc = readOp(d->a); }
-      VM_NEXT();
-      VM_CASE(LACK) { acc = d->a.val; }
-      VM_NEXT();
-      VM_CASE(ZAC) { acc = 0; }
-      VM_NEXT();
-      VM_CASE(ADD) { acc = addOvm(acc, readOp(d->a)); }
-      VM_NEXT();
-      VM_CASE(ADDK) { acc = addOvm(acc, d->a.val); }
-      VM_NEXT();
-      VM_CASE(SUB) { acc = subOvm(acc, readOp(d->a)); }
-      VM_NEXT();
-      VM_CASE(SUBK) { acc = subOvm(acc, d->a.val); }
-      VM_NEXT();
-      VM_CASE(SACL) { storeWord(addrOf(d->a), acc); }
-      VM_NEXT();
-      VM_CASE(SACH) { storeWord(addrOf(d->a), (acc >> 16) & 0xffff); }
-      VM_NEXT();
-      VM_CASE(AND) { acc = and16(acc, readOp(d->a)); }
-      VM_NEXT();
-      VM_CASE(ANDK) { acc = and16(acc, d->a.val); }
-      VM_NEXT();
-      VM_CASE(OR) { acc = or16(acc, readOp(d->a)); }
-      VM_NEXT();
-      VM_CASE(XOR) { acc = xor16(acc, readOp(d->a)); }
-      VM_NEXT();
-      // Shifts go through the shared uint64-based helpers: `acc << 1` on a
-      // negative accumulator is defined-but-subtle in C++20, UB earlier,
-      // and flagged by -fsanitize=shift either way.
-      VM_CASE(SFL) { acc = wrapShl32(acc, 1); }
-      VM_NEXT();
-      VM_CASE(SFR) {
-        // SXM selects arithmetic (sign-extending) vs. logical shift-in.
-        acc = sxm ? asr32(acc, 1) : lsr32(acc, 1);
-      }
-      VM_NEXT();
-      VM_CASE(NEG) { acc = ovm ? sat32(-acc) : wrap32(-acc); }
-      VM_NEXT();
-      VM_CASE(LT) { tr = readOp(d->a); }
-      VM_NEXT();
-      VM_CASE(MPY) { pr = mul16(tr, readOp(d->a)); }
-      VM_NEXT();
-      VM_CASE(MPYK) { pr = mul16(tr, d->a.val); }
-      VM_NEXT();
-      VM_CASE(PAC) { acc = pr; }
-      VM_NEXT();
-      VM_CASE(APAC) { acc = addOvm(acc, pr); }
-      VM_NEXT();
-      VM_CASE(SPAC) { acc = subOvm(acc, pr); }
-      VM_NEXT();
-      VM_CASE(SPL) { storeWord(addrOf(d->a), pr); }
-      VM_NEXT();
-      VM_CASE(LTA) {
-        acc = addOvm(acc, pr);
-        tr = readOp(d->a);
-      }
-      VM_NEXT();
-      VM_CASE(LTP) {
-        acc = pr;
-        tr = readOp(d->a);
-      }
-      VM_NEXT();
-      VM_CASE(LTD) {
-        acc = addOvm(acc, pr);
-        int addr = addrOf(d->a);
-        // One architectural read feeding both T and the delay-line shift
-        // (so an attached profiler counts exactly one access for it).
-        int64_t v = loadWord(addr);
-        tr = v;
-        storeWord(addr + 1, v);
-      }
-      VM_NEXT();
-      VM_CASE(MPYXY) {
-        int addrA = addrOf(d->a);
-        int addrB = addrOf(d->b);
-        pr = mul16(loadWord(addrA), loadWord(addrB));
-        int bankA = d->a.bank >= 0 ? d->a.bank : prog_.config.bankOf(addrA);
-        int bankB = d->b.bank >= 0 ? d->b.bank : prog_.config.bankOf(addrB);
-        cyc = (bankA != bankB) ? 1 : 2;
-        if constexpr (kProfile) {
-          if (cyc == 2) activeProfile_->noteConflict();
-        }
-      }
-      VM_NEXT();
-      VM_CASE(MACXY) {
-        acc = addOvm(acc, pr);
-        int addrA = addrOf(d->a);
-        int addrB = addrOf(d->b);
-        pr = mul16(loadWord(addrA), loadWord(addrB));
-        int bankA = d->a.bank >= 0 ? d->a.bank : prog_.config.bankOf(addrA);
-        int bankB = d->b.bank >= 0 ? d->b.bank : prog_.config.bankOf(addrB);
-        cyc = (bankA != bankB) ? 1 : 2;
-        if constexpr (kProfile) {
-          if (cyc == 2) activeProfile_->noteConflict();
-        }
-      }
-      VM_NEXT();
-      VM_CASE(LARK) { arPtr[d->a.val] = d->b.val & 0xffff; }
-      VM_NEXT();
-      VM_CASE(LAR) {
-        arPtr[d->a.val] = static_cast<int>(
-            static_cast<uint64_t>(readOp(d->b)) & 0xffff);
-      }
-      VM_NEXT();
-      VM_CASE(SAR) { storeWord(addrOf(d->b), arPtr[d->a.val]); }
-      VM_NEXT();
-      VM_CASE(ADRK) {
-        int& reg = arPtr[d->a.val];
-        reg = (reg + d->b.val) & 0xffff;
-      }
-      VM_NEXT();
-      VM_CASE(SBRK) {
-        int& reg = arPtr[d->a.val];
-        reg = (reg - d->b.val) & 0xffff;
-      }
-      VM_NEXT();
-      // Taken back-edges (target at or before the branch -- the same shape
-      // the profiler's BranchProfile::isBackEdge uses) feed the dynamic
-      // loop-promotion counter under kTranslate; crossing the threshold
-      // forms a loop superblock entered at the very next fetch.
-      VM_CASE(B) {
-        pc = d->target;
-        branched = true;
-        if constexpr (kTranslate) {
-          if (pc <= pcThis && trans_.noteBackEdge(pcThis))
-            trans_.tryFormLoop(decoded_, pc, pcThis);
-        }
-      }
-      VM_NEXT();
-      VM_CASE(BZ) {
-        if (acc == 0) {
-          pc = d->target;
-          branched = true;
-          if constexpr (kTranslate) {
-            if (pc <= pcThis && trans_.noteBackEdge(pcThis))
-              trans_.tryFormLoop(decoded_, pc, pcThis);
-          }
-        }
-      }
-      VM_NEXT();
-      VM_CASE(BGEZ) {
-        if (acc >= 0) {
-          pc = d->target;
-          branched = true;
-          if constexpr (kTranslate) {
-            if (pc <= pcThis && trans_.noteBackEdge(pcThis))
-              trans_.tryFormLoop(decoded_, pc, pcThis);
-          }
-        }
-      }
-      VM_NEXT();
-      VM_CASE(BANZ) {
-        int& reg = arPtr[d->a.val];
-        if (reg != 0) {
-          reg = (reg - 1) & 0xffff;
-          pc = d->target;
-          branched = true;
-          if constexpr (kTranslate) {
-            if (pc <= pcThis && trans_.noteBackEdge(pcThis))
-              trans_.tryFormLoop(decoded_, pc, pcThis);
-          }
-        }
-      }
-      VM_NEXT();
-      VM_CASE(RPT) { pendingRpt = d->a.val; }
-      VM_NEXT();
-      VM_CASE(DMOV) {
-        // One read, one write -- a single architectural access pair.
-        int addr = addrOf(d->a);
-        storeWord(addr + 1, loadWord(addr));
-      }
-      VM_NEXT();
-      VM_CASE(SOVM) { ovm = true; }
-      VM_NEXT();
-      VM_CASE(ROVM) { ovm = false; }
-      VM_NEXT();
-      VM_CASE(SSXM) { sxm = true; }
-      VM_NEXT();
-      VM_CASE(RSXM) { sxm = false; }
-      VM_NEXT();
-      VM_CASE(NOP) {}
-      VM_NEXT();
-      VM_CASE(HALT) {
-        res.status = RunStatus::Halted;
-        res.halted = true;
-        res.cycles += cyc;
-        ++res.instructions;
-        if constexpr (kProfile) activeProfile_->commit(pcThis, d->op, cyc, 1);
-        flush();
-        return res;
-      }
-      // Decode-level trap sink (invalid operand for the effective opcode,
-      // fault-injected branch without target, negative RPT count): the
-      // faulting instruction never retires.
-      VM_CASE(TRAP) {
-        res.status = RunStatus::Trapped;
-        res.trapped = true;
-        res.trapReason = trapMsgs_[static_cast<size_t>(d->a.val)];
-        flush();
-        return res;
-      }
-
-#if !RECORD_SIM_THREADED
+    VM_CASE(B) { VM_TAKE_BRANCH(); }
+    VM_NEXT();
+    VM_CASE(BZ) {
+      if (acc == 0) VM_TAKE_BRANCH();
     }
-#endif
+    VM_NEXT();
+    VM_CASE(BGEZ) {
+      if (acc >= 0) VM_TAKE_BRANCH();
+    }
+    VM_NEXT();
+    VM_CASE(BANZ) {
+      int& reg = mem.ar[d->a.val];
+      if (reg != 0) {
+        reg = (reg - 1) & 0xffff;
+        VM_TAKE_BRANCH();
+      }
+    }
+    VM_NEXT();
+    VM_CASE(RPT) { pendingRpt = d->a.val; }
+    VM_NEXT();
+    VM_CASE(HALT) {
+      res.status = RunStatus::Halted;
+      res.halted = true;
+      res.cycles += cyc;
+      ++res.instructions;
+      if constexpr (kProfile) activeProfile_->commit(pcThis, d->op, cyc, 1);
+      flush();
+      return res;
+    }
+    // Decode-level trap sink (invalid operand for the effective opcode,
+    // fault-injected branch without target, negative RPT count): the
+    // faulting instruction never retires.
+    VM_CASE(TRAP) {
+      res.status = RunStatus::Trapped;
+      res.trapped = true;
+      res.trapReason = trapMsgs_[static_cast<size_t>(d->a.val)];
+      flush();
+      return res;
+    }
   } catch (const std::exception& e) {
     // The faulting instruction never retired: its cycles were not charged,
     // so the ledger (and any attached profile) stays consistent. State is
@@ -894,5 +621,6 @@ pc_range:
 #undef VM_DISPATCH
 #undef VM_FETCH
 #undef VM_NEXT
+#undef VM_TAKE_BRANCH
 
 }  // namespace record

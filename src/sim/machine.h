@@ -8,12 +8,12 @@
 // kind/value/post-modification, resolved branch target, static cycle hint,
 // pre-computed bank ids for dual-operand XY ops), so the hot loop never
 // re-touches opInfo, labelIndex, or Operand discriminants. Dispatch is
-// computed-goto threaded on GNU-compatible compilers with a portable switch
-// fallback, selectable at configure time via -DRECORD_SIM_DISPATCH=
-// auto|threaded|switch (see DESIGN.md "Execution core"). The pre-decode
-// fetch/switch loop survives as ReferenceMachine (sim/reference.h) for
-// differential pinning and as the throughput baseline of
-// bench/sim_throughput.
+// computed-goto threaded (see DESIGN.md "Execution core"), and hot regions
+// run as superblocks (sim/translate.h) unless setTranslate(false) turns
+// translation off. Both paths expand the one definition of each
+// instruction in sim/semantics.h. The pre-decode fetch/switch loop survives
+// as ReferenceMachine (sim/reference.h), the independent oracle for
+// differential pinning and the throughput baseline of bench/sim_throughput.
 //
 // A Machine is single-threaded, const accessors included: readSymbol
 // updates the symbol memo (sim/symbols.h), so one Machine must not be read
@@ -116,21 +116,13 @@ class Machine {
   /// contract.
   void attachProfile(Profile* p) { profile_ = p; }
 
-  /// The dispatch strategy this build selected: "threaded" (computed goto)
-  /// or "switch" (portable fallback). Fixed at compile time by the
-  /// RECORD_SIM_DISPATCH CMake option.
-  static const char* dispatchMode();
-
-  /// Force hot-region translation on/off for this machine, overriding the
-  /// build default. Translation is semantics-neutral (superblocks deopt to
-  /// the decoded loop at the exact architectural instant -- see
+  /// Turn hot-region translation on (the default) or off for this
+  /// machine. Translation is semantics-neutral (superblocks deopt to the
+  /// decoded loop at the exact architectural instant -- see
   /// sim/translate.h); profiled runs always bypass it so per-PC attribution
   /// stays exact.
   void setTranslate(bool on) { translateOn_ = on; }
   bool translateOn() const { return translateOn_; }
-  /// The build-default translation mode: "on" or "off". Fixed at compile
-  /// time by the RECORD_SIM_TRANSLATE CMake option (auto == on).
-  static const char* translateMode();
   /// Formation/execution counters of this machine's translation set
   /// (reset whenever the program is re-decoded, e.g. by fault injection).
   const TranslateStats& translateStats() const { return trans_.stats(); }
@@ -161,7 +153,7 @@ class Machine {
                                 // construction; -1 if not a branch
   std::vector<DecodedOp> decoded_;
   TranslationSet trans_;     // superblocks over decoded_; rebuilt on decode
-  bool translateOn_ = true;  // runtime switch; ctor applies the build default
+  bool translateOn_ = true;  // runtime switch (setTranslate)
   std::vector<std::string> trapMsgs_;  // decode-trap reasons, by a.val
   std::vector<int64_t> data_;
   int64_t acc_ = 0, t_ = 0, p_ = 0;

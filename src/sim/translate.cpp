@@ -1,10 +1,5 @@
 #include "sim/translate.h"
 
-#include <stdexcept>
-#include <string>
-
-#include "ir/type.h"
-
 namespace record {
 
 namespace {
@@ -14,14 +9,11 @@ namespace {
 /// transfers control nor arms a repeat. Control closes a block; trap sinks
 /// refuse translation entirely (that is the fault-injection deopt).
 bool bodyLegal(const DecodedOp& d) {
-  if (d.handler >= static_cast<uint8_t>(kNumOpcodes)) return false;
+  if (d.handler == kTrapHandler) return false;
   switch (d.op) {
-    case Opcode::B:
-    case Opcode::BZ:
-    case Opcode::BGEZ:
-    case Opcode::BANZ:
-    case Opcode::RPT:
-    case Opcode::HALT:
+#define RECORD_TB_CONTROL(op) case Opcode::op:
+    RECORD_OPCODES(RECORD_SIM_NONE, RECORD_TB_CONTROL)
+#undef RECORD_TB_CONTROL
       return false;
     default:
       return true;
@@ -35,66 +27,36 @@ TransOp lower(const DecodedOp& d) {
   t.a = d.a;
   t.b = d.b;
   switch (d.op) {
-    case Opcode::LAC: t.kind = TK::Lac; break;
-    case Opcode::LACK: t.kind = TK::Lack; break;
-    case Opcode::ZAC: t.kind = TK::Zac; break;
-    case Opcode::SACL: t.kind = TK::Sacl; break;
-    case Opcode::SACH: t.kind = TK::Sach; break;
-    case Opcode::ADD: t.kind = TK::Add; break;
-    case Opcode::ADDK: t.kind = TK::Addk; break;
-    case Opcode::SUB: t.kind = TK::Sub; break;
-    case Opcode::SUBK: t.kind = TK::Subk; break;
-    case Opcode::NEG: t.kind = TK::Neg; break;
-    case Opcode::AND: t.kind = TK::And; break;
-    case Opcode::ANDK: t.kind = TK::Andk; break;
-    case Opcode::OR: t.kind = TK::Or; break;
-    case Opcode::XOR: t.kind = TK::Xor; break;
-    case Opcode::SFL: t.kind = TK::Sfl; break;
-    case Opcode::SFR: t.kind = TK::Sfr; break;
-    case Opcode::LT: t.kind = TK::Lt; break;
-    case Opcode::MPY: t.kind = TK::Mpy; break;
-    case Opcode::MPYK: t.kind = TK::Mpyk; break;
-    case Opcode::PAC: t.kind = TK::Pac; break;
-    case Opcode::APAC: t.kind = TK::Apac; break;
-    case Opcode::SPAC: t.kind = TK::Spac; break;
-    case Opcode::SPL: t.kind = TK::Spl; break;
-    case Opcode::LTA: t.kind = TK::Lta; break;
-    case Opcode::LTP: t.kind = TK::Ltp; break;
-    case Opcode::LTD: t.kind = TK::Ltd; break;
-    case Opcode::MPYXY: t.kind = TK::Mpyxy; t.cycMax = 2; break;
-    case Opcode::MACXY: t.kind = TK::Macxy; t.cycMax = 2; break;
-    case Opcode::LARK: t.kind = TK::Lark; break;
-    case Opcode::LAR: t.kind = TK::Lar; break;
-    case Opcode::SAR: t.kind = TK::Sar; break;
-    case Opcode::ADRK: t.kind = TK::Adrk; break;
-    case Opcode::SBRK: t.kind = TK::Sbrk; break;
-    case Opcode::DMOV: t.kind = TK::Dmov; break;
-    case Opcode::SOVM: t.kind = TK::Sovm; break;
-    case Opcode::ROVM: t.kind = TK::Rovm; break;
-    case Opcode::SSXM: t.kind = TK::Ssxm; break;
-    case Opcode::RSXM: t.kind = TK::Rsxm; break;
-    default: t.kind = TK::Nop; break;  // NOP (bodyLegal excludes the rest)
+#define RECORD_TB_LOWER(op) \
+  case Opcode::op:          \
+    t.kind = TK::op;        \
+    break;
+    RECORD_OPCODES(RECORD_TB_LOWER, RECORD_SIM_NONE)
+#undef RECORD_TB_LOWER
+    default:
+      break;  // control never reaches a block body (bodyLegal)
   }
+  // XY ops charge the bank-conflict cycle up front (see RECORD_SEM_MPYXY).
+  if (d.op == Opcode::MPYXY || d.op == Opcode::MACXY) t.cycMax = 2;
   return t;
 }
 
 /// The fused idiom table: (first, second) -> fused kind. Fusion halves the
 /// dispatch count for the pairs DSPStone code actually emits (multiply
-/// chains and accumulator spills); the executor commits the first half's
-/// ledger before running the second, so a trap in the second half retires
-/// exactly the instructions the decoded loop would have.
+/// chains and accumulator spills). Each fused kind's body is defined next
+/// to RECORD_TB_FUSED in sim/translate.h.
 bool fusePair(TK k1, TK k2, TK* out) {
-  if (k2 == TK::Mpy) {
-    if (k1 == TK::Lt) { *out = TK::LtMpy; return true; }
-    if (k1 == TK::Lta) { *out = TK::LtaMpy; return true; }
-    if (k1 == TK::Ltp) { *out = TK::LtpMpy; return true; }
+  if (k2 == TK::MPY) {
+    if (k1 == TK::LT) { *out = TK::LtMpy; return true; }
+    if (k1 == TK::LTA) { *out = TK::LtaMpy; return true; }
+    if (k1 == TK::LTP) { *out = TK::LtpMpy; return true; }
   }
-  if (k2 == TK::Sacl) {
-    if (k1 == TK::Lac) { *out = TK::LacSacl; return true; }
-    if (k1 == TK::Apac) { *out = TK::ApacSacl; return true; }
-    if (k1 == TK::Spac) { *out = TK::SpacSacl; return true; }
+  if (k2 == TK::SACL) {
+    if (k1 == TK::LAC) { *out = TK::LacSacl; return true; }
+    if (k1 == TK::APAC) { *out = TK::ApacSacl; return true; }
+    if (k1 == TK::SPAC) { *out = TK::SpacSacl; return true; }
   }
-  if (k2 == TK::Add && k1 == TK::Pac) { *out = TK::PacAdd; return true; }
+  if (k2 == TK::ADD && k1 == TK::PAC) { *out = TK::PacAdd; return true; }
   return false;
 }
 
@@ -124,7 +86,7 @@ void fuse(std::vector<TransOp>& body) {
   out.reserve(body.size());
   for (size_t i = 0; i < body.size(); ++i) {
     if (i + 1 < body.size() && body[i].kind == TK::LtMpy &&
-        body[i + 1].kind == TK::Apac && body[i + 1].insns == 1) {
+        body[i + 1].kind == TK::APAC && body[i + 1].insns == 1) {
       TransOp t = body[i];
       t.kind = TK::LtMpyApac;
       t.insns = 3;
@@ -212,7 +174,7 @@ void TranslationSet::tryFormLoop(const std::vector<DecodedOp>& ops,
   if (branchPc - target > kMaxBlockLen) return;
   if (static_cast<size_t>(branchPc) >= ops.size()) return;
   const DecodedOp& br = ops[branchPc];
-  if (br.handler >= static_cast<uint8_t>(kNumOpcodes)) return;
+  if (br.handler == kTrapHandler) return;
   if (br.target != target) return;
   Superblock::Close close;
   switch (br.op) {

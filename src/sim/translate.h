@@ -8,7 +8,8 @@
 // *superblocks* -- fused handler sequences executed without per-instruction
 // dispatch, with the cycle/instruction ledger accumulated in locals and
 // committed in batches, and adjacent instruction idioms (LT;MPY, LAC;SACL,
-// PAC;ADD, ...) fused into single handlers.
+// PAC;ADD, ...) fused into single handlers. A micro-op expands the same
+// per-opcode body (sim/semantics.h) as the decoded loop's handler does.
 //
 // Region discovery, three ways:
 //
@@ -51,88 +52,60 @@
 //     picks the kProfile specialization, which never consults the
 //     translation set), so per-PC attribution stays exact.
 //
-// Gated by -DRECORD_SIM_TRANSLATE=auto|on|off (mirroring the dispatch-mode
-// option): the CMake option picks the *default* of Machine::setTranslate;
-// the machinery is always compiled, so tests and benches can force either
-// mode at runtime in any build. See DESIGN.md "Hot-region translation".
+// Translation is on for every new Machine; Machine::setTranslate(false)
+// turns it off at run time. See DESIGN.md "Hot-region translation".
 #pragma once
 
 #include <cstdint>
-#include <stdexcept>
-#include <string>
 #include <vector>
 
-#include "ir/type.h"
-#include "target/isa.h"
+#include "sim/semantics.h"
 
 namespace record {
-
-// ---------------------------------------------------------------------------
-// Decoded representation (shared with sim/machine.h)
-// ---------------------------------------------------------------------------
-
-/// One pre-split operand. kind 0 = immediate/none (val is the literal or
-/// AR index), 1 = direct (val is the data address), 2 = indirect (val is
-/// a validated AR index, post the auto-modify delta).
-struct DecOperand {
-  uint8_t kind = 0;
-  int8_t post = 0;   // -1 / 0 / +1, applied to the AR after use
-  int8_t bank = -1;  // XY ops: memory bank when static (direct), else -1
-  int32_t val = 0;
-};
-
-/// One decode-once instruction: everything the hot loop needs, flat.
-struct DecodedOp {
-  uint8_t handler = 0;   // dispatch index: opcode value, or the trap sink
-  Opcode op = Opcode::NOP;  // effective (fault-remapped) opcode
-  uint8_t cyc = 0;       // static cycle hint (branches 2, rest 1)
-  DecOperand a;
-  DecOperand b;
-  int32_t target = -1;   // raw branch target (-1 when not a branch site)
-};
 
 // ---------------------------------------------------------------------------
 // Translated representation
 // ---------------------------------------------------------------------------
 
-/// Translated micro-op kinds: one per body-legal opcode, plus fused idioms
-/// (two or three architectural instructions, one dispatch) and the End
-/// sentinel every block body is terminated with (so the executor's walk
-/// needs no length check). Branches, RPT, HALT and decode-trap sinks never
-/// appear in a block body -- control closes a block (Superblock::Close) and
-/// trap sinks refuse translation.
+/// Translated micro-op kinds: one per straight-line opcode (TK::LAC, ...),
+/// plus fused idioms (two or three architectural instructions, one
+/// dispatch) and the End sentinel every block body is terminated with (so
+/// the executor's walk needs no length check). Branches, RPT, HALT and
+/// decode-trap sinks never appear in a block body -- control closes a block
+/// (Superblock::Close) and trap sinks refuse translation.
 ///
-/// Fused pairs take `a` from the first instruction and `b` from the second:
-///   LtMpy      T := mem_a ; P := T * mem_b
-///   LtaMpy     ACC += P ; T := mem_a ; P := T * mem_b
-///   LtpMpy     ACC := P ; T := mem_a ; P := T * mem_b
-///   LacSacl    ACC := mem_a ; mem_b := ACC
-///   PacAdd     ACC := P ; ACC += mem_b
-///   ApacSacl   ACC += P ; mem_b := ACC
-///   SpacSacl   ACC -= P ; mem_b := ACC
-///   LtMpyApac  T := mem_a ; P := T * mem_b ; ACC += P   (fused triple)
-///
-/// The list macro is the single source of order: the enum and the
-/// executor's computed-goto label table are both generated from it, so
-/// they cannot drift apart.
-#define RECORD_TB_KIND_LIST(X) \
-  X(Lac) X(Lack) X(Zac) X(Sacl) X(Sach) X(Add) X(Addk) X(Sub) X(Subk) \
-  X(Neg) X(And) X(Andk) X(Or) X(Xor) X(Sfl) X(Sfr) X(Lt) X(Mpy) X(Mpyk) \
-  X(Pac) X(Apac) X(Spac) X(Spl) X(Lta) X(Ltp) X(Ltd) X(Mpyxy) X(Macxy) \
-  X(Lark) X(Lar) X(Sar) X(Adrk) X(Sbrk) X(Dmov) X(Sovm) X(Rovm) X(Ssxm) \
-  X(Rsxm) X(Nop) \
-  X(LtMpy) X(LtaMpy) X(LtpMpy) X(LacSacl) X(PacAdd) X(ApacSacl) \
-  X(SpacSacl) X(LtMpyApac) X(End)
+/// A fused kind is its halves' RECORD_SEM bodies in order. The first half
+/// reads `a` (the first instruction's operand), the second `b` (the
+/// second's), and `sub` counts the halves retired before each later half,
+/// so a trap there retires exactly the instructions the decoded loop would
+/// have (every fusable half costs 1 cycle).
+#define RECORD_TB_FUSED(X)                                              \
+  X(LtMpy) X(LtaMpy) X(LtpMpy) X(LacSacl) X(PacAdd) X(ApacSacl) X(SpacSacl) \
+  X(LtMpyApac)
+#define RECORD_SEM_LtMpy(A, B) RECORD_SEM_LT(A); sub = 1; RECORD_SEM_MPY(B)
+#define RECORD_SEM_LtaMpy(A, B) RECORD_SEM_LTA(A); sub = 1; RECORD_SEM_MPY(B)
+#define RECORD_SEM_LtpMpy(A, B) RECORD_SEM_LTP(A); sub = 1; RECORD_SEM_MPY(B)
+#define RECORD_SEM_LacSacl(A, B) RECORD_SEM_LAC(A); sub = 1; RECORD_SEM_SACL(B)
+#define RECORD_SEM_PacAdd(A, B) RECORD_SEM_PAC(); sub = 1; RECORD_SEM_ADD(B)
+#define RECORD_SEM_ApacSacl(A, B) RECORD_SEM_APAC(); sub = 1; RECORD_SEM_SACL(B)
+#define RECORD_SEM_SpacSacl(A, B) RECORD_SEM_SPAC(); sub = 1; RECORD_SEM_SACL(B)
+#define RECORD_SEM_LtMpyApac(A, B) \
+  RECORD_SEM_LtMpy(A, B); sub = 2; RECORD_SEM_APAC()
+
+/// Every executable kind, in TK order: the enum, the executor's label table
+/// and both block walkers are expanded from it.
+#define RECORD_TB_KINDS(X) RECORD_OPCODES(X, RECORD_SIM_NONE) RECORD_TB_FUSED(X)
 
 enum class TK : uint8_t {
 #define RECORD_TB_ENUMERATOR(k) k,
-  RECORD_TB_KIND_LIST(RECORD_TB_ENUMERATOR)
+  RECORD_TB_KINDS(RECORD_TB_ENUMERATOR)
 #undef RECORD_TB_ENUMERATOR
+  End
 };
 
 /// One translated micro-op.
 struct TransOp {
-  TK kind = TK::Nop;
+  TK kind = TK::NOP;
   uint8_t insns = 1;   // architectural instructions retired (2-3 when fused)
   uint8_t cycMax = 1;  // worst-case cycles (XY ops 2; fused pairs summed)
   // Worst-case ledger prefix of the ops before this one in the body (filled
@@ -199,9 +172,8 @@ struct SimState {
 /// How a superblock execution ended. Traps leave via the same exceptions
 /// the decoded loop throws (with state and ledger already written back).
 enum class BlockExit : uint8_t {
-  Flow,    // block done, st.pc is the next fetch address
-  Stay,    // deopt: execute from st.pc (== entry) on the decoded path
-  Halted,  // the block's closing HALT retired; st.pc is the HALT's PC
+  Flow,  // block done, st.pc is the next fetch address
+  Stay,  // deopt: execute from st.pc (== entry) on the decoded path
 };
 
 /// Dynamic promotion thresholds. Small enough that a 4-tick harness run
@@ -212,132 +184,23 @@ inline constexpr int kEntryThreshold = 3;
 /// Longest translatable region, in instructions.
 inline constexpr int kMaxBlockLen = 64;
 
-namespace translate_detail {
-// Cold throw paths, out of line -- the strings must match sim/machine.cpp's
-// badRead/badWrite byte for byte: a trap raised inside a superblock reports
-// the identical reason the decoded loop would.
-[[noreturn, gnu::noinline]] inline void badRead(int addr) {
-  throw std::runtime_error("data read out of range: " + std::to_string(addr));
-}
-[[noreturn, gnu::noinline]] inline void badWrite(int addr) {
-  throw std::runtime_error("data write out of range: " + std::to_string(addr));
-}
-}  // namespace translate_detail
-
-// One entry per executable micro-op kind (everything but the End sentinel):
-// X(kind, body...). The body statements reference the executor's locals and
-// access lambdas (acc/tr/pr/ovm/sxm/sub/extra, readOp/addrOf/loadWord/
-// storeWord/addOvm/subOvm) and the current op through the pointer `op`.
-// Expanded three ways inside runSuperblock: threaded labels and switch
-// cases for the pass walk, and a plain switch for the RPT repeat loop --
-// one source of truth for the semantics.
-//
-// The hot walk keeps NO per-op ledger: each op's worst-case ledger prefix
-// (cPre/nPre) was precomputed at formation, and the pass total is folded in
-// once at the End sentinel. Two locals patch the two ways reality can
-// deviate from the precomputed sums, both maintained only where needed:
-//   * `sub` -- fused kinds mark how many architectural halves have retired
-//     before each later (possibly trapping) half, so the trap path can
-//     reconstruct the exact mid-idiom ledger and PC (every fusable
-//     component op costs exactly 1 cycle).
-//   * `extra` -- XY dual-operand ops charge cycMax (the conflict case) in
-//     the prefix and subtract the discount here when the banks differ.
-#define RECORD_TB_OPS(X)                                                     \
-  X(Lac, acc = readOp(op->a))                                                \
-  X(Lack, acc = op->a.val)                                                   \
-  X(Zac, acc = 0)                                                            \
-  X(Sacl, storeWord(addrOf(op->a), acc))                                     \
-  X(Sach, storeWord(addrOf(op->a), (acc >> 16) & 0xffff))                    \
-  X(Add, acc = addOvm(acc, readOp(op->a)))                                   \
-  X(Addk, acc = addOvm(acc, op->a.val))                                      \
-  X(Sub, acc = subOvm(acc, readOp(op->a)))                                   \
-  X(Subk, acc = subOvm(acc, op->a.val))                                      \
-  X(Neg, acc = ovm ? sat32(-acc) : wrap32(-acc))                             \
-  X(And, acc = and16(acc, readOp(op->a)))                                    \
-  X(Andk, acc = and16(acc, op->a.val))                                       \
-  X(Or, acc = or16(acc, readOp(op->a)))                                      \
-  X(Xor, acc = xor16(acc, readOp(op->a)))                                    \
-  X(Sfl, acc = wrapShl32(acc, 1))                                            \
-  X(Sfr, acc = sxm ? asr32(acc, 1) : lsr32(acc, 1))                          \
-  X(Lt, tr = readOp(op->a))                                                  \
-  X(Mpy, pr = mul16(tr, readOp(op->a)))                                      \
-  X(Mpyk, pr = mul16(tr, op->a.val))                                         \
-  X(Pac, acc = pr)                                                           \
-  X(Apac, acc = addOvm(acc, pr))                                             \
-  X(Spac, acc = subOvm(acc, pr))                                             \
-  X(Spl, storeWord(addrOf(op->a), pr))                                       \
-  X(Lta, acc = addOvm(acc, pr); tr = readOp(op->a))                          \
-  X(Ltp, acc = pr; tr = readOp(op->a))                                       \
-  X(Ltd, acc = addOvm(acc, pr); {                                            \
-    int addr = addrOf(op->a);                                                \
-    int64_t v = loadWord(addr);                                              \
-    tr = v;                                                                  \
-    storeWord(addr + 1, v);                                                  \
-  })                                                                         \
-  X(Mpyxy, {                                                                 \
-    int addrA = addrOf(op->a);                                               \
-    int addrB = addrOf(op->b);                                               \
-    pr = mul16(loadWord(addrA), loadWord(addrB));                            \
-    int bankA = op->a.bank >= 0 ? op->a.bank : cfg.bankOf(addrA);            \
-    int bankB = op->b.bank >= 0 ? op->b.bank : cfg.bankOf(addrB);            \
-    if (bankA != bankB) extra -= 1;                                          \
-  })                                                                         \
-  X(Macxy, acc = addOvm(acc, pr); {                                          \
-    int addrA = addrOf(op->a);                                               \
-    int addrB = addrOf(op->b);                                               \
-    pr = mul16(loadWord(addrA), loadWord(addrB));                            \
-    int bankA = op->a.bank >= 0 ? op->a.bank : cfg.bankOf(addrA);            \
-    int bankB = op->b.bank >= 0 ? op->b.bank : cfg.bankOf(addrB);            \
-    if (bankA != bankB) extra -= 1;                                          \
-  })                                                                         \
-  X(Lark, ar[op->a.val] = op->b.val & 0xffff)                                \
-  X(Lar, ar[op->a.val] =                                                     \
-             static_cast<int>(static_cast<uint64_t>(readOp(op->b)) & 0xffff))\
-  X(Sar, storeWord(addrOf(op->b), ar[op->a.val]))                            \
-  X(Adrk, ar[op->a.val] = (ar[op->a.val] + op->b.val) & 0xffff)              \
-  X(Sbrk, ar[op->a.val] = (ar[op->a.val] - op->b.val) & 0xffff)              \
-  X(Dmov, {                                                                  \
-    int addr = addrOf(op->a);                                                \
-    storeWord(addr + 1, loadWord(addr));                                     \
-  })                                                                         \
-  X(Sovm, ovm = true)                                                        \
-  X(Rovm, ovm = false)                                                       \
-  X(Ssxm, sxm = true)                                                        \
-  X(Rsxm, sxm = false)                                                       \
-  X(Nop, (void)0)                                                            \
-  X(LtMpy, tr = readOp(op->a); sub = 1; pr = mul16(tr, readOp(op->b)))      \
-  X(LtaMpy, acc = addOvm(acc, pr); tr = readOp(op->a); sub = 1;             \
-    pr = mul16(tr, readOp(op->b)))                                          \
-  X(LtpMpy, acc = pr; tr = readOp(op->a); sub = 1;                          \
-    pr = mul16(tr, readOp(op->b)))                                          \
-  X(LacSacl, acc = readOp(op->a); sub = 1; storeWord(addrOf(op->b), acc))   \
-  X(PacAdd, acc = pr; sub = 1; acc = addOvm(acc, readOp(op->b)))            \
-  X(ApacSacl, acc = addOvm(acc, pr); sub = 1;                               \
-    storeWord(addrOf(op->b), acc))                                          \
-  X(SpacSacl, acc = subOvm(acc, pr); sub = 1;                               \
-    storeWord(addrOf(op->b), acc))                                          \
-  X(LtMpyApac, tr = readOp(op->a); sub = 1;                                 \
-    pr = mul16(tr, readOp(op->b)); sub = 2; acc = addOvm(acc, pr))
-
-// Per-case computed-goto dispatch for the block executor's pass walk (each
-// micro-op's retire site hosts its own indirect branch, giving the BTB a
-// per-predecessor successor slot -- the same rationale as the interpreter
-// loop's threaded dispatch). GNU labels-as-values; a switch loop elsewhere.
-#if defined(__GNUC__) || defined(__clang__)
-#define RECORD_TB_THREADED 1
-#else
-#define RECORD_TB_THREADED 0
-#endif
-
-/// Execute one superblock pass-by-pass. `cycles`/`instructions` are the
-/// run ledger (committed per pass); `maxCycles` the run budget. See
-/// BlockExit for the contract: state is written back into `st` on every
-/// exit path, including the trap unwind, so the caller's catch can adopt
-/// it. Kept out of line on purpose -- inlining it into runImpl spreads its
-/// unwind paths into the interpreter loop and costs more in spilled
-/// run-loop locals than the call saves (measured).
-inline BlockExit runSuperblock(
-    const Superblock& b, const TargetConfig& cfg,
+/// Execute one Loop or Rpt superblock pass-by-pass (Entry blocks are walked
+/// inline by Machine::runImpl). `cycles`/`instructions` are the run ledger
+/// (committed per pass); `maxCycles` the run budget. See BlockExit for the
+/// contract: state is written back into `st` on every exit path, including
+/// the trap unwind, so the caller's catch can adopt it. Kept out of line on
+/// purpose -- inlining it into runImpl spreads its unwind paths into the
+/// interpreter loop and costs more in spilled run-loop locals than the call
+/// saves (measured).
+///
+/// The hot walk keeps NO per-op ledger: each op's worst-case ledger prefix
+/// (cPre/nPre) was precomputed at formation, and the pass total is folded in
+/// once at the End sentinel. Two locals patch the two ways reality can
+/// deviate from the precomputed sums: `sub` (retired halves of the current
+/// fused op, see RECORD_TB_FUSED) and `extra` (this engine's XY hook charges
+/// the conflict cycle in the prefix and refunds it here when the banks
+/// differ).
+inline BlockExit runSuperblock(const Superblock& b, const TargetConfig& cfg,
                                int64_t* data, unsigned dataSize, int* ar,
                                SimState& st, int64_t maxCycles,
                                int64_t& cycles, int64_t& instructions,
@@ -347,12 +210,17 @@ inline BlockExit runSuperblock(
   // catch below sees the locals' values at the throw point).
   int64_t acc = st.acc, tr = st.t, pr = st.p;
   bool ovm = st.ovm, sxm = st.sxm;
-  int pcCur = st.pc;     // architectural PC (maintained on the RPT path only)
   int64_t c = 0, n = 0;  // block-local ledger batch, folded in on exit
   int sub = 0;           // halves retired inside the current fused op
   int64_t extra = 0;     // XY bank-discount corrections, not yet folded
+  const SimMemory<NoNote> mem{data, dataSize, ar, &cfg, {}};
+  auto xyConflict = [&](bool conflict) {
+    if (!conflict) extra -= 1;
+  };
 
-  auto writeBack = [&](int pc) {
+  // Forced inline: an out-of-line writeBack takes the address of every
+  // local it captures, which keeps acc/tr/pr in memory through the walk.
+  auto writeBack = [&](int pc) __attribute__((always_inline)) {
     st.acc = acc;
     st.t = tr;
     st.p = pr;
@@ -362,37 +230,6 @@ inline BlockExit runSuperblock(
     cycles += c;
     instructions += n;
     stats.blockInstructions += n;
-  };
-
-  // Same access semantics as the decoded loop's lambdas (bounds checks with
-  // out-of-line throws, unconditional AR post-modify writeback); no profiler
-  // hooks because profiled runs never enter a superblock.
-  auto loadWord = [&](int addr) -> int64_t {
-    if (static_cast<unsigned>(addr) >= dataSize)
-      translate_detail::badRead(addr);
-    return data[static_cast<unsigned>(addr)];
-  };
-  auto storeWord = [&](int addr, int64_t v) {
-    if (static_cast<unsigned>(addr) >= dataSize)
-      translate_detail::badWrite(addr);
-    data[static_cast<unsigned>(addr)] = wrap16(v);
-  };
-  auto addrOf = [&](const DecOperand& o) {
-    if (o.kind == 2) {
-      int a = ar[o.val];
-      ar[o.val] = (a + o.post) & 0xffff;
-      return a;
-    }
-    return static_cast<int>(o.val);
-  };
-  auto readOp = [&](const DecOperand& o) {
-    return o.kind == 0 ? static_cast<int64_t>(o.val) : loadWord(addrOf(o));
-  };
-  auto addOvm = [&](int64_t a, int64_t v) {
-    return ovm ? sat32(a + v) : wrap32(a + v);
-  };
-  auto subOvm = [&](int64_t a, int64_t v) {
-    return ovm ? sat32(a - v) : wrap32(a - v);
   };
 
   ++stats.blockRuns;
@@ -414,68 +251,41 @@ inline BlockExit runSuperblock(
         writeBack(b.entry + 1);
         return BlockExit::Flow;
       }
-      pcCur = b.entry + 1;  // every repeat executes at the body PC
-      if (op->kind == TK::Macxy && op->a.kind == 2 && op->b.kind == 2) {
-        // Tight loop for the hot shape `RPT n ; MACXY *ARi+, *ARj+`.
-        for (int r = b.rptReps + 1; r > 0; --r) {
-          acc = addOvm(acc, pr);
-          int addrA = addrOf(op->a);
-          int addrB = addrOf(op->b);
-          pr = mul16(loadWord(addrA), loadWord(addrB));
-          c += (cfg.bankOf(addrA) != cfg.bankOf(addrB)) ? 1 : 2;
-          n += 1;
-        }
-      } else {
-        // Generic repeat: a monomorphic switch (one kind for the whole
-        // batch) dispatched per rep. Worst-case cycles charged per rep,
-        // with XY bank discounts accumulating in `extra` (folded below;
-        // the trap path folds them too).
-        for (int r = b.rptReps + 1; r > 0; --r) {
-          switch (op->kind) {
-#define RECORD_TB_EXEC_RPT(k, ...) \
-  case TK::k: {                    \
-    __VA_ARGS__;                   \
+      // A monomorphic switch (one single-op kind for the whole batch)
+      // dispatched per rep. Worst-case cycles charged per rep, with XY bank
+      // discounts accumulating in `extra` (folded below; the trap path
+      // folds them too).
+      for (int r = b.rptReps + 1; r > 0; --r) {
+        switch (op->kind) {
+#define RECORD_TB_EXEC_RPT(k)          \
+  case TK::k: {                        \
+    RECORD_SEM_##k(op->a, op->b);      \
   } break;
-            RECORD_TB_OPS(RECORD_TB_EXEC_RPT)
+          RECORD_OPCODES(RECORD_TB_EXEC_RPT, RECORD_SIM_NONE)
 #undef RECORD_TB_EXEC_RPT
-            case TK::End:
-              break;  // never a repeat body
-          }
-          c += op->cycMax;
-          n += 1;
+          default:
+            __builtin_unreachable();  // an RPT body is one unfused op
         }
-        c += extra;
-        extra = 0;
+        c += op->cycMax;
+        n += 1;
       }
+      c += extra;
       writeBack(b.entry + 2);
       return BlockExit::Flow;
     }
 
-    // Entry / Loop blocks: straight-line passes, re-entered in place while
-    // the closing branch stays taken. The walk dispatches on each op's kind
-    // and lands on the End sentinel at the body's end; close handling at
-    // tb_close either loops back (taken closing branch) or writes back and
-    // leaves.
-#if RECORD_TB_THREADED
+    // Loop blocks: straight-line passes, re-entered in place while the
+    // closing branch stays taken. Each op's retire site hosts its own
+    // indirect branch (the BTB gets a per-predecessor successor slot -- the
+    // same rationale as the decoded loop's dispatch), and the walk lands on
+    // the End sentinel at the body's end.
     static const void* const kTbl[] = {
 #define RECORD_TB_LABEL(k) &&TB_##k,
-        RECORD_TB_KIND_LIST(RECORD_TB_LABEL)
+        RECORD_TB_KINDS(RECORD_TB_LABEL)
 #undef RECORD_TB_LABEL
+        &&TB_End,
     };
-#define TB_CASE(k) TB_##k
-#define TB_DISPATCH() goto *kTbl[static_cast<size_t>(op->kind)]
-#else
-#define TB_CASE(k) case TK::k
-#define TB_DISPATCH() goto tb_dispatch
-#endif
-// Advance to the next op: no ledger work in the hot walk -- the pass totals
-// fold in at the End sentinel, the trap path reconstructs from cPre/nPre.
-#define TB_NEXT()   \
-  do {              \
-    sub = 0;        \
-    ++op;           \
-    TB_DISPATCH();  \
-  } while (0)
+#define TB_DISPATCH() goto* kTbl[static_cast<size_t>(op->kind)]
 
   tb_pass:
     if (cycles + c + b.maxCyclesPerPass > maxCycles) {
@@ -490,90 +300,62 @@ inline BlockExit runSuperblock(
     op = b.body.data();
     TB_DISPATCH();
 
-#if !RECORD_TB_THREADED
-  tb_dispatch:
-    switch (op->kind) {
-#endif
-
-#define RECORD_TB_EXEC(k, ...) \
-  TB_CASE(k) : {               \
-    __VA_ARGS__;               \
-  }                            \
-  TB_NEXT();
-      RECORD_TB_OPS(RECORD_TB_EXEC)
+#define RECORD_TB_EXEC(k)          \
+  TB_##k : {                       \
+    RECORD_SEM_##k(op->a, op->b);  \
+  }                                \
+  sub = 0;                         \
+  ++op;                            \
+  TB_DISPATCH();
+    RECORD_TB_KINDS(RECORD_TB_EXEC)
 #undef RECORD_TB_EXEC
+#undef TB_DISPATCH
 
-      TB_CASE(End) : goto tb_close;
-
-#if !RECORD_TB_THREADED
-    }
-#endif
-
-  tb_close:
+  TB_End:
     // The pass completed: fold its precomputed totals (worst-case cycles
-    // corrected by the XY discounts) into the block ledger, then run the
-    // close. Close control never touches data memory, so nothing past this
-    // point throws mid-pass.
-    c += b.passCycles + extra;
-    n += b.passInsns;
+    // corrected by the XY discounts) into the block ledger, then retire the
+    // closing branch. Close control never touches data memory, so nothing
+    // past this point throws mid-pass.
+    c += b.passCycles + extra + 2;
+    n += b.passInsns + 1;
     extra = 0;
     switch (b.close) {
-      case Superblock::Close::None:
-        writeBack(b.exitPc);
-        return BlockExit::Flow;
-      case Superblock::Close::Halt:
-        c += 1;
-        n += 1;
-        writeBack(b.closePc);
-        return BlockExit::Halted;
       case Superblock::Close::B:
-        c += 2;
-        n += 1;
         goto tb_pass;
       case Superblock::Close::Bz:
-        c += 2;
-        n += 1;
         if (acc == 0) goto tb_pass;
-        writeBack(b.exitPc);
-        return BlockExit::Flow;
+        break;
       case Superblock::Close::Bgez:
-        c += 2;
-        n += 1;
         if (acc >= 0) goto tb_pass;
-        writeBack(b.exitPc);
-        return BlockExit::Flow;
+        break;
       case Superblock::Close::Banz: {
-        c += 2;
-        n += 1;
         int& reg = ar[b.closeAr];
         if (reg != 0) {
           reg = (reg - 1) & 0xffff;
           goto tb_pass;
         }
-        writeBack(b.exitPc);
-        return BlockExit::Flow;
+        break;
       }
+      default:
+        __builtin_unreachable();  // None/Halt close only Entry blocks
     }
-    writeBack(b.exitPc);  // unreachable; keeps -Wreturn-type quiet
+    writeBack(b.exitPc);
     return BlockExit::Flow;
-
-#undef TB_CASE
-#undef TB_DISPATCH
-#undef TB_NEXT
   } catch (...) {
     // Trap inside the block: reconstruct the exact decoded-loop ledger and
     // PC. The faulting (half-)instruction itself never retires. On the RPT
-    // path c/n are maintained per rep (only the XY discounts are pending);
-    // on the pass walk the current op's precomputed prefix plus the retired
-    // fused halves (each 1 cycle / 1 instruction) give the mid-pass state.
+    // path c/n are maintained per rep (only the XY discounts are pending)
+    // and every repeat executes at the body PC; on the pass walk the
+    // current op's precomputed prefix plus the retired fused halves (each
+    // 1 cycle / 1 instruction) give the mid-pass state.
     if (b.kind == Superblock::Kind::Rpt) {
       c += extra;
+      writeBack(b.entry + 1);
     } else {
       c += op->cPre + extra + sub;
       n += op->nPre + sub;
-      pcCur = b.entry + op->nPre + sub;
+      writeBack(b.entry + op->nPre + sub);
     }
-    writeBack(pcCur);
     throw;
   }
 }
@@ -585,25 +367,26 @@ class TranslationSet {
   /// Reset everything and re-form RPT blocks from the fresh decode.
   void rebuild(const std::vector<DecodedOp>& ops);
 
-  /// Block index at `pc`, or -1.
-  int blockAt(int pc) const { return blockAt_[static_cast<size_t>(pc)]; }
   /// Raw per-PC block map for the interpreter's fetch path (one load per
-  /// fetch instead of a member-chain). Stable across block formation: the
-  /// map is sized once per (re)decode and install() only writes elements.
+  /// fetch instead of a member-chain): block index or -1. Stable across
+  /// block formation: the map is sized once per (re)decode and install()
+  /// only writes elements.
   const int16_t* blockMap() const { return blockAt_.data(); }
   const Superblock& block(int i) const {
     return blocks_[static_cast<size_t>(i)];
   }
 
-  /// Count one taken back-edge at `branchPc`; true exactly when the count
-  /// crosses kBackEdgeThreshold (the caller should then tryFormLoop).
+  /// Count one taken back-edge at `branchPc`; true exactly once, when the
+  /// count reaches kBackEdgeThreshold (the caller should then tryFormLoop).
+  /// The count stops there, so a loop that never forms a block cannot
+  /// overflow it.
   bool noteBackEdge(int branchPc) {
-    return ++backEdge_[static_cast<size_t>(branchPc)] == kBackEdgeThreshold;
+    return bump(backEdge_[static_cast<size_t>(branchPc)], kBackEdgeThreshold);
   }
-  /// Count one run() entry at `pc`; true when it crosses kEntryThreshold.
+  /// Count one run() entry at `pc`; true exactly once, at kEntryThreshold.
   bool noteEntry(int pc) {
     return pc >= 0 && static_cast<size_t>(pc) < entry_.size() &&
-           ++entry_[static_cast<size_t>(pc)] == kEntryThreshold;
+           bump(entry_[static_cast<size_t>(pc)], kEntryThreshold);
   }
 
   /// Promote the loop [target .. branchPc] (closing branch included) if the
@@ -618,6 +401,9 @@ class TranslationSet {
   TranslateStats& stats() { return stats_; }
 
  private:
+  static bool bump(int32_t& count, int threshold) {
+    return count < threshold && ++count == threshold;
+  }
   void install(Superblock b);
 
   std::vector<Superblock> blocks_;

@@ -1,7 +1,6 @@
 #include "target/isa.h"
 
 #include <atomic>
-#include <iterator>
 
 #include "target/config.h"
 
@@ -12,19 +11,10 @@ namespace {
 // Mnemonics, indexed by Opcode. The only opcode-name table: every
 // description's insn clauses are resolved against it.
 constexpr const char* kOpcodeNames[] = {
-    "LAC",  "LACK", "ZAC",  "SACL", "SACH",  //
-    "ADD",  "ADDK", "SUB",  "SUBK", "NEG",   //
-    "AND",  "ANDK", "OR",   "XOR",           //
-    "SFL",  "SFR",                           //
-    "LT",   "MPY",  "MPYK", "PAC",  "APAC", "SPAC", "SPL", "LTA", "LTP",
-    "LTD",                                   //
-    "MPYXY", "MACXY",                        //
-    "LARK", "LAR",  "SAR",  "ADRK", "SBRK",  //
-    "B",    "BZ",   "BGEZ", "BANZ", "RPT",  "DMOV",  //
-    "SOVM", "ROVM", "SSXM", "RSXM", "NOP",  "HALT",
+#define RECORD_OPCODE_NAME(op) #op,
+    RECORD_OPCODES(RECORD_OPCODE_NAME, RECORD_OPCODE_NAME)
+#undef RECORD_OPCODE_NAME
 };
-static_assert(std::size(kOpcodeNames) == kNumOpcodes,
-              "kOpcodeNames must name every Opcode, in enum order");
 
 std::atomic<const IsaTable*>& activeSlot() {
   static std::atomic<const IsaTable*> slot{nullptr};

@@ -16,62 +16,71 @@ namespace record {
 
 struct TargetConfig;
 
+// The opcode list, in encoding order: the only place an opcode is named.
+// X(op) lists a straight-line instruction, C(op) one that transfers
+// control, arms a repeat or stops. enum Opcode, the mnemonic table and the
+// simulator's dispatch tables are all expanded from it.
+#define RECORD_OPCODES(X, C)                                              \
+  /* Accumulator loads / stores */                                        \
+  X(LAC)   /* ACC := mem */                                               \
+  X(LACK)  /* ACC := imm8 */                                              \
+  X(ZAC)   /* ACC := 0 */                                                 \
+  X(SACL)  /* mem := ACC (low word) */                                    \
+  X(SACH)  /* mem := ACC >> 16 (high word) */                             \
+  /* Accumulator arithmetic */                                            \
+  X(ADD)   /* ACC += mem        (OVM-sensitive) */                        \
+  X(ADDK)  /* ACC += imm        (OVM-sensitive) */                        \
+  X(SUB)   /* ACC -= mem */                                               \
+  X(SUBK)  /* ACC -= imm */                                               \
+  X(NEG)   /* ACC := -ACC */                                              \
+  /* Bitwise (right operand zero-extended 16-bit) */                      \
+  X(AND)   /* ACC &= mem */                                               \
+  X(ANDK)  /* ACC &= imm */                                               \
+  X(OR)    /* ACC |= mem */                                               \
+  X(XOR)   /* ACC ^= mem */                                               \
+  /* Shifts */                                                            \
+  X(SFL)   /* ACC <<= 1 */                                                \
+  X(SFR)   /* ACC >>= 1 (arithmetic when SXM=1, logical when SXM=0) */    \
+  /* Multiplier pipeline (hasMac) */                                      \
+  X(LT)    /* T := mem */                                                 \
+  X(MPY)   /* P := T * mem */                                             \
+  X(MPYK)  /* P := T * imm */                                             \
+  X(PAC)   /* ACC := P */                                                 \
+  X(APAC)  /* ACC += P */                                                 \
+  X(SPAC)  /* ACC -= P */                                                 \
+  X(SPL)   /* mem := P (low word) */                                      \
+  X(LTA)   /* ACC += P; T := mem */                                       \
+  X(LTP)   /* ACC := P; T := mem */                                       \
+  X(LTD)   /* ACC += P; T := mem; mem+1 := mem (hasMac && hasDmov) */     \
+  /* Dual-multiplier datapath (hasDualMul): both operands from memory, */ \
+  /* single-cycle when the operands sit in different banks. */            \
+  X(MPYXY) /* P := memA * memB */                                         \
+  X(MACXY) /* ACC += P; P := memA * memB */                               \
+  /* Address-register file */                                             \
+  X(LARK)  /* ARn := imm8 */                                              \
+  X(LAR)   /* ARn := mem */                                               \
+  X(SAR)   /* mem := ARn */                                               \
+  X(ADRK)  /* ARn += imm8 */                                              \
+  X(SBRK)  /* ARn -= imm8 */                                              \
+  /* Control */                                                           \
+  C(B)     /* branch always */                                            \
+  C(BZ)    /* branch if ACC == 0 */                                       \
+  C(BGEZ)  /* branch if ACC >= 0 */                                       \
+  C(BANZ)  /* branch if ARn != 0, post-decrementing ARn */                \
+  C(RPT)   /* repeat next instruction imm+1 times (hasRpt) */             \
+  X(DMOV)  /* mem+1 := mem (delay-line shift, hasDmov) */                 \
+  /* Mode bits */                                                         \
+  X(SOVM)  /* set saturation mode       (hasSat) */                       \
+  X(ROVM)  /* reset saturation mode     (hasSat) */                       \
+  X(SSXM)  /* set sign-extension mode */                                  \
+  X(RSXM)  /* reset sign-extension mode */                                \
+  X(NOP)                                                                  \
+  C(HALT)  /* stop the simulator (assembler-level convenience) */
+
 enum class Opcode : uint8_t {
-  // Accumulator loads / stores
-  LAC,    // ACC := mem
-  LACK,   // ACC := imm8
-  ZAC,    // ACC := 0
-  SACL,   // mem := ACC (low word)
-  SACH,   // mem := ACC >> 16 (high word)
-  // Accumulator arithmetic
-  ADD,    // ACC += mem        (OVM-sensitive)
-  ADDK,   // ACC += imm        (OVM-sensitive)
-  SUB,    // ACC -= mem
-  SUBK,   // ACC -= imm
-  NEG,    // ACC := -ACC
-  // Bitwise (right operand zero-extended 16-bit)
-  AND,    // ACC &= mem
-  ANDK,   // ACC &= imm
-  OR,     // ACC |= mem
-  XOR,    // ACC ^= mem
-  // Shifts
-  SFL,    // ACC <<= 1
-  SFR,    // ACC >>= 1  (arithmetic when SXM=1, logical when SXM=0)
-  // Multiplier pipeline (hasMac)
-  LT,     // T := mem
-  MPY,    // P := T * mem
-  MPYK,   // P := T * imm
-  PAC,    // ACC := P
-  APAC,   // ACC += P
-  SPAC,   // ACC -= P
-  SPL,    // mem := P (low word)
-  LTA,    // ACC += P; T := mem
-  LTP,    // ACC := P; T := mem
-  LTD,    // ACC += P; T := mem; mem+1 := mem   (hasMac && hasDmov)
-  // Dual-multiplier datapath (hasDualMul): both operands from memory,
-  // single-cycle when the operands sit in different banks.
-  MPYXY,  // P := memA * memB
-  MACXY,  // ACC += P; P := memA * memB
-  // Address-register file
-  LARK,   // ARn := imm8
-  LAR,    // ARn := mem
-  SAR,    // mem := ARn
-  ADRK,   // ARn += imm8
-  SBRK,   // ARn -= imm8
-  // Control
-  B,      // branch always
-  BZ,     // branch if ACC == 0
-  BGEZ,   // branch if ACC >= 0
-  BANZ,   // branch if ARn != 0, post-decrementing ARn
-  RPT,    // repeat next instruction imm+1 times (hasRpt)
-  DMOV,   // mem+1 := mem (delay-line shift, hasDmov)
-  // Mode bits
-  SOVM,   // set saturation mode       (hasSat)
-  ROVM,   // reset saturation mode     (hasSat)
-  SSXM,   // set sign-extension mode
-  RSXM,   // reset sign-extension mode
-  NOP,
-  HALT,   // stop the simulator (assembler-level convenience)
+#define RECORD_OPCODE_ENUMERATOR(op) op,
+  RECORD_OPCODES(RECORD_OPCODE_ENUMERATOR, RECORD_OPCODE_ENUMERATOR)
+#undef RECORD_OPCODE_ENUMERATOR
 };
 
 inline constexpr int kNumOpcodes = static_cast<int>(Opcode::HALT) + 1;

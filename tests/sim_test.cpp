@@ -8,6 +8,7 @@
 #include "difftest/corpus.h"
 #include "difftest/difftest.h"
 #include "dspstone/harness.h"
+#include "dspstone/kernels.h"
 #include "ir/type.h"
 #include "sim/machine.h"
 #include "sim/profile.h"
@@ -449,20 +450,11 @@ TEST(Machine, ClearDecodeFaultRestores) {
   EXPECT_TRUE(m.run(1000).halted);
 }
 
-TEST(Machine, DispatchModeIsReported) {
-  const char* mode = Machine::dispatchMode();
-  EXPECT_TRUE(std::strcmp(mode, "threaded") == 0 ||
-              std::strcmp(mode, "switch") == 0);
-}
-
-// The build-time translation default is reported, and a fresh Machine's
-// runtime switch starts from it (tests and benches may then force either
-// mode per Machine regardless of the build).
+// A fresh Machine translates; setTranslate is the run-time switch that
+// tests and benches use to force either mode per Machine.
 TEST(Machine, TranslateModeIsReported) {
-  const char* mode = Machine::translateMode();
-  ASSERT_TRUE(std::strcmp(mode, "on") == 0 || std::strcmp(mode, "off") == 0);
   Machine m(asmProg("NOP\nHALT\n"));
-  EXPECT_EQ(m.translateOn(), std::strcmp(mode, "on") == 0);
+  EXPECT_TRUE(m.translateOn());
   m.setTranslate(false);
   EXPECT_FALSE(m.translateOn());
   m.setTranslate(true);
@@ -681,6 +673,52 @@ TEST(Machine, EnginesAgreeAcrossCorpus) {
     }
   }
   EXPECT_GT(compared, 0);
+}
+
+// The same three-way engine agreement on the programs the benchmarks run:
+// the ten DSPStone kernels across the config sweep, and the DSPStone loop
+// kernels at the sizes of the sim_long workload (text-substituted as in
+// interp_test's frozen golden) on the default config, long enough for
+// every promotion threshold to fire.
+TEST(Machine, EnginesAgreeOnKernelsAcrossSweep) {
+  namespace dt = record::difftest;
+  int compared = 0;
+  auto check = [&](const std::string& name, const std::string& src,
+                   const TargetConfig& cfg, int ticks) {
+    Program prog = dfl::parseDflOrDie(src);
+    CompileResult res;
+    try {
+      res = RecordCompiler(cfg, recordOptions()).compile(prog);
+    } catch (const std::runtime_error&) {
+      return;  // capability rejection: clean skip, like the oracle
+    }
+    EXPECT_EQ(compareSimEngines(res.prog, dt::makeStimulus(prog, 1, ticks)),
+              "")
+        << name;
+    ++compared;
+  };
+  for (const auto& k : dspstoneKernels())
+    for (const auto& pt : dt::defaultSweep())
+      check(k.name + " @ " + pt.name, k.dfl, pt.cfg, 6);
+  EXPECT_GE(compared, 10);  // every kernel compiles on the default config
+  const int sweepCompared = compared;
+  struct Sized {
+    const char* name;
+    const char* from;
+    const char* to;
+  };
+  for (const Sized& sk :
+       {Sized{"n_real_updates", "const N = 16;", "const N = 480;"},
+        Sized{"n_complex_updates", "const N = 16;", "const N = 240;"},
+        Sized{"fir", "const N = 16;", "const N = 960;"},
+        Sized{"convolution", "const N = 16;", "const N = 960;"},
+        Sized{"iir_biquad_n_sections", "const NS = 4;", "const NS = 256;"}}) {
+    std::string src = kernelByName(sk.name).dfl;
+    ASSERT_NE(src.find(sk.from), std::string::npos) << sk.name;
+    src.replace(src.find(sk.from), std::strlen(sk.from), sk.to);
+    check(std::string(sk.name) + " " + sk.to, src, TargetConfig{}, 4);
+  }
+  EXPECT_EQ(compared - sweepCompared, 5);
 }
 
 }  // namespace

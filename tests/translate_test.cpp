@@ -1,12 +1,13 @@
 // Hot-region translation (sim/translate.h): block formation pins, the
 // deopt contract (budget, traps, fault injection, profiling), and a
 // randomized per-tick equivalence sweep of the translated engine against
-// the pre-decode reference. Everything here runs with translation forced
-// on/off per Machine, so the suite is meaningful in every build regardless
-// of the -DRECORD_SIM_TRANSLATE default.
+// the pre-decode reference. Every test sets translation on or off per
+// Machine explicitly instead of relying on the default.
 #include <gtest/gtest.h>
 
 #include <string>
+#include <tuple>
+#include <vector>
 
 #include "codegen/baseline.h"
 #include "codegen/pipeline.h"
@@ -110,6 +111,21 @@ TEST(Translate, EntryPromotionCrossesThreshold) {
   EXPECT_GE(m.translateStats().blockRuns, 1);
   // The whole kernel (HALT close included) retires inside the block.
   EXPECT_GE(m.translateStats().blockInstructions, 4);
+}
+
+// Each promotion counter reports its threshold exactly once and then stops
+// counting, so a hot branch whose loop can never form a block (an outer
+// loop around an inner one) cannot overflow it.
+TEST(Translate, PromotionCountersFireOnce) {
+  TranslationSet ts;
+  ts.rebuild(std::vector<DecodedOp>(4));
+  std::vector<int> backEdgeFires, entryFires;
+  for (int i = 1; i <= 10 * kBackEdgeThreshold; ++i)
+    if (ts.noteBackEdge(3)) backEdgeFires.push_back(i);
+  for (int i = 1; i <= 10 * kEntryThreshold; ++i)
+    if (ts.noteEntry(0)) entryFires.push_back(i);
+  EXPECT_EQ(backEdgeFires, std::vector<int>{kBackEdgeThreshold});
+  EXPECT_EQ(entryFires, std::vector<int>{kEntryThreshold});
 }
 
 // ---------------------------------------------------------------------------
@@ -270,6 +286,102 @@ TEST(Translate, TrapInsideRptBlockIsBitIdentical) {
   EXPECT_EQ(rt.cycles, rr.cycles);
   EXPECT_EQ(tra.pc(), ref.pc());
   EXPECT_EQ(tra.ar(0), ref.ar(0));
+}
+
+// A trap in the second half of every fused idiom (the MPY of LT;MPY;APAC)
+// inside a promoted loop block: the loop walks *AR1+ off the end of data
+// memory, and the translated engine must stop with the decoded loop and the
+// reference on the same reason, ledger, PC and registers. A formation pin
+// per idiom proves the loop body really fuses into that kind.
+TEST(Translate, TrapMidIdiomIsBitIdenticalForEveryFusedKind) {
+  struct Idiom {
+    TK kind;
+    std::vector<Opcode> ops;  // the fused instructions, in order
+    const char* body;         // the same instructions as loop-body text
+    const char* reason;
+  };
+  const char* kRead = "data read out of range: 256";
+  const char* kWrite = "data write out of range: 256";
+  const Idiom idioms[] = {
+      {TK::LtMpy, {Opcode::LT, Opcode::MPY}, "LT s\n MPY *AR1+", kRead},
+      {TK::LtaMpy, {Opcode::LTA, Opcode::MPY}, "LTA s\n MPY *AR1+", kRead},
+      {TK::LtpMpy, {Opcode::LTP, Opcode::MPY}, "LTP s\n MPY *AR1+", kRead},
+      {TK::LacSacl, {Opcode::LAC, Opcode::SACL}, "LAC s\n SACL *AR1+",
+       kWrite},
+      {TK::PacAdd, {Opcode::PAC, Opcode::ADD}, "PAC\n ADD *AR1+", kRead},
+      {TK::ApacSacl, {Opcode::APAC, Opcode::SACL}, "APAC\n SACL *AR1+",
+       kWrite},
+      {TK::SpacSacl, {Opcode::SPAC, Opcode::SACL}, "SPAC\n SACL *AR1+",
+       kWrite},
+      {TK::LtMpyApac, {Opcode::LT, Opcode::MPY, Opcode::APAC},
+       "LT s\n MPY *AR1+\n APAC", kRead},
+  };
+  TargetConfig cfg;
+  cfg.dataWords = 256;
+  for (const Idiom& idiom : idioms) {
+    SCOPED_TRACE(idiom.body);
+    // Formation pin: the body followed by its closing BANZ fuses into one
+    // micro-op of the idiom's kind.
+    std::vector<DecodedOp> ops;
+    for (Opcode op : idiom.ops) {
+      DecodedOp d;
+      d.handler = static_cast<uint8_t>(op);
+      d.op = op;
+      d.cyc = 1;
+      ops.push_back(d);
+    }
+    DecodedOp banz;
+    banz.handler = static_cast<uint8_t>(Opcode::BANZ);
+    banz.op = Opcode::BANZ;
+    banz.cyc = 2;
+    banz.target = 0;
+    ops.push_back(banz);
+    TranslationSet ts;
+    ts.rebuild(ops);
+    ts.tryFormLoop(ops, 0, static_cast<int>(ops.size()) - 1);
+    ASSERT_EQ(ts.stats().loopBlocks, 1);
+    EXPECT_EQ(ts.block(0).body.front().kind, idiom.kind);
+
+    // AR1 reaches dataWords on the 57th pass, long after promotion.
+    auto tp = asmProg(std::string(R"(
+      .sym s 1
+      LACK #3
+      SACL s
+      LT s
+      MPYK #5
+      LACK #7
+      LARK AR0, #100
+      LARK AR1, #200
+ top: )") + idiom.body + R"(
+      BANZ AR0, top
+      HALT
+  )", cfg);
+    Machine tra(tp);
+    tra.setTranslate(true);
+    Machine dec(tp);
+    dec.setTranslate(false);
+    ReferenceMachine ref(tp);
+    auto rt = tra.run();
+    auto rd = dec.run();
+    auto rr = ref.run();
+    ASSERT_TRUE(rt.trapped);
+    EXPECT_EQ(tra.translateStats().loopBlocks, 1);
+    EXPECT_GE(tra.translateStats().blockRuns, 1);
+    EXPECT_EQ(rt.trapReason, idiom.reason);
+    for (const auto& [name, r, m] :
+         {std::tuple{"translated", rt, &tra}, std::tuple{"decoded", rd, &dec}}) {
+      SCOPED_TRACE(name);
+      EXPECT_EQ(r.trapReason, rr.trapReason);
+      EXPECT_EQ(r.instructions, rr.instructions);
+      EXPECT_EQ(r.cycles, rr.cycles);
+      EXPECT_EQ(m->pc(), ref.pc());
+      EXPECT_EQ(m->acc(), ref.acc());
+      EXPECT_EQ(m->treg(), ref.treg());
+      EXPECT_EQ(m->preg(), ref.preg());
+      EXPECT_EQ(m->ar(0), ref.ar(0));
+      EXPECT_EQ(m->ar(1), ref.ar(1));
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
