@@ -80,10 +80,4 @@ bool DataLayout::inArrayRegion(int addr) const {
   return false;
 }
 
-int DataLayout::wordsUsed() const {
-  int w = next_[0];
-  if (cfg_.memBanks >= 2) w += next_[1] - cfg_.dataWords / 2;
-  return w;
-}
-
 }  // namespace record

@@ -39,8 +39,6 @@ class DataLayout {
   /// Constant-pool initializers.
   std::vector<std::pair<int, int16_t>> dataInit() const;
 
-  int wordsUsed() const;
-
   /// True if `addr` lies inside any array or delay-line region -- the only
   /// storage that indirect (*AR) operands can legally address in compiled
   /// code. Used to unlock accumulator promotion for scalar addresses.

@@ -42,6 +42,20 @@ struct FastPathState {
   /// Label-memo storage, one per search worker: indexed by intern ID, so
   /// it grows with the interner once rather than with every compile.
   std::vector<BursMatcher::LabelMemo> labelMemos;
+  /// Node count of each canonical tree by intern ID (0 = not counted yet),
+  /// the search-order key: variants share subtrees, so each shape is
+  /// counted once.
+  std::vector<int> nodeCounts;
+
+  int numNodes(const Expr& e) {
+    const uint32_t id = e.internId;
+    if (id < nodeCounts.size() && nodeCounts[id]) return nodeCounts[id];
+    int n = 1;
+    for (const auto& k : e.kids) n += numNodes(*k);
+    if (id >= nodeCounts.size())  // IDs arrive ascending: grow geometrically
+      nodeCounts.resize(std::max<size_t>({id + 1, 2 * nodeCounts.size(), 512}));
+    return nodeCounts[id] = n;
+  }
 };
 
 namespace {
@@ -218,8 +232,7 @@ ExprPtr normalizeSums(const ExprPtr& e, bool wide, bool softMul,
     return exprEquals(chain, e) ? e : chain;
   }
 
-  std::vector<ExprPtr> kids;
-  kids.reserve(e->kids.size());
+  ExprKids kids;
   bool changed = false;
   for (size_t i = 0; i < e->kids.size(); ++i) {
     bool kidWide = wide;
@@ -268,9 +281,7 @@ ExprPtr normalizeSums(const ExprPtr& e, bool wide, bool softMul,
           "word, in: " + e->str());
   }
 
-  if (!changed) return e;
-  if (kids.size() == 1) return Expr::unary(e->op, kids[0]);
-  return Expr::binary(e->op, kids[0], kids[1]);
+  return changed ? Expr::withKids(*e, std::move(kids)) : e;
 }
 
 /// Affine analysis: idx as a function of ivar. Returns (coeff, valueAtZero)
@@ -457,8 +468,15 @@ class Emitter {
  private:
   // ---- low-level emission -------------------------------------------------
   void append(MInstr mi) {
+    code_.push_back(std::move(mi));
+    stamp(code_.back());
+  }
+
+  /// Gives a just-emitted instruction the pending label and the current
+  /// source position.
+  void stamp(MInstr& mi) {
     if (!pendingLabel_.empty() && mi.instr.label.empty()) {
-      mi.instr.label = pendingLabel_;
+      mi.instr.label = std::move(pendingLabel_);
       pendingLabel_.clear();
     }
     // Debug info: every instruction inherits the source position of the
@@ -468,7 +486,6 @@ class Emitter {
     // expansions, and index hoists attribute to the statement.
     mi.instr.srcLine = curLine_;
     mi.instr.srcCol = curCol_;
-    code_.push_back(std::move(mi));
   }
 
   void setSrcLoc(int line, int col) {
@@ -575,19 +592,28 @@ class Emitter {
     constexpr int kNone = std::numeric_limits<int>::max();
 
     // Cheap search-order heuristic: smaller trees usually cover cheaper, so
-    // costing them first tightens the pruning bound early.
-    std::vector<int> order(static_cast<size_t>(n));
+    // costing them first tightens the pruning bound early. Equal sizes keep
+    // enumeration order. The buffers are reused across statements.
+    std::vector<int>& order = order_;
+    order.resize(static_cast<size_t>(n));
     std::iota(order.begin(), order.end(), 0);
     if (opt_.pruneSearch && n > 1) {
-      std::vector<int> sizes(static_cast<size_t>(n));
-      for (int i = 0; i < n; ++i)
-        sizes[static_cast<size_t>(i)] = variants[static_cast<size_t>(i)]->numNodes();
-      std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
-        return sizes[static_cast<size_t>(a)] < sizes[static_cast<size_t>(b)];
+      std::vector<int>& sizes = sizes_;
+      sizes.resize(static_cast<size_t>(n));
+      for (int i = 0; i < n; ++i) {
+        const Expr& v = *variants[static_cast<size_t>(i)];
+        sizes[static_cast<size_t>(i)] =
+            interner_ ? fast_->numNodes(v) : v.numNodes();
+      }
+      std::sort(order.begin(), order.end(), [&](int a, int b) {
+        const int sa = sizes[static_cast<size_t>(a)];
+        const int sb = sizes[static_cast<size_t>(b)];
+        return sa != sb ? sa < sb : a < b;
       });
     }
 
-    std::vector<int> costs(static_cast<size_t>(n), kNone);
+    std::vector<int>& costs = costs_;
+    costs.assign(static_cast<size_t>(n), kNone);
     std::atomic<int> bound{kNone};  // best complete cover cost so far
     std::atomic<int> pruned{0};
     const int stride = (pool_ && n >= 8) ? threads_ : 1;
@@ -647,10 +673,12 @@ class Emitter {
 
     auto tReduce = Clock::now();
     TraceSpan reduceSpan(trace_, "reduce");
-    auto res = matcher_.reduce(variants[bestIdx], Nonterm::Stmt, binder_);
+    const size_t first = code_.size();
+    auto res =
+        matcher_.reduce(variants[bestIdx], Nonterm::Stmt, binder_, code_);
     assert(res.ok);
     stats_.patternsUsed += res.patternsUsed;
-    for (auto& mi : res.code) append(std::move(mi));
+    for (size_t i = first; i < code_.size(); ++i) stamp(code_[i]);
     ++stats_.statements;
     stats_.msReduce += msSince(tReduce);
   }
@@ -670,14 +698,14 @@ class Emitter {
   /// the index computations as separate statements.
   ExprPtr hoistIndexes(const ExprPtr& e) {
     if (opIsLeaf(e->op)) return e;
-    std::vector<ExprPtr> kids;
+    ExprKids kids;
     bool changed = false;
     for (const auto& k : e->kids) {
       kids.push_back(hoistIndexes(k));
       changed |= kids.back().get() != k.get();
     }
     if (e->op == Op::ArrayRef) {
-      ExprPtr idx = kids[0];
+      ExprPtr& idx = kids[0];
       bool simpleIdx =
           idx->op == Op::Const ||
           (idx->op == Op::Ref &&
@@ -689,19 +717,16 @@ class Emitter {
         idx = Expr::ref(t);
         changed = true;
       }
-      if (!changed) return e;  // untouched trees keep their identity
-      return Expr::arrayRef(e->sym, idx);
     }
-    if (!changed) return e;
-    if (kids.size() == 1) return Expr::unary(e->op, kids[0]);
-    return Expr::binary(e->op, kids[0], kids[1]);
+    // Untouched trees keep their identity.
+    return changed ? Expr::withKids(*e, std::move(kids)) : e;
   }
 
   /// Software multiplication for cores without a multiplier: replaces every
   /// Mul by an inline shift-add loop through scratch storage.
   ExprPtr legalizeMuls(const ExprPtr& e) {
     if (opIsLeaf(e->op)) return e;
-    std::vector<ExprPtr> kids;
+    ExprKids kids;
     bool changed = false;
     for (const auto& k : e->kids) {
       kids.push_back(legalizeMuls(k));
@@ -712,10 +737,7 @@ class Emitter {
       emitSoftMul(kids[0], kids[1], res);
       return Expr::ref(res);
     }
-    if (!changed) return e;
-    if (e->op == Op::ArrayRef) return Expr::arrayRef(e->sym, kids[0]);
-    if (kids.size() == 1) return Expr::unary(e->op, kids[0]);
-    return Expr::binary(e->op, kids[0], kids[1]);
+    return changed ? Expr::withKids(*e, std::move(kids)) : e;
   }
 
   void emitSoftMul(const ExprPtr& a, const ExprPtr& b, Symbol* res) {
@@ -769,15 +791,9 @@ class Emitter {
   /// own memory temporary.
   ExprPtr atomize(const ExprPtr& e, bool isRoot) {
     if (opIsLeaf(e->op)) return e;
-    std::vector<ExprPtr> kids;
+    ExprKids kids;
     for (const auto& k : e->kids) kids.push_back(atomize(k, false));
-    ExprPtr out;
-    if (e->op == Op::ArrayRef)
-      out = Expr::arrayRef(e->sym, kids[0]);
-    else if (kids.size() == 1)
-      out = Expr::unary(e->op, kids[0]);
-    else
-      out = Expr::binary(e->op, kids[0], kids[1]);
+    ExprPtr out = Expr::withKids(*e, std::move(kids));
     if (isRoot || e->op == Op::ArrayRef) return out;
     Symbol* t = newSynthVar("$a" + std::to_string(synthN_++));
     selectAndEmit(Expr::binary(Op::Store, Expr::ref(t), out));
@@ -891,12 +907,10 @@ class Emitter {
       }
     }
     if (opIsLeaf(e->op)) return e;
-    std::vector<ExprPtr> kids;
+    ExprKids kids;
     for (const auto& k : e->kids)
       kids.push_back(replaceStreams(k, ivar, groups));
-    if (e->op == Op::ArrayRef) return Expr::arrayRef(e->sym, kids[0]);
-    if (kids.size() == 1) return Expr::unary(e->op, kids[0]);
-    return Expr::binary(e->op, kids[0], kids[1]);
+    return Expr::withKids(*e, std::move(kids));
   }
 
   // ---- loops ----------------------------------------------------------------
@@ -1123,6 +1137,10 @@ class Emitter {
   int curCol_ = 0;
   std::vector<std::unique_ptr<Symbol>> synths_;
   std::vector<MInstr> code_;
+  // selectAndEmit's per-variant search order, node counts and cover costs.
+  std::vector<int> order_;
+  std::vector<int> sizes_;
+  std::vector<int> costs_;
   std::string pendingLabel_;
   int labelN_ = 0;
   int synthN_ = 0;

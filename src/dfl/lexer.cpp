@@ -1,7 +1,6 @@
 #include "dfl/lexer.h"
 
-#include <cctype>
-#include <map>
+#include <string_view>
 
 namespace record::dfl {
 
@@ -51,8 +50,22 @@ const char* tokName(Tok t) {
 }
 
 namespace {
-const std::map<std::string, Tok>& keywords() {
-  static const std::map<std::string, Tok> kw = {
+
+bool isAlpha(char c) {
+  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c == '_';
+}
+bool isDigit(char c) { return c >= '0' && c <= '9'; }
+bool isHexDigit(char c) {
+  return isDigit(c) || (c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F');
+}
+
+/// The keyword `id` spells, or Tok::Ident.
+Tok keyword(std::string_view id) {
+  struct Kw {
+    std::string_view text;
+    Tok tok;
+  };
+  static constexpr Kw kKeywords[] = {
       {"program", Tok::KwProgram}, {"input", Tok::KwInput},
       {"output", Tok::KwOutput},   {"var", Tok::KwVar},
       {"const", Tok::KwConst},     {"delay", Tok::KwDelay},
@@ -62,8 +75,11 @@ const std::map<std::string, Tok>& keywords() {
       {"step", Tok::KwStep},       {"do", Tok::KwDo},
       {"endfor", Tok::KwEndfor},
   };
-  return kw;
+  for (const Kw& kw : kKeywords)
+    if (kw.text == id) return kw.tok;
+  return Tok::Ident;
 }
+
 }  // namespace
 
 Lexer::Lexer(std::string source, DiagEngine& diag)
@@ -107,18 +123,18 @@ Token Lexer::next() {
     t.kind = Tok::End;
     return t;
   }
+  const size_t start = pos_;
   char c = advance();
-  if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
-    std::string id(1, c);
-    while (!atEnd() && (std::isalnum(static_cast<unsigned char>(peek())) ||
-                        peek() == '_'))
-      id.push_back(advance());
-    auto it = keywords().find(id);
-    t.kind = it != keywords().end() ? it->second : Tok::Ident;
-    t.text = std::move(id);
+  if (isAlpha(c)) {
+    // Identifiers never span a newline, so only the column moves.
+    while (!atEnd() && (isAlpha(src_[pos_]) || isDigit(src_[pos_]))) ++pos_;
+    col_ += static_cast<int>(pos_ - start - 1);
+    const std::string_view id(src_.data() + start, pos_ - start);
+    t.kind = keyword(id);
+    t.text = id;
     return t;
   }
-  if (std::isdigit(static_cast<unsigned char>(c))) {
+  if (isDigit(c)) {
     // Literals denote 16-bit data words, so anything past 0xffff is a
     // typo, not a bigger number; accumulate in uint64 with a clamp (the
     // old int64 accumulation overflowed -- undefined behavior -- on
@@ -130,14 +146,12 @@ Token Lexer::next() {
     if (v == 0 && (peek() == 'x' || peek() == 'X')) {
       advance();
       bool any = false;
-      while (!atEnd() &&
-             std::isxdigit(static_cast<unsigned char>(peek()))) {
+      while (!atEnd() && isHexDigit(peek())) {
         char d = advance();
         any = true;
-        v = v * 16 + static_cast<uint64_t>(
-                         std::isdigit(static_cast<unsigned char>(d))
-                             ? d - '0'
-                             : std::tolower(d) - 'a' + 10);
+        v = v * 16 + static_cast<uint64_t>(isDigit(d)   ? d - '0'
+                                           : d >= 'a' ? d - 'a' + 10
+                                                      : d - 'A' + 10);
         if (v > kMax) {
           overflow = true;
           v = kMax;
@@ -145,7 +159,7 @@ Token Lexer::next() {
       }
       if (!any) diag_.error(t.loc, "hex literal with no digits");
     } else {
-      while (!atEnd() && std::isdigit(static_cast<unsigned char>(peek()))) {
+      while (!atEnd() && isDigit(peek())) {
         v = v * 10 + static_cast<uint64_t>(advance() - '0');
         if (v > kMax) {
           overflow = true;
@@ -225,6 +239,7 @@ Token Lexer::next() {
 
 std::vector<Token> Lexer::lexAll() {
   std::vector<Token> out;
+  out.reserve(src_.size() / 2 + 1);  // DFL averages ~2.7 bytes per token
   for (;;) {
     Token t = next();
     bool end = (t.kind == Tok::End);

@@ -1,6 +1,6 @@
 #include "ir/expr.h"
 
-#include <cassert>
+#include <algorithm>
 #include <sstream>
 
 namespace record {
@@ -96,6 +96,12 @@ ExprPtr Expr::binary(Op op, ExprPtr a, ExprPtr b) {
   return e;
 }
 
+ExprPtr Expr::withKids(const Expr& like, ExprKids kids) {
+  if (like.op == Op::ArrayRef) return arrayRef(like.sym, std::move(kids[0]));
+  if (kids.size() == 1) return unary(like.op, std::move(kids[0]));
+  return binary(like.op, std::move(kids[0]), std::move(kids[1]));
+}
+
 int Expr::numNodes() const {
   int n = 1;
   for (const auto& k : kids) n += k->numNodes();
@@ -115,6 +121,7 @@ uint64_t Expr::hash() const {
     h *= 1099511628211ull;
   };
   mix(static_cast<uint64_t>(op));
+  mix(static_cast<uint64_t>(type));
   mix(static_cast<uint64_t>(value));
   mix(reinterpret_cast<uint64_t>(sym));
   for (const auto& k : kids) mix(k->hash());

@@ -4,13 +4,15 @@
 //
 // Nodes are immutable and shared (ExprPtr = shared_ptr<const Expr>), so
 // rewriting builds new trees cheaply and structural hashing can deduplicate
-// the enumeration frontier.
+// the enumeration frontier. No operator takes more than two operands, so a
+// node keeps its kids inline: an Expr is 64 bytes, and building one is a
+// single allocation together with its shared_ptr control block.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "ir/symbol.h"
 #include "ir/type.h"
@@ -51,19 +53,49 @@ bool opIsLeaf(Op op);        // Const, Ref
 struct Expr;
 using ExprPtr = std::shared_ptr<const Expr>;
 
+/// The operands of a node: up to two non-null kids, stored inline. Filled
+/// in order, so the count is the number of leading non-null slots.
+class ExprKids {
+ public:
+  size_t size() const { return k_[1] ? 2 : k_[0] ? 1 : 0; }
+  bool empty() const { return !k_[0]; }
+
+  ExprPtr& operator[](size_t i) {
+    assert(i < size());
+    return k_[i];
+  }
+  const ExprPtr& operator[](size_t i) const {
+    assert(i < size());
+    return k_[i];
+  }
+  ExprPtr& back() { return k_[size() - 1]; }
+
+  ExprPtr* begin() { return k_; }
+  ExprPtr* end() { return k_ + size(); }
+  const ExprPtr* begin() const { return k_; }
+  const ExprPtr* end() const { return k_ + size(); }
+
+  void push_back(ExprPtr k) {
+    assert(k && !k_[1] && "an Expr has at most two non-null kids");
+    k_[k_[0] ? 1 : 0] = std::move(k);
+  }
+
+ private:
+  ExprPtr k_[2];
+};
+
 struct Expr {
   Op op = Op::Const;
+  Type type = Type::Fix;
+  // Hash-consing tag (see ir/interner.h): the interner that built this
+  // canonical node (internOwner, below), and its dense ID there. Written
+  // only by the interner; the ID-indexed caches (rewrite cache, BURS label
+  // memo, node counts) read internId.
+  mutable uint32_t internId = 0;
   int64_t value = 0;            // Const: literal; Ref: delay depth (x@value)
   const Symbol* sym = nullptr;  // Ref / ArrayRef
-  std::vector<ExprPtr> kids;
-
-  Type type = Type::Fix;
-
-  // Hash-consing tag (see ir/interner.h): the interner that built this
-  // canonical node, and its dense ID there. Written only by the interner;
-  // the ID-indexed caches (rewrite cache, BURS label memo) read internId.
+  ExprKids kids;
   mutable const void* internOwner = nullptr;
-  mutable uint32_t internId = 0;
 
   // --- factories -----------------------------------------------------------
   static ExprPtr constant(int64_t v, Type t = Type::Fix);
@@ -71,11 +103,15 @@ struct Expr {
   static ExprPtr arrayRef(const Symbol* s, ExprPtr index);
   static ExprPtr unary(Op op, ExprPtr a);
   static ExprPtr binary(Op op, ExprPtr a, ExprPtr b);
+  /// A node of `like`'s op (and sym) over `kids`, built by the factory
+  /// above that fits: the one rebuild every tree pass shares.
+  static ExprPtr withKids(const Expr& like, ExprKids kids);
 
   // --- structure -----------------------------------------------------------
   int numNodes() const;
   int depth() const;
-  /// Structural hash (ignores shared-pointer identity).
+  /// Structural hash over the interner's key (op, type, value, sym, kids),
+  /// so hash dedup and interning agree; ignores shared-pointer identity.
   uint64_t hash() const;
   /// A canonical, parenthesized rendering, e.g. "(add (ref x) (mul ...))".
   std::string str() const;

@@ -1,9 +1,86 @@
 #include "ir/interner.h"
 
+#include <algorithm>
 #include <cassert>
-#include <stdexcept>
+#include <cstddef>
+#include <new>
 
 namespace record {
+
+/// Bump allocator for canonical nodes: chunks grow geometrically and are
+/// only released together, when the arena dies. Single-threaded, like the
+/// interner that allocates from it; freeing a node is a no-op, so nodes may
+/// die on any thread.
+class NodeArena {
+ public:
+  NodeArena() = default;
+  NodeArena(const NodeArena&) = delete;
+  NodeArena& operator=(const NodeArena&) = delete;
+  ~NodeArena() {
+    while (head_) {
+      Chunk* prev = head_->prev;
+      ::operator delete(head_);
+      head_ = prev;
+    }
+  }
+
+  void* allocate(size_t bytes, size_t align) {
+    size_t at = (used_ + align - 1) & ~(align - 1);
+    if (!head_ || at + bytes > head_->size) {
+      // Sized for a cold compile's new shapes in one or two chunks.
+      size_t size = head_ ? std::min<size_t>(2 * head_->size, kMaxChunk)
+                          : kFirstChunk;
+      size = std::max(size, bytes + sizeof(Chunk) + align);
+      head_ = new (::operator new(size)) Chunk{head_, size};
+      at = (sizeof(Chunk) + align - 1) & ~(align - 1);
+    }
+    used_ = at + bytes;
+    return reinterpret_cast<std::byte*>(head_) + at;
+  }
+
+ private:
+  static constexpr size_t kFirstChunk = 8 << 10;
+  static constexpr size_t kMaxChunk = 256 << 10;
+  struct Chunk {
+    Chunk* prev;
+    size_t size;  // bytes, header included
+  };
+  Chunk* head_ = nullptr;
+  size_t used_ = 0;  // bytes of head_ in use, header included
+};
+
+namespace {
+
+/// Allocator handing out arena memory. Each copy holds the arena, so the
+/// control block of every node built with it keeps the arena alive.
+template <class T>
+struct ArenaAllocator {
+  using value_type = T;
+  std::shared_ptr<NodeArena> arena;
+
+  explicit ArenaAllocator(std::shared_ptr<NodeArena> a) : arena(std::move(a)) {}
+  template <class U>
+  ArenaAllocator(const ArenaAllocator<U>& o) : arena(o.arena) {}
+
+  T* allocate(size_t n) {
+    return static_cast<T*>(arena->allocate(n * sizeof(T), alignof(T)));
+  }
+  void deallocate(T*, size_t) noexcept {}  // released with the arena
+
+  template <class U>
+  bool operator==(const ArenaAllocator<U>& o) const {
+    return arena == o.arena;
+  }
+};
+
+// Initial table capacities: a cold compile interns ~50-200 nodes, so
+// neither the node list nor the probe table regrows in the common case.
+constexpr size_t kInitialNodes = 256;
+constexpr size_t kInitialSlots = 2 * kInitialNodes;
+
+}  // namespace
+
+ExprInterner::ExprInterner() : arena_(std::make_shared<NodeArena>()) {}
 
 ExprInterner::~ExprInterner() {
   // One pass, parents (higher IDs) before their kids: clear each tag (the
@@ -46,9 +123,6 @@ const Expr* ExprInterner::canonical(const Expr& e) {
     ++hits_;
     return &e;
   }
-  // Expression nodes have at most two kids (opArity).
-  if (e.kids.size() > 2)
-    throw std::logic_error("ExprInterner: node with more than two kids");
   const Expr* kids[2] = {nullptr, nullptr};
   for (size_t i = 0; i < e.kids.size(); ++i) kids[i] = canonical(*e.kids[i]);
   return lookupOrAdd(e.op, e.type, e.value, e.sym, kids, e.kids.size());
@@ -86,12 +160,11 @@ const Expr* ExprInterner::lookupOrAdd(Op op, Type type, int64_t value,
   }
 
   // Miss: build the representative from the canonical kids.
-  auto n = std::make_shared<Expr>();
+  auto n = std::allocate_shared<Expr>(ArenaAllocator<Expr>(arena_));
   n->op = op;
   n->type = type;
   n->value = value;
   n->sym = sym;
-  n->kids.reserve(numKids);
   for (size_t k = 0; k < numKids; ++k) {
     assert(kids[k]->internOwner == this && "kids must be canonical here");
     n->kids.push_back(nodes_[kids[k]->internId]);
@@ -99,12 +172,13 @@ const Expr* ExprInterner::lookupOrAdd(Op op, Type type, int64_t value,
   const auto id = static_cast<uint32_t>(nodes_.size());
   n->internOwner = this;
   n->internId = id;
+  if (nodes_.empty()) nodes_.reserve(kInitialNodes);
   nodes_.push_back(std::move(n));
 
   if (2 * nodes_.size() > table_.size()) {
     // Keep the table at most half full: double it and reinsert every slot.
     std::vector<Slot> old = std::move(table_);
-    table_.assign(old.empty() ? 64 : 2 * old.size(), Slot{});
+    table_.assign(old.empty() ? kInitialSlots : 2 * old.size(), Slot{});
     for (const Slot& s : old)
       if (s.id != kEmpty) insertSlot(s);
   }

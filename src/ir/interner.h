@@ -19,6 +19,12 @@
 // threads) are never written to, and a canonical node's tag always names
 // the interner that built it.
 //
+// Canonical nodes come from a bump arena (std::allocate_shared with an
+// arena allocator): a new shape costs a pointer bump, not a malloc. Every
+// node's control block holds a reference to the arena, so a canonical node
+// may still outlive its interner -- the arena's memory is released when the
+// last node built from it dies.
+//
 // Canonical nodes are tagged in place (Expr::internOwner/internId), so
 // re-interning a canonical node -- the common case when interning a
 // rewrite neighbor whose subtrees are already canonical -- is a single
@@ -29,15 +35,18 @@
 
 #include <cstdint>
 #include <initializer_list>
+#include <memory>
 #include <vector>
 
 #include "ir/expr.h"
 
 namespace record {
 
+class NodeArena;
+
 class ExprInterner {
  public:
-  ExprInterner() = default;
+  ExprInterner();
   ExprInterner(const ExprInterner&) = delete;
   ExprInterner& operator=(const ExprInterner&) = delete;
 
@@ -93,6 +102,7 @@ class ExprInterner {
     uint32_t hash = 0;
   };
   void insertSlot(Slot s);
+  std::shared_ptr<NodeArena> arena_;  // where canonical nodes are built
   std::vector<Slot> table_;
   std::vector<ExprPtr> nodes_;  // keeps every canonical node alive
   int64_t hits_ = 0;

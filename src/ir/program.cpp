@@ -80,8 +80,7 @@ std::vector<const Symbol*> Program::storageSymbols() const {
 
 ExprPtr foldConstants(const ExprPtr& e) {
   if (opIsLeaf(e->op)) return e;
-  std::vector<ExprPtr> kids;
-  kids.reserve(e->kids.size());
+  ExprKids kids;
   bool changed = false;
   for (const auto& k : e->kids) {
     auto f = foldConstants(k);
@@ -116,10 +115,7 @@ ExprPtr foldConstants(const ExprPtr& e) {
     }
     return Expr::constant(v, e->type);
   }
-  if (!changed) return e;
-  if (e->op == Op::ArrayRef) return Expr::arrayRef(e->sym, kids[0]);
-  if (kids.size() == 1) return Expr::unary(e->op, kids[0]);
-  return Expr::binary(e->op, kids[0], kids[1]);
+  return changed ? Expr::withKids(*e, std::move(kids)) : e;
 }
 
 ExprPtr substInduction(const ExprPtr& e, const Symbol* ivar, int64_t v) {
@@ -128,7 +124,7 @@ ExprPtr substInduction(const ExprPtr& e, const Symbol* ivar, int64_t v) {
     return e;
   }
   if (e->op == Op::Const) return e;
-  std::vector<ExprPtr> kids;
+  ExprKids kids;
   bool changed = false;
   for (const auto& k : e->kids) {
     auto s = substInduction(k, ivar, v);
@@ -136,14 +132,7 @@ ExprPtr substInduction(const ExprPtr& e, const Symbol* ivar, int64_t v) {
     kids.push_back(std::move(s));
   }
   if (!changed) return e;
-  ExprPtr out;
-  if (e->op == Op::ArrayRef)
-    out = Expr::arrayRef(e->sym, kids[0]);
-  else if (kids.size() == 1)
-    out = Expr::unary(e->op, kids[0]);
-  else
-    out = Expr::binary(e->op, kids[0], kids[1]);
-  return foldConstants(out);
+  return foldConstants(Expr::withKids(*e, std::move(kids)));
 }
 
 static void flattenInto(const std::vector<Stmt>& body,

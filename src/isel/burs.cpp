@@ -7,40 +7,8 @@
 
 namespace record {
 
-namespace {
-
-int patternDepth(const PatNode& p) {
-  if (p.kind != PatNode::Kind::OpNode) return 0;
-  int d = 0;
-  for (const auto& k : p.kids) d = std::max(d, patternDepth(k));
-  return d + 1;
-}
-
-}  // namespace
-
 BursMatcher::BursMatcher(const RuleSet& rules, CostKind costKind)
-    : rules_(rules), costKind_(costKind) {
-  // The kid-sum lower bound used for branch-and-bound assumes a pattern
-  // rooted at a node reaches at most its grandchildren (every deeper node
-  // is then covered through its own labeled cost). Rule sets with deeper
-  // patterns simply run unbounded.
-  int maxDepth = 0;
-  for (const auto& r : rules_.rules)
-    maxDepth = std::max(maxDepth, patternDepth(r.pat));
-  boundable_ = maxDepth <= 2;
-
-  rulesByOp_.resize(static_cast<size_t>(Op::Store) + 1);
-  for (size_t ri = 0; ri < rules_.rules.size(); ++ri) {
-    const PatNode& p = rules_.rules[ri].pat;
-    if (p.kind == PatNode::Kind::NtLeaf)
-      chainRules_.push_back(static_cast<int>(ri));
-    else if (p.kind == PatNode::Kind::OpNode)
-      rulesByOp_[static_cast<size_t>(p.op)].push_back(static_cast<int>(ri));
-    else  // ConstLeaf patterns only ever match Const nodes
-      rulesByOp_[static_cast<size_t>(Op::Const)].push_back(
-          static_cast<int>(ri));
-  }
-}
+    : rules_(rules), index_(rules.index()), costKind_(costKind) {}
 
 void BursMatcher::setTrace(TraceContext* trace, const std::string* loc) {
   trace_ = trace;
@@ -190,7 +158,7 @@ const BursMatcher::NodeState* BursMatcher::label(const ExprPtr& e,
     if (cost < ch.cost) ch = {Choice::Kind::Rule, static_cast<int>(ri), cost};
   };
   if (memo_) {
-    for (int ri : rulesByOp_[static_cast<size_t>(e->op)])
+    for (int ri : index_.byOp[static_cast<size_t>(e->op)])
       tryStructural(static_cast<size_t>(ri));
   } else {
     for (size_t ri = 0; ri < rules_.rules.size(); ++ri) {
@@ -219,7 +187,7 @@ const BursMatcher::NodeState* BursMatcher::label(const ExprPtr& e,
   };
   if (memo_) {
     closeChains([&](auto&& apply) {
-      for (int ri : chainRules_) apply(static_cast<size_t>(ri));
+      for (int ri : index_.chain) apply(static_cast<size_t>(ri));
     });
   } else {
     closeChains([&](auto&& apply) {
@@ -239,7 +207,7 @@ MatchOutcome BursMatcher::matchCostBounded(const ExprPtr& tree, Nonterm goal,
                                            OperandBinder& binder, int limit) {
   beginLabeling(binder);
   binder_ = &binder;
-  limit_ = boundable_ ? limit : kInfCost;
+  limit_ = index_.boundable ? limit : kInfCost;
   const NodeState* st = label(tree, binder);
   limit_ = kInfCost;
   binder_ = nullptr;
@@ -249,21 +217,21 @@ MatchOutcome BursMatcher::matchCostBounded(const ExprPtr& tree, Nonterm goal,
   return {c.cost, false};
 }
 
-void BursMatcher::collectLeafBindings(
-    const PatNode& pat, const ExprPtr& e,
-    std::vector<std::pair<const PatNode*, ExprPtr>>& out) {
-  switch (pat.kind) {
-    case PatNode::Kind::ConstLeaf:
-      return;
-    case PatNode::Kind::NtLeaf:
-      out.emplace_back(&pat, e);
-      return;
-    case PatNode::Kind::OpNode:
-      for (size_t i = 0; i < pat.kids.size(); ++i)
-        collectLeafBindings(pat.kids[i], e->kids[i], out);
-      return;
+namespace {
+
+/// Visits the nonterminal leaves of a structural match of `pat` at `e`
+/// (preorder, left to right) with the expression node each one covers.
+template <class F>
+void forEachLeaf(const PatNode& pat, const ExprPtr& e, F&& f) {
+  if (pat.kind == PatNode::Kind::NtLeaf) {
+    f(pat, e);
+  } else if (pat.kind == PatNode::Kind::OpNode) {
+    for (size_t i = 0; i < pat.kids.size(); ++i)
+      forEachLeaf(pat.kids[i], e->kids[i], f);
   }
 }
+
+}  // namespace
 
 Operand BursMatcher::reduceTo(const ExprPtr& e, Nonterm nt,
                               OperandBinder& binder, std::vector<MInstr>& out,
@@ -286,32 +254,33 @@ Operand BursMatcher::reduceTo(const ExprPtr& e, Nonterm nt,
                    traceLoc_ ? *traceLoc_ : std::string());
   }
 
-  // Gather the rule's leaves paired with the expression nodes they cover.
-  std::vector<std::pair<const PatNode*, ExprPtr>> leaves;
-  collectLeafBindings(r.pat, e, leaves);
+  // This rule's operand slots: a frame on the matcher's slot stack. Nested
+  // reductions push frames above it (and may move the buffer), so slots
+  // are addressed by index.
+  const size_t frame = slotStack_.size();
+  slotStack_.resize(frame + static_cast<size_t>(index_.maxSlots));
+  auto slot = [&](int k) -> Operand& {
+    assert(k >= 0 && k < index_.maxSlots);
+    return slotStack_[frame + static_cast<size_t>(k)];
+  };
 
   // Reduce all Mem/Imm leaves first (their results are stable memory or
   // immediate operands), then the Acc leaf. See header comment.
-  int maxSlot = -1;
-  for (auto& [p, _] : leaves) maxSlot = std::max(maxSlot, p->slot);
-  std::vector<Operand> slots(static_cast<size_t>(maxSlot + 1));
-
-  for (auto& [p, sub] : leaves) {
-    if (p->nt == Nonterm::Acc) continue;
+  forEachLeaf(r.pat, e, [&](const PatNode& p, const ExprPtr& sub) {
+    if (p.nt == Nonterm::Acc) return;
     // The first child of a Store pattern is the write destination.
     bool dest = r.pat.kind == PatNode::Kind::OpNode &&
                 r.pat.op == Op::Store && !r.pat.kids.empty() &&
-                p == &r.pat.kids[0];
-    Operand o = reduceTo(sub, p->nt, binder, out, patterns, dest);
-    if (p->slot >= 0) slots[static_cast<size_t>(p->slot)] = o;
-  }
-  for (auto& [p, sub] : leaves) {
-    if (p->nt != Nonterm::Acc) continue;
-    reduceTo(sub, Nonterm::Acc, binder, out, patterns);
-  }
+                &p == &r.pat.kids[0];
+    Operand o = reduceTo(sub, p.nt, binder, out, patterns, dest);
+    if (p.slot >= 0) slot(p.slot) = o;
+  });
+  forEachLeaf(r.pat, e, [&](const PatNode& p, const ExprPtr& sub) {
+    if (p.nt == Nonterm::Acc)
+      reduceTo(sub, Nonterm::Acc, binder, out, patterns);
+  });
 
   // Emit the rule's instructions.
-  Operand result = Operand::none();
   int tempAddr = -1;
   for (const auto& tmpl : r.emit) {
     MInstr mi;
@@ -322,7 +291,7 @@ Operand BursMatcher::reduceTo(const ExprPtr& e, Nonterm nt,
         case OperTemplate::Kind::None:
           return Operand::none();
         case OperTemplate::Kind::Slot:
-          return slots.at(static_cast<size_t>(ot.slot));
+          return slot(ot.slot);
         case OperTemplate::Kind::FixedImm:
           return Operand::imm(ot.imm);
         case OperTemplate::Kind::Temp:
@@ -336,22 +305,32 @@ Operand BursMatcher::reduceTo(const ExprPtr& e, Nonterm nt,
     out.push_back(std::move(mi));
   }
 
-  // The operand representing this node's value as `nt`.
-  if (nt == Nonterm::Mem) {
-    if (tempAddr >= 0) return Operand::direct(tempAddr);
-    // A chain like imm->mem without a temp template would be a grammar bug.
-    if (r.isChain() && r.pat.slot >= 0)
-      return slots.at(static_cast<size_t>(r.pat.slot));
-    return result;
-  }
-  if ((nt == Nonterm::Imm8 || nt == Nonterm::Imm16) && r.isChain() &&
-      r.pat.slot >= 0)
-    return slots.at(static_cast<size_t>(r.pat.slot));
+  // The operand representing this node's value as `nt` (none for Acc and
+  // Stmt). A chain like imm->mem without a temp template would be a
+  // grammar bug.
+  Operand result = Operand::none();
+  const bool slotChain = r.isChain() && r.pat.slot >= 0;
+  if (nt == Nonterm::Mem && tempAddr >= 0)
+    result = Operand::direct(tempAddr);
+  else if ((nt == Nonterm::Mem || nt == Nonterm::Imm8 ||
+            nt == Nonterm::Imm16) &&
+           slotChain)
+    result = slot(r.pat.slot);
+  slotStack_.resize(frame);
   return result;
 }
 
 CoverResult BursMatcher::reduce(const ExprPtr& tree, Nonterm goal,
                                 OperandBinder& binder) {
+  std::vector<MInstr> code;
+  CoverResult res = reduce(tree, goal, binder, code);
+  res.code = std::move(code);
+  return res;
+}
+
+CoverResult BursMatcher::reduce(const ExprPtr& tree, Nonterm goal,
+                                OperandBinder& binder,
+                                std::vector<MInstr>& out) {
   CoverResult res;
   beginLabeling(binder);
   binder_ = &binder;
@@ -364,7 +343,8 @@ CoverResult BursMatcher::reduce(const ExprPtr& tree, Nonterm goal,
     return res;
   }
   res.cost = c.cost;
-  reduceTo(tree, goal, binder, res.code, res.patternsUsed);
+  slotStack_.clear();  // a reduction that threw may have left frames
+  reduceTo(tree, goal, binder, out, res.patternsUsed);
   binder_ = nullptr;
   res.ok = true;
   return res;

@@ -131,6 +131,10 @@ class BursMatcher {
 
   /// Full selection: label then reduce, emitting code.
   CoverResult reduce(const ExprPtr& tree, Nonterm goal, OperandBinder& binder);
+  /// The same, appending the code to `out` rather than to res.code, so a
+  /// caller can emit every statement into one buffer.
+  CoverResult reduce(const ExprPtr& tree, Nonterm goal, OperandBinder& binder,
+                     std::vector<MInstr>& out);
 
   /// Keep node labels across matchCost/reduce calls in `memo` (null turns
   /// the memo off), indexed by intern ID and valid for one binder
@@ -185,21 +189,16 @@ class BursMatcher {
                    std::vector<MInstr>& out, int& patterns,
                    bool isStoreDest = false);
 
-  /// Collect (patternLeaf, exprNode) pairs of a structural rule match.
-  void collectLeafBindings(
-      const PatNode& pat, const ExprPtr& e,
-      std::vector<std::pair<const PatNode*, ExprPtr>>& out);
-
   const RuleSet& rules_;
+  // The rule set's own index (built once per RuleSet, shared by every
+  // matcher over it): the memoized fast path visits only the root-op
+  // bucket and the chain-rule list, which yields label tables identical to
+  // the full scan the flags-off path keeps as the reference.
+  const RuleIndex& index_;
   CostKind costKind_;
-  // Rule indexes for the memoized fast path: structural rules bucketed by
-  // root op (ConstLeaf rules land in the Const bucket) plus the chain-rule
-  // list. Buckets hold ascending rule indices, so iterating one visits
-  // exactly the rules the full scan could have matched, in the same order
-  // -- the label tables are identical. The flags-off path keeps the
-  // straightforward full scan as the reference implementation.
-  std::vector<std::vector<int>> rulesByOp_;
-  std::vector<int> chainRules_;
+  // Operand-slot frames of the reductions in flight, RuleIndex::maxSlots
+  // each; reused across reduce() calls.
+  std::vector<Operand> slotStack_;
   // Label states of the flags-off path, rebuilt on every call: the
   // reference implementation the memo below must agree with.
   std::unordered_map<const Expr*, NodeState> states_;
@@ -219,10 +218,6 @@ class BursMatcher {
 
   // Branch-and-bound state for the current bounded call.
   int limit_ = kInfCost;
-  /// Sound kid-sum lower bounds need every structural pattern to reach at
-  /// most grandchild depth (true for the tdsp grammar); deeper rule sets
-  /// disable bounding.
-  bool boundable_ = false;
 };
 
 }  // namespace record

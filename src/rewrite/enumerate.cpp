@@ -19,11 +19,9 @@ int log2i(int64_t v) {
 }
 
 ExprPtr rebuildWithKid(const ExprPtr& e, size_t idx, ExprPtr kid) {
-  std::vector<ExprPtr> kids = e->kids;
+  ExprKids kids = e->kids;
   kids[idx] = std::move(kid);
-  if (e->op == Op::ArrayRef) return Expr::arrayRef(e->sym, kids[0]);
-  if (kids.size() == 1) return Expr::unary(e->op, kids[0]);
-  return Expr::binary(e->op, kids[0], kids[1]);
+  return Expr::withKids(*e, std::move(kids));
 }
 
 /// The same rebuild from canonical parts, probed in the interner: fields

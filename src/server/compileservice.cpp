@@ -597,17 +597,6 @@ CompileResponse CompileService::compileSync(CompileRequest req) {
   return submit(std::move(req)).wait();
 }
 
-std::vector<CompileResponse> CompileService::compileBatch(
-    std::vector<CompileRequest> reqs) {
-  std::vector<Ticket> tickets;
-  tickets.reserve(reqs.size());
-  for (auto& r : reqs) tickets.push_back(submit(std::move(r)));
-  std::vector<CompileResponse> out;
-  out.reserve(tickets.size());
-  for (auto& t : tickets) out.push_back(t.wait());
-  return out;
-}
-
 ServiceStats CompileService::stats() const {
   std::lock_guard<std::mutex> lock(impl_->mu);
   return impl_->stats;

@@ -65,7 +65,7 @@
 // request event log (ServiceOptions::requestLogPath) records one line per
 // fulfilled request.
 //
-// Thread safety: submit()/compileSync()/compileBatch() may be called from
+// Thread safety: submit()/compileSync() may be called from
 // any number of threads. Responses are delivered through futures; the
 // shared TargetPrograms are immutable and may be simulated concurrently.
 #pragma once
@@ -247,9 +247,6 @@ class CompileService {
 
   /// submit + wait.
   CompileResponse compileSync(CompileRequest req);
-
-  /// Submit every request, then wait for all (stream order preserved).
-  std::vector<CompileResponse> compileBatch(std::vector<CompileRequest> reqs);
 
   ServiceStats stats() const;
   int workers() const;

@@ -74,8 +74,6 @@ int64_t Machine::readSymbol(const std::string& sym, int offset) const {
   return readData(symbols_.base(sym) + offset);
 }
 
-void Machine::setAcc(int64_t v) { acc_ = wrap32(v); }
-
 // ---------------------------------------------------------------------------
 // Decode
 // ---------------------------------------------------------------------------

@@ -91,7 +91,6 @@ class Machine {
   bool ovm() const { return ovm_; }
   bool sxm() const { return sxm_; }
   int pc() const { return pc_; }
-  void setAcc(int64_t v);
 
   /// Decode-level fault: every instruction's opcode is remapped through `f`
   /// and the program is re-decoded under the substitution. `f` must be a

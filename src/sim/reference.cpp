@@ -61,8 +61,6 @@ int64_t ReferenceMachine::readSymbol(const std::string& sym,
   return readData(symbols_.base(sym) + offset);
 }
 
-void ReferenceMachine::setAcc(int64_t v) { acc_ = wrap32(v); }
-
 int& ReferenceMachine::arAt(int idx) {
   if (idx < 0 || static_cast<size_t>(idx) >= ar_.size())
     throw std::runtime_error("bad AR index");

@@ -59,7 +59,6 @@ class ReferenceMachine {
   bool ovm() const { return ovm_; }
   bool sxm() const { return sxm_; }
   int pc() const { return pc_; }
-  void setAcc(int64_t v);
 
   /// Decode-level fault: every fetched opcode is remapped through `f`.
   /// Unlike Machine, the remap is applied per fetch (no decoded program to

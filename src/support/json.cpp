@@ -16,6 +16,8 @@ const Value* Value::find(const std::string& key) const {
 namespace {
 
 struct Parser {
+  explicit Parser(const std::string& text) : in(text) {}
+
   const std::string& in;
   size_t pos = 0;
   std::string err;
@@ -167,7 +169,7 @@ struct Parser {
 }  // namespace
 
 std::optional<Value> parse(const std::string& text, std::string* err) {
-  Parser p{text};
+  Parser p(text);
   Value v;
   if (!p.parseValue(v, 0)) {
     if (err) *err = p.err;

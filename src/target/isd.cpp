@@ -1,5 +1,7 @@
 #include "target/isd.h"
 
+#include <algorithm>
+#include <cassert>
 #include <cstdio>
 #include <sstream>
 
@@ -125,6 +127,73 @@ int RuleSet::numSlots(const Rule& r) {
     if (l->kind == PatNode::Kind::NtLeaf && l->slot >= 0) ++n;
   return n;
 }
+
+namespace {
+
+int patternDepth(const PatNode& p) {
+  if (p.kind != PatNode::Kind::OpNode) return 0;
+  int d = 0;
+  for (const auto& k : p.kids) d = std::max(d, patternDepth(k));
+  return d + 1;
+}
+
+int maxPatternSlot(const PatNode& p) {
+  int m = p.kind == PatNode::Kind::NtLeaf ? p.slot : -1;
+  for (const auto& k : p.kids) m = std::max(m, maxPatternSlot(k));
+  return m;
+}
+
+RuleIndex buildIndex(const std::vector<Rule>& rules) {
+  RuleIndex ix;
+  ix.numRules = rules.size();
+  ix.byOp.resize(static_cast<size_t>(Op::Store) + 1);
+  int maxDepth = 0;
+  for (size_t ri = 0; ri < rules.size(); ++ri) {
+    const Rule& r = rules[ri];
+    const int i = static_cast<int>(ri);
+    if (r.pat.kind == PatNode::Kind::NtLeaf)
+      ix.chain.push_back(i);
+    else if (r.pat.kind == PatNode::Kind::OpNode)
+      ix.byOp[static_cast<size_t>(r.pat.op)].push_back(i);
+    else  // ConstLeaf patterns only ever match Const nodes
+      ix.byOp[static_cast<size_t>(Op::Const)].push_back(i);
+    maxDepth = std::max(maxDepth, patternDepth(r.pat));
+    int slot = maxPatternSlot(r.pat);
+    for (const EmitTemplate& t : r.emit)
+      for (const OperTemplate* ot : {&t.a, &t.b})
+        if (ot->kind == OperTemplate::Kind::Slot)
+          slot = std::max(slot, ot->slot);
+    ix.maxSlots = std::max(ix.maxSlots, slot + 1);
+  }
+  // The kid-sum lower bound assumes a pattern rooted at a node reaches at
+  // most its grandchildren (every deeper node is then covered through its
+  // own labeled cost). Rule sets with deeper patterns run unbounded.
+  ix.boundable = maxDepth <= 2;
+  return ix;
+}
+
+}  // namespace
+
+const RuleIndex& RuleSet::index() const {
+  const RuleIndex* ix = index_.ptr.load();
+  if (!ix) {
+    // Racing first callers may each build one; the first to publish wins.
+    auto* built = new RuleIndex(buildIndex(rules));
+    if (index_.ptr.compare_exchange_strong(ix, built))
+      ix = built;
+    else
+      delete built;
+  }
+  assert(ix->numRules == rules.size() && "rules edited after indexing");
+  return *ix;
+}
+
+RuleSet::IndexCache& RuleSet::IndexCache::operator=(const IndexCache&) {
+  delete ptr.exchange(nullptr);
+  return *this;
+}
+
+RuleSet::IndexCache::~IndexCache() { delete ptr.load(); }
 
 std::string RuleSet::str() const {
   std::ostringstream os;

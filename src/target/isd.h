@@ -15,6 +15,7 @@
 // a literal immediate; `%t` is a fresh one-word memory temp.
 #pragma once
 
+#include <atomic>
 #include <optional>
 #include <string>
 #include <vector>
@@ -89,6 +90,25 @@ struct Rule {
   bool needsTemp() const;
 };
 
+/// The BURS matcher's lookup tables over a rule set, a pure function of
+/// its rules (see RuleSet::index()).
+struct RuleIndex {
+  /// Structural rules by root op (ConstLeaf patterns under Op::Const), each
+  /// bucket in ascending rule order: iterating one visits exactly the rules
+  /// a full scan could match at a node of that op, in the same order.
+  std::vector<std::vector<int>> byOp;
+  /// Chain rules (NtLeaf patterns), in ascending rule order.
+  std::vector<int> chain;
+  /// Every pattern reaches at most grandchild depth, which makes the
+  /// matcher's kid-sum lower bound (branch-and-bound) sound.
+  bool boundable = false;
+  /// Operand slots any one rule uses (pattern leaves and emit templates):
+  /// the size of a reduction's slot frame.
+  int maxSlots = 0;
+  /// Number of rules indexed (checks that the rules were not edited since).
+  size_t numRules = 0;
+};
+
 struct RuleSet {
   std::vector<Rule> rules;
   TargetConfig config;
@@ -98,6 +118,25 @@ struct RuleSet {
 
   /// Textual ISD; parseIsd() accepts exactly this format.
   std::string str() const;
+
+  /// The matcher's lookup tables for `rules`, built on first use and then
+  /// shared by every matcher over this rule set. Safe to call from several
+  /// threads at once. The index is never rebuilt, so finish editing
+  /// `rules` before the first call; a copy starts without an index.
+  const RuleIndex& index() const;
+
+ private:
+  /// Owner of the lazily built index. Copies start empty: the copy's rules
+  /// may still be edited.
+  class IndexCache {
+   public:
+    IndexCache() = default;
+    IndexCache(const IndexCache&) {}
+    IndexCache& operator=(const IndexCache&);
+    ~IndexCache();
+    std::atomic<const RuleIndex*> ptr{nullptr};
+  };
+  mutable IndexCache index_;
 };
 
 /// Parse a textual ISD. Returns nullopt (with diagnostics) on any error.

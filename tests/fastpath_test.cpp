@@ -440,6 +440,48 @@ TEST(FastPath, DeterministicAcrossAllKernels) {
   }
 }
 
+/// fast == slow over generated programs on every sweep config, with each
+/// fast-path flag turned off in turn and with all of them off. The seed
+/// range includes 6836, whose flags-off compile on "two-banks" once took 5
+/// words to the fast path's 10: the flags-off enumeration deduplicated by
+/// Expr::hash(), which ignored `type`, so it dropped variants the
+/// interner (which keys on type) kept.
+TEST(FastPath, DeterministicOnGeneratedPrograms) {
+  auto compile = [](const Program& prog, const TargetConfig& cfg,
+                    const CodegenOptions& opt) -> std::optional<std::string> {
+    try {
+      return RecordCompiler(cfg, opt).compile(prog).prog.listing();
+    } catch (const std::runtime_error&) {
+      return std::nullopt;  // capability rejection
+    }
+  };
+  std::vector<std::pair<const char*, CodegenOptions>> refs;
+  for (const char* flag : {"internExprs", "memoLabels", "pruneSearch"}) {
+    CodegenOptions o = fastOptions();
+    o.internExprs = o.internExprs && std::string(flag) != "internExprs";
+    o.memoLabels = o.memoLabels && std::string(flag) != "memoLabels";
+    o.pruneSearch = o.pruneSearch && std::string(flag) != "pruneSearch";
+    refs.emplace_back(flag, o);
+  }
+  refs.emplace_back("all flags", slowOptions());
+
+  const auto sweep = difftest::defaultSweep();
+  int compiled = 0;
+  for (uint64_t seed = 6800; seed < 6860; ++seed) {
+    const Program prog =
+        dfl::parseDflOrDie(difftest::generateProgram(seed).render());
+    for (const auto& pt : sweep) {
+      const auto fast = compile(prog, pt.cfg, fastOptions());
+      compiled += fast.has_value();
+      for (const auto& [off, opt] : refs)
+        EXPECT_EQ(fast, compile(prog, pt.cfg, opt))
+            << "seed " << seed << " on " << pt.name << " with " << off
+            << " off";
+    }
+  }
+  EXPECT_GT(compiled, 400) << "most generated programs must compile";
+}
+
 TEST(FastPath, DeterministicOnRetargetedVariants) {
   // The guarantee must also hold away from the default core: feature-gated
   // rule sets change which covers exist.
