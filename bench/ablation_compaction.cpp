@@ -12,11 +12,9 @@ namespace {
 void printTable() {
   using namespace record::bench;
   TargetConfig cfg;
-  std::printf("Compaction ablation: code size in words (RECORD pipeline)\n");
-  hr();
-  std::printf("%-24s %7s %7s %9s %8s\n", "program", "none", "list",
-              "optimal", "merges");
-  hr();
+  std::printf(
+      "Compaction ablation: code size in words (RECORD pipeline)\n\n");
+  MdTable t({"program", "none", "list", "optimal", "merges"});
   for (const auto& k : dspstoneKernels()) {
     auto prog = dfl::parseDflOrDie(k.dfl);
     CodegenOptions none = recordOptions();
@@ -32,12 +30,12 @@ void printTable() {
     auto mo =
         measureCompiled(prog, cfg, opt, k.ticks, k.name.c_str());
     auto stats = RecordCompiler(cfg, opt).compile(prog).stats;
-    std::printf("%-24s %7d %7d %9d %8d\n", k.name.c_str(), mn.size,
-                ml.size, mo.size, stats.compacted.merges);
+    t.add({k.name, cell("%d", mn.size), cell("%d", ml.size),
+           cell("%d", mo.size), cell("%d", stats.compacted.merges)});
   }
-  hr();
+  t.print();
   std::printf(
-      "Not taking advantage of instruction-level parallelism \"means\n"
+      "\nNot taking advantage of instruction-level parallelism \"means\n"
       "loosing a factor of two in the performance\" (§3.3) -- here it\n"
       "shows as the none-vs-optimal gap on MAC-heavy kernels.\n\n");
 }

@@ -14,11 +14,9 @@ void printTable() {
   TargetConfig cfg;
   std::printf(
       "Cost-model ablation: optimize for size vs. cycles (RECORD "
-      "pipeline)\n");
-  hr();
-  std::printf("%-24s | %9s %9s | %9s %9s\n", "program", "size-opt w",
-              "cycles", "cyc-opt w", "cycles");
-  hr();
+      "pipeline)\n\n");
+  MdTable t({"program", "size-opt words", "cycles", "cycle-opt words",
+             "cycles"});
   for (const auto& k : dspstoneKernels()) {
     auto prog = dfl::parseDflOrDie(k.dfl);
     CodegenOptions sizeOpt = recordOptions();
@@ -27,13 +25,14 @@ void printTable() {
     cycOpt.cost = CostKind::Cycles;
     auto ms = measureCompiled(prog, cfg, sizeOpt, k.ticks, k.name.c_str());
     auto mc = measureCompiled(prog, cfg, cycOpt, k.ticks, k.name.c_str());
-    std::printf("%-24s | %9d %9lld | %9d %9lld\n", k.name.c_str(), ms.size,
-                static_cast<long long>(ms.cycles), mc.size,
-                static_cast<long long>(mc.cycles));
+    t.add({k.name, cell("%d", ms.size),
+           cell("%lld", static_cast<long long>(ms.cycles)),
+           cell("%d", mc.size),
+           cell("%lld", static_cast<long long>(mc.cycles))});
   }
-  hr();
+  t.print();
   std::printf(
-      "\"The need for generating extremely fast code should have priority\n"
+      "\n\"The need for generating extremely fast code should have priority\n"
       "over the desire for short compilation times\" (§3.2) -- and the\n"
       "objective itself is a compiler parameter here.\n\n");
 }

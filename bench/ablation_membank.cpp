@@ -24,11 +24,8 @@ void printKernelTable() {
   using namespace record::bench;
   auto cfg = dualCfg();
   std::printf(
-      "Memory-bank assignment on the dual-multiplier tdsp: cycles\n");
-  hr();
-  std::printf("%-24s %10s %10s %9s\n", "program", "one-bank",
-              "optimized", "saved");
-  hr();
+      "Memory-bank assignment on the dual-multiplier tdsp: cycles\n\n");
+  MdTable t({"program", "one-bank", "optimized", "saved"});
   for (const char* kn : {"n_real_updates", "n_complex_updates",
                          "dot_product", "convolution", "fir",
                          "complex_multiply"}) {
@@ -40,20 +37,19 @@ void printKernelTable() {
     on.memBankOpt = true;
     auto moff = measureCompiled(prog, cfg, off, k.ticks, kn);
     auto mon = measureCompiled(prog, cfg, on, k.ticks, kn);
-    std::printf("%-24s %10lld %10lld %8.1f%%\n", kn,
-                static_cast<long long>(moff.cycles),
-                static_cast<long long>(mon.cycles),
-                100.0 * (moff.cycles - mon.cycles) / moff.cycles);
+    t.add({kn, cell("%lld", static_cast<long long>(moff.cycles)),
+           cell("%lld", static_cast<long long>(mon.cycles)),
+           cell("%.1f%%", 100.0 * (moff.cycles - mon.cycles) / moff.cycles)});
   }
-  hr();
+  t.print();
 }
 
 void printGraphTable() {
+  using bench::cell;
   std::printf(
       "\nMax-cut quality on random multiply-pair graphs "
-      "(cut weight; higher is better)\n");
-  std::printf("%-22s %8s %8s %10s\n", "graph", "naive", "greedy",
-              "exhaustive");
+      "(cut weight; higher is better)\n\n");
+  bench::MdTable t({"graph", "naive", "greedy", "exhaustive"});
   std::mt19937 rng(99);
   for (int n : {6, 10, 14}) {
     // Build a random pair graph over n pseudo-symbols.
@@ -73,14 +69,14 @@ void printGraphTable() {
       pairs.push_back({syms[static_cast<size_t>(a)],
                        syms[static_cast<size_t>(b)], w(rng)});
     }
-    auto naive = assignBanksNaive(pairs);
-    auto greedy = assignBanks(pairs);
-    auto exact = assignBanksExhaustive(pairs);
-    std::printf("random n=%-13d %8lld %8lld %10lld\n", n,
-                static_cast<long long>(naive.cutWeight),
-                static_cast<long long>(greedy.cutWeight),
-                static_cast<long long>(exact.cutWeight));
+    t.add({cell("random n=%d", n),
+           cell("%lld", static_cast<long long>(
+                            assignBanksNaive(pairs).cutWeight)),
+           cell("%lld", static_cast<long long>(assignBanks(pairs).cutWeight)),
+           cell("%lld", static_cast<long long>(
+                            assignBanksExhaustive(pairs).cutWeight))});
   }
+  t.print();
   std::printf("\n");
 }
 

@@ -50,11 +50,9 @@ void printTable() {
   TargetConfig cfg;
   std::printf(
       "Mode-change minimization: inserted SOVM/ROVM/SSXM/RSXM "
-      "instructions\n");
-  hr();
-  std::printf("%-16s %16s %16s %10s %10s\n", "program", "naive switches",
-              "optimized", "size naive", "size opt");
-  hr();
+      "instructions\n\n");
+  MdTable t({"program", "naive switches", "optimized switches",
+             "naive words", "optimized words"});
   for (auto [name, src] :
        {std::pair<const char*, const char*>{"mixed_modes", kMixedProgram},
         {"sat_loop", kSatLoop}}) {
@@ -67,13 +65,13 @@ void printTable() {
     auto mo = measureCompiled(prog, cfg, opt, 2, name);
     auto sn = RecordCompiler(cfg, naive).compile(prog).stats;
     auto so = RecordCompiler(cfg, opt).compile(prog).stats;
-    std::printf("%-16s %16d %16d %10d %10d\n", name,
-                sn.modes.switchesInserted, so.modes.switchesInserted,
-                mn.size, mo.size);
+    t.add({name, cell("%d", sn.modes.switchesInserted),
+           cell("%d", so.modes.switchesInserted), cell("%d", mn.size),
+           cell("%d", mo.size)});
   }
-  hr();
+  t.print();
   std::printf(
-      "\"The issue for compilers is to minimize the number of "
+      "\n\"The issue for compilers is to minimize the number of "
       "mode-changing\ninstructions\" (§3.3).\n\n");
 }
 

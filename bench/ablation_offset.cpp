@@ -11,6 +11,7 @@
 #include "dfl/frontend.h"
 #include "dspstone/harness.h"
 #include "dspstone/kernels.h"
+#include "mdtable.h"
 #include "opt/agulower.h"
 #include "opt/offset.h"
 
@@ -46,50 +47,36 @@ AccessSeq kernelSeq() {
 }
 
 void printTable() {
+  using bench::cell;
   std::printf(
       "Offset assignment: address-arithmetic instructions per access "
-      "sequence\n");
-  std::printf(
-      "------------------------------------------------------------------"
-      "---\n");
-  std::printf("%-26s %6s %6s %8s %9s %7s\n", "sequence", "naive", "Liao",
-              "Leupers", "optimal*", "accesses");
-  std::printf(
-      "------------------------------------------------------------------"
-      "---\n");
-  auto row = [](const char* name, const AccessSeq& s, bool exact) {
-    auto n = soaNaive(s);
-    auto l = soaLiao(s);
-    auto lp = soaLeupers(s);
-    if (exact) {
-      auto ex = soaExhaustive(s);
-      std::printf("%-26s %6lld %6lld %8lld %9lld %7zu\n", name,
-                  static_cast<long long>(n.cost),
-                  static_cast<long long>(l.cost),
-                  static_cast<long long>(lp.cost),
-                  static_cast<long long>(ex.cost), s.seq.size());
-    } else {
-      std::printf("%-26s %6lld %6lld %8lld %9s %7zu\n", name,
-                  static_cast<long long>(n.cost),
-                  static_cast<long long>(l.cost),
-                  static_cast<long long>(lp.cost), "-", s.seq.size());
-    }
+      "sequence\n\n");
+  bench::MdTable soa(
+      {"sequence", "naive", "Liao", "Leupers", "optimal*", "accesses"});
+  auto row = [&](const char* name, const AccessSeq& s, bool exact) {
+    soa.add({name, cell("%lld", static_cast<long long>(soaNaive(s).cost)),
+             cell("%lld", static_cast<long long>(soaLiao(s).cost)),
+             cell("%lld", static_cast<long long>(soaLeupers(s).cost)),
+             exact ? cell("%lld",
+                          static_cast<long long>(soaExhaustive(s).cost))
+                   : "-",
+             cell("%zu", s.seq.size())});
   };
   row("iir-biquad shaped", kernelSeq(), false);
-  row("random  8v/40a local", randomSeq(8, 40, 1, 0.6), true);
-  row("random  8v/40a uniform", randomSeq(8, 40, 2, 0.0), true);
+  row("random 8v/40a local", randomSeq(8, 40, 1, 0.6), true);
+  row("random 8v/40a uniform", randomSeq(8, 40, 2, 0.0), true);
   row("random 12v/80a local", randomSeq(12, 80, 3, 0.6), false);
   row("random 16v/120a local", randomSeq(16, 120, 4, 0.6), false);
   row("random 16v/120a uniform", randomSeq(16, 120, 5, 0.0), false);
+  soa.print();
   std::printf("(*optimal by exhaustive permutation, <=8 variables)\n\n");
 
   // ---- compiled-kernel experiment: AGU lowering --------------------------
   std::printf(
       "AGU lowering of compiled scalar kernels (AR-walk addressing, as on\n"
       "DSPs without direct addressing): inserted address instructions and\n"
-      "verified cycle counts per layout\n");
-  std::printf("%-26s %14s %14s %14s\n", "kernel", "naive", "Liao",
-              "Leupers");
+      "verified cycle counts per layout\n\n");
+  bench::MdTable agu({"kernel", "naive", "Liao", "Leupers"});
   {
     TargetConfig cfg;
     cfg.hasDmov = false;
@@ -104,12 +91,12 @@ void printTable() {
       const Kernel& k = kernelByName(kn);
       auto prog = dfl::parseDflOrDie(k.dfl);
       auto compiled = RecordCompiler(cfg, opt).compile(prog);
-      std::printf("%-26s", kn);
+      std::vector<std::string> cells = {kn};
       for (SoaKind kind :
            {SoaKind::Naive, SoaKind::Liao, SoaKind::Leupers}) {
         auto low = lowerToAgu(compiled.prog, 1, kind);
         if (!low) {
-          std::printf(" %14s", "n/a");
+          cells.push_back("n/a");
           continue;
         }
         auto m = runAndCompare(low->prog, prog,
@@ -119,27 +106,24 @@ void printTable() {
                        m.error.c_str());
           std::exit(1);
         }
-        std::printf(" %5d ai %4lld c", low->addressInstrs,
-                    static_cast<long long>(m.cycles));
+        cells.push_back(cell("%d ai / %3lld c", low->addressInstrs,
+                             static_cast<long long>(m.cycles)));
       }
-      std::printf("\n");
+      agu.add(std::move(cells));
     }
   }
-  std::printf("\n");
+  agu.print();
 
-  std::printf("General offset assignment: cost vs. number of ARs (k)\n");
-  std::printf("%-26s", "sequence");
-  for (int k = 1; k <= 4; ++k) std::printf("   k=%d", k);
-  std::printf("\n");
+  std::printf("\nGeneral offset assignment: cost vs. number of ARs (k)\n\n");
+  bench::MdTable goaTable({"sequence", "k=1", "k=2", "k=3", "k=4"});
   for (uint32_t seed : {1u, 3u, 5u}) {
     auto s = randomSeq(12, 80, seed, 0.4);
-    std::printf("random 12v/80a seed=%-6u", seed);
-    for (int k = 1; k <= 4; ++k) {
-      auto g = goa(s, k);
-      std::printf(" %5lld", static_cast<long long>(g.cost));
-    }
-    std::printf("\n");
+    std::vector<std::string> cells = {cell("random 12v/80a seed=%u", seed)};
+    for (int k = 1; k <= 4; ++k)
+      cells.push_back(cell("%lld", static_cast<long long>(goa(s, k).cost)));
+    goaTable.add(std::move(cells));
   }
+  goaTable.print();
   std::printf("\n");
 }
 

@@ -20,6 +20,7 @@
 #include "dfl/frontend.h"
 #include "dspstone/harness.h"
 #include "dspstone/kernels.h"
+#include "mdtable.h"
 #include "sim/profile.h"
 #include "support/json.h"
 #include "target/asmtext.h"
@@ -154,8 +155,7 @@ inline std::string writeGlobalStats(const std::string& benchName) {
 using LatencySamples = ::record::LatencySamples;
 
 /// Record the standard latency summary (count, mean, p50/p90/p99, max) of
-/// one sample set into a stats row. Keys are ms_-prefixed, so perfcmp
-/// classifies them as timing (informational, never a regression).
+/// one sample set into a stats row (ms_-prefixed keys).
 inline void recordLatencyStats(StatsSink& sink, const std::string& row,
                                const LatencySamples& lat) {
   sink.set(row, "latency_samples", static_cast<double>(lat.count()));

@@ -25,15 +25,16 @@
 //   dup90_nocache            the dup90 stream with the cache disabled
 //   evict                    the dup50 stream under a tiny byte budget
 //
-// Deterministic keys (perfcmp-gated): programs, unique_programs,
-// served_from_cache (= cache hits + coalesced waiters; their sum equals the
-// duplicate count whenever nothing evicts, even though the hit/coalesce
-// split is timing-dependent), compiled, rejections, evicted_any.
-// Timing keys (informational): programs_per_sec, ms_latency_*, wall_sec.
+// Deterministic keys: programs, unique_programs, served_from_cache (= cache
+// hits + coalesced waiters; their sum equals the duplicate count whenever
+// nothing evicts, even though the hit/coalesce split is timing-dependent),
+// compiled, rejections, evicted_any. Timing keys: programs_per_sec,
+// ms_latency_*, wall_sec.
 //
-// The binary FAILS (exit 1) if the cached dup90 run is not at least 2x the
-// throughput of the cache-off rerun -- the PR's headline claim, asserted on
-// every run rather than eyeballed.
+// The binary FAILS (exit 1) unless every cached run compiles each unique
+// program exactly once and serves every duplicate from the cache, the
+// cache-off run compiles every request, and the cached dup90 run reaches
+// at least 2x the throughput of the cache-off rerun.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -179,6 +180,24 @@ RunResult replay(const std::vector<server::CompileRequest>& pool,
   return r;
 }
 
+/// Exit 1 unless the run's cache counts are the stream's: with the cache
+/// on, one compile per unique program and every duplicate served from the
+/// cache; with it off, one compile per request.
+void checkCounts(const std::string& row, const RunResult& r, bool cached) {
+  const int64_t compiled = r.stats.misses;
+  const int64_t served = r.stats.servedWithoutCompile();
+  const int64_t wantCompiled = cached ? r.uniquePrograms : r.programs;
+  const int64_t wantServed = r.programs - wantCompiled;
+  if (compiled != wantCompiled || served != wantServed) {
+    std::fprintf(stderr,
+                 "FATAL: %s compiled %lld and served %lld from cache; the "
+                 "stream needs %lld and %lld\n",
+                 row.c_str(), (long long)compiled, (long long)served,
+                 (long long)wantCompiled, (long long)wantServed);
+    std::exit(1);
+  }
+}
+
 void recordRun(const std::string& row, const RunResult& r) {
   auto& g = bench::globalStats();
   g.set(row, "programs", r.programs);
@@ -192,7 +211,7 @@ void recordRun(const std::string& row, const RunResult& r) {
   g.set(row, "wall_sec", r.wallSec);
   bench::recordLatencyStats(g, row, r.latency);
   // Where the microseconds go: compile-phase percentiles and the queue-wait
-  // tail. The *_p50/*_p99 suffixes mark them as host timing for perfcmp.
+  // tail.
   HistogramSnapshot compile = phaseHistogram(r.metrics, "compile");
   g.set(row, "compile_ms_p50", compile.percentile(50));
   g.set(row, "compile_ms_p90", compile.percentile(90));
@@ -259,6 +278,7 @@ int main(int argc, char** argv) {
       std::printf("slow-request trace: %s\n", slowTracePath.c_str());
     }
     std::string row = "dup" + std::to_string(dupPct);
+    checkCounts(row, r, /*cached=*/true);
     recordRun(row, r);
     double thr = r.steadySec > 0 ? r.programs / r.steadySec : 0;
     std::printf(
@@ -271,6 +291,7 @@ int main(int argc, char** argv) {
     if (dupPct == 90) {
       dup90Cached = thr;
       RunResult off = replay(pool, stream, workers, /*cacheBytes=*/0);
+      checkCounts("dup90_nocache", off, /*cached=*/false);
       recordRun("dup90_nocache", off);
       dup90NoCache = off.steadySec > 0 ? off.programs / off.steadySec : 0;
       std::printf(
@@ -284,8 +305,8 @@ int main(int argc, char** argv) {
 
   // Eviction stress: the dup50 stream against a budget far smaller than
   // the pool, so the LRU path runs continuously. Only `evicted_any` is
-  // perfcmp-comparable -- the exact eviction count depends on completion
-  // order under concurrency.
+  // deterministic -- the exact eviction count depends on completion order
+  // under concurrency.
   {
     std::vector<int> stream =
         buildStream(programs, 50, static_cast<int>(pool.size()));
@@ -307,7 +328,6 @@ int main(int argc, char** argv) {
   }
 
   double speedup = dup90NoCache > 0 ? dup90Cached / dup90NoCache : 0;
-  // "wall" in the key name marks it as host timing for perfcmp.
   bench::globalStats().set("dup90", "wall_speedup_x", speedup);
   bench::writeGlobalStats("compile_server");
 

@@ -169,17 +169,33 @@ void printHeadline() {
       "phase ms (slow): rewrite %.2f search %.2f reduce %.2f late %.2f\n",
       slowTotal.msRewrite, slowTotal.msSearch, slowTotal.msReduce,
       slowTotal.msLate);
-  std::printf(
-      "variants tried %d (pruned %d), label memo %lld hits / %lld misses "
-      "(%.1f%% hit rate)\n",
-      total.variantsTried, total.variantsPruned,
-      static_cast<long long>(total.memoHits),
-      static_cast<long long>(total.memoMisses),
-      100.0 * static_cast<double>(total.memoHits) /
-          static_cast<double>(total.memoHits + total.memoMisses));
   bench::recordCompileStats("suite_fast", total);
   bench::recordCompileStats("suite_slow", slowTotal);
   bench::hr();
+}
+
+/// The search work of one cold pass over the suite per path, the numbers
+/// EXPERIMENTS.md pins. The fast path searches on one thread here: each
+/// parallel search worker keeps its own label memo, so the memo counts of
+/// the parallel search depend on the host's thread count.
+void printWork() {
+  using bench::cell;
+  CodegenOptions seq = fastOptions();
+  seq.searchThreads = 1;
+  bench::MdTable t({"DSPStone suite, budget 48", "code words",
+                    "variants tried", "pruned", "memo hits", "memo misses"});
+  for (const auto& [path, opt] :
+       {std::pair<const char*, CodegenOptions>{"flags-off", slowOptions()},
+        {"fast path, 1 search thread", seq}}) {
+    RecordCompiler rc(TargetConfig{}, opt);
+    CompileStats s;
+    for (const Program& p : suitePrograms()) accumulate(s, rc.compile(p).stats);
+    t.add({path, cell("%d", s.sizeWords), cell("%d", s.variantsTried),
+           cell("%d", s.variantsPruned),
+           cell("%lld", static_cast<long long>(s.memoHits)),
+           cell("%lld", static_cast<long long>(s.memoMisses))});
+  }
+  t.print();
 }
 
 void BM_CompileSuite(benchmark::State& state, const CodegenOptions& opt) {
@@ -212,6 +228,7 @@ void BM_RetargetSweep(benchmark::State& state, const CodegenOptions& opt) {
 int main(int argc, char** argv) {
   record::verifyOnce();
   record::printHeadline();
+  record::printWork();
 
   benchmark::RegisterBenchmark("dspstone_suite/flags_off", [](auto& st) {
     record::BM_CompileSuite(st, record::slowOptions());

@@ -8,6 +8,7 @@
 #include <cstdio>
 
 #include "ise/extract.h"
+#include "mdtable.h"
 #include "netlist/parser.h"
 #include "netlist/rtlsim.h"
 #include "target/tdsp.h"
@@ -55,6 +56,13 @@ void printTables() {
       "\ntdsp datapath netlist: %zu patterns (ADD/SUB/AND/moves/MAC slice)\n",
       tpat.size());
   for (const auto& p : tpat) std::printf("  %s\n", p.str().c_str());
+  std::printf("\n");
+
+  bench::MdTable t({"netlist", "RT patterns extracted"});
+  t.add({"Fig. 3 (register file + accumulator + ALU)",
+         bench::cell("%zu", patterns.size())});
+  t.add({"tdsp datapath", bench::cell("%zu", tpat.size())});
+  t.print();
   std::printf("\n");
 }
 

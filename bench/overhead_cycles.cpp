@@ -66,11 +66,8 @@ void printTable() {
   TargetConfig cfg;
   std::printf(
       "Cycle overhead of compiled code relative to hand assembly "
-      "(DSPStone, §3.1)\n");
-  hr();
-  std::printf("%-24s %8s | %7s %8s %7s\n", "program", "asm cyc", "naive",
-              "baseline", "RECORD");
-  hr();
+      "(DSPStone, §3.1)\n\n");
+  MdTable t({"program", "asm cycles", "naive", "baseline", "RECORD"});
   int inBand = 0, total = 0;
   double worst = 0, best = 1e9;
   for (const auto& k : dspstoneKernels()) {
@@ -85,16 +82,16 @@ void printTable() {
     double rNaive = static_cast<double>(nai.cycles) / ref.cycles;
     double rBase = static_cast<double>(bas.cycles) / ref.cycles;
     double rRec = static_cast<double>(rec.cycles) / ref.cycles;
-    std::printf("%-24s %8lld | %6.2fx %7.2fx %6.2fx\n", k.name.c_str(),
-                static_cast<long long>(ref.cycles), rNaive, rBase, rRec);
+    t.add({k.name, cell("%lld", static_cast<long long>(ref.cycles)),
+           cell("%.2f×", rNaive), cell("%.2f×", rBase), cell("%.2f×", rRec)});
     ++total;
     if (rNaive >= 2.0 && rNaive <= 8.0) ++inBand;
     worst = std::max(worst, rNaive);
     best = std::min(best, rNaive);
   }
-  hr();
+  t.print();
   std::printf(
-      "naive-compiler overhead in the paper's 2x-8x band on %d/%d kernels "
+      "\nnaive-compiler overhead in the paper's 2x-8x band on %d/%d kernels "
       "(range %.2fx-%.2fx)\n\n",
       inBand, total, best, worst);
 }

@@ -20,19 +20,19 @@ std::vector<Variant> variants() {
   std::vector<Variant> out;
   {
     TargetConfig c;
-    out.push_back({"full (mac,rpt,8 ARs)", c});
+    out.push_back({"full (mac, rpt, 8 ARs)", c});
   }
   {
     TargetConfig c;
     c.hasDualMul = true;
     c.memBanks = 2;
-    out.push_back({"full + dual-mul, 2 banks", c});
+    out.push_back({"+ dual-mul, 2 banks", c});
   }
   {
     TargetConfig c;
     c.hasRpt = false;
     c.hasDmov = false;
-    out.push_back({"no hardware loops/DMOV", c});
+    out.push_back({"no hardware loops / DMOV", c});
   }
   {
     TargetConfig c;
@@ -74,6 +74,15 @@ begin
 end
 )";
 
+/// "words w / cycles c" for one compiled-and-verified kernel.
+std::string measureCell(const char* src, const TargetConfig& cfg, int ticks,
+                        const char* row) {
+  auto m = bench::measureCompiled(dfl::parseDflOrDie(src), cfg,
+                                  recordOptions(), ticks, row);
+  return bench::cell("%3d w / %5lld c", m.size,
+                     static_cast<long long>(m.cycles));
+}
+
 void printTable() {
   using namespace record::bench;
   const char* kernels[] = {"fir", "n_real_updates", "convolution",
@@ -81,33 +90,21 @@ void printTable() {
   std::printf(
       "Retargeting sweep over tdsp ASIP variants (RECORD configuration)\n");
   std::printf("words / cycles per kernel; same compiler, different "
-              "generic parameters\n");
-  hr();
-  std::printf("%-26s | %19s", "variant", "vec_sum(32)");
-  for (const char* k : kernels) std::printf(" | %19s", k);
-  std::printf("\n");
-  hr();
+              "generic parameters\n\n");
+  MdTable t({"variant", "vec_sum(32)", "fir", "n_real_updates",
+             "convolution", "iir_n"});
   for (const auto& v : variants()) {
-    std::printf("%-26s", v.label);
-    {
-      auto prog = dfl::parseDflOrDie(kVecSum);
-      auto m = measureCompiled(prog, v.cfg, recordOptions(), 1, v.label);
-      std::printf(" | %6d w %8lld c", m.size,
-                  static_cast<long long>(m.cycles));
-    }
+    std::vector<std::string> row = {v.label,
+                                    measureCell(kVecSum, v.cfg, 1, v.label)};
     for (const char* kn : kernels) {
       const Kernel& k = kernelByName(kn);
-      auto prog = dfl::parseDflOrDie(k.dfl);
-      auto m = measureCompiled(prog, v.cfg, recordOptions(), k.ticks,
-                               v.label);
-      std::printf(" | %6d w %8lld c", m.size,
-                  static_cast<long long>(m.cycles));
+      row.push_back(measureCell(k.dfl.c_str(), v.cfg, k.ticks, v.label));
     }
-    std::printf("\n");
+    t.add(std::move(row));
   }
-  hr();
+  t.print();
   std::printf(
-      "Every row is the same retargetable compiler; only the processor\n"
+      "\nEvery row is the same retargetable compiler; only the processor\n"
       "description changed (the paper's core argument for retargetable\n"
       "compilation of ASIP cores).\n\n");
 }

@@ -6,6 +6,7 @@
 
 #include <cstdio>
 
+#include "mdtable.h"
 #include "selftest/gen.h"
 #include "target/tdsp.h"
 
@@ -39,17 +40,14 @@ std::vector<std::pair<const char*, TargetConfig>> configs() {
 
 void printTable() {
   using namespace record::selftest;
+  using bench::cell;
   std::printf(
       "Self-test program generation from the processor description "
-      "(§4.5)\n");
-  std::printf(
-      "--------------------------------------------------------------------"
-      "-----\n");
-  std::printf("%-20s %6s %7s %9s %10s %10s %9s\n", "core", "rules",
-              "checks", "words", "rule-cov", "faults", "detected");
-  std::printf(
-      "--------------------------------------------------------------------"
-      "-----\n");
+      "(§4.5)\n\n");
+  bench::MdTable t({"core", "ISD rules", "checks", "test words",
+                    "rule coverage", "decode faults", "detected"});
+  std::string undetected;
+  bool fullCore = true;  // configs() lists the full core first
   for (const auto& [label, cfg] : configs()) {
     auto rules = rulesFor(tdspDesc(), cfg);
     auto st = generateSelfTest(rules, 42);
@@ -60,27 +58,22 @@ void printTable() {
       std::exit(1);
     }
     auto fc = runFaultCampaign(st);
-    std::printf("%-20s %6zu %7zu %9d %9.0f%% %10zu %7d (%.0f%%)\n", label,
-                rules.rules.size(), st.checks.size(), st.prog.sizeWords(),
-                100.0 * st.ruleCoverage(), fc.faults.size(), fc.detected,
-                100.0 * fc.coverage());
+    t.add({label, cell("%zu", rules.rules.size()),
+           cell("%zu", st.checks.size()), cell("%d", st.prog.sizeWords()),
+           cell("%.0f%%", 100.0 * st.ruleCoverage()),
+           cell("%zu", fc.faults.size()),
+           cell("%d (%.0f%%)", fc.detected, 100.0 * fc.coverage())});
+    for (const auto& f : fc.faults)
+      if (fullCore && !f.detected)
+        undetected += cell("  %s -> %s\n", opcodeName(f.from),
+                           opcodeName(f.to));
+    fullCore = false;
   }
+  t.print();
   std::printf(
-      "--------------------------------------------------------------------"
-      "-----\n");
-  std::printf(
-      "Undetected faults on the full core (fault-equivalent or "
-      "mode-shadowed):\n");
-  {
-    TargetConfig cfg;
-    auto st = generateSelfTest(rulesFor(tdspDesc(), cfg), 42);
-    auto fc = runFaultCampaign(st);
-    for (const auto& f : fc.faults) {
-      if (!f.detected)
-        std::printf("  %s -> %s\n", opcodeName(f.from), opcodeName(f.to));
-    }
-  }
-  std::printf("\n");
+      "\nUndetected faults on the full core (fault-equivalent or "
+      "mode-shadowed): %s\n%s\n",
+      undetected.empty() ? "none" : "", undetected.c_str());
 }
 
 void BM_GenerateSelfTest(benchmark::State& state) {

@@ -6,11 +6,10 @@
 // claims in-binary: decode-once >= 2x the reference (PR 7) and translation
 // >= 1.3x the decoded loop (see DESIGN.md "Hot-region translation").
 //
-// Stats rows: per kernel `cycles` / `instructions` (deterministic, gate in
-// perfcmp) and `{translated,decoded,reference}_insn_per_sec` (timing,
-// informational); a `speedups` row with per-kernel `speedup_<kernel>`
-// (translated vs. decoded) so perfcmp gates per-kernel regressions, not
-// just the geomean; plus a `total` aggregate row.
+// Stats rows: per kernel `cycles` / `instructions` (deterministic) and
+// `{translated,decoded,reference}_insn_per_sec` (timing); a `speedups` row
+// with per-kernel `speedup_<kernel>` (translated vs. decoded), not just the
+// geomean; plus a `total` aggregate row.
 #include <cstdio>
 #include <cstdlib>
 #include <string>

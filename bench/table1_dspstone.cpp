@@ -36,11 +36,9 @@ void printTable() {
   std::printf(
       "Table 1: size of compiled programs in relation to assembly code "
       "(%%)\n");
-  std::printf("target: %s\n", cfg.describe().c_str());
-  hr();
-  std::printf("%-24s %5s | %9s %9s | %9s %9s\n", "program", "asm",
-              "baseline", "RECORD", "paper:TI", "paper:REC");
-  hr();
+  std::printf("target: %s\n\n", cfg.describe().c_str());
+  MdTable t({"program", "asm (words)", "baseline", "RECORD", "paper: TI",
+             "paper: RECORD"});
   int recordWins = 0, ties = 0;
   for (const auto& row : kPaper) {
     const Kernel& k = kernelByName(row.name);
@@ -54,16 +52,16 @@ void printTable() {
     // as the "<name>.profile" stats row so the artifact explains where the
     // cycles went, not just how many there were.
     measureProfiled(prog, cfg, recordOptions(), k.ticks, row.name);
-    double basePct = 100.0 * bas.size / ref.size;
-    double recPct = 100.0 * rec.size / ref.size;
-    std::printf("%-24s %5d | %8.0f%% %8.0f%% | %8d%% %8d%%\n", row.name,
-                ref.size, basePct, recPct, row.paperTi, row.paperRecord);
+    t.add({row.name, cell("%d", ref.size),
+           cell("%.0f%%", 100.0 * bas.size / ref.size),
+           cell("%.0f%%", 100.0 * rec.size / ref.size),
+           cell("%d%%", row.paperTi), cell("%d%%", row.paperRecord)});
     if (rec.size < bas.size) ++recordWins;
     if (rec.size == bas.size) ++ties;
   }
-  hr();
+  t.print();
   std::printf(
-      "RECORD smaller than the target-specific baseline on %d/10 kernels "
+      "\nRECORD smaller than the target-specific baseline on %d/10 kernels "
       "(%d ties).\n",
       recordWins, ties);
   std::printf(

@@ -30,7 +30,7 @@
 //   * Observation only. The profiler never feeds back into simulation.
 //
 // Three sinks render a finished profile: text() for humans (hot-spot table),
-// statsJson() for the bench artifacts / perfcmp, and chromeJson() for
+// statsJson() for the bench artifacts, and chromeJson() for
 // chrome://tracing / Perfetto (one 'X' span per retired instruction on a
 // cycle-accurate timeline, capped by ProfileOptions::timelineLimit and
 // schema-checked by validateChromeTrace).
@@ -136,7 +136,7 @@ class Profile {
   /// cycle tables (top `topN`), opcode-class and bank histograms, hot
   /// back-edges with trip-count estimates.
   std::string text(int topN = 10) const;
-  /// Flat stats object for the bench artifacts and bench/perfcmp.
+  /// Flat stats object for the bench artifacts.
   std::string statsJson() const;
   /// Chrome trace_event JSON array: one 'X' complete event per retired
   /// instruction (1 cycle = 1 us), capped at ProfileOptions::timelineLimit,

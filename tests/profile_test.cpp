@@ -1,6 +1,5 @@
 // Tests for the execution profiler (src/sim/profile.*), the debug-info
-// plumbing that feeds it (Instr::srcLine stamped by the code generator),
-// and the bench-stats regression comparator (src/trace/perfcmp.*).
+// plumbing that feeds it (Instr::srcLine stamped by the code generator).
 //
 // The central invariant under test: profiling is *exact*. Per-PC, per
 // opcode class, and per source line cycle totals each sum to exactly
@@ -20,7 +19,6 @@
 #include "sim/profile.h"
 #include "support/json.h"
 #include "target/asmtext.h"
-#include "trace/perfcmp.h"
 #include "trace/trace.h"
 
 namespace record {
@@ -500,103 +498,6 @@ TEST(Profile, StatsJsonIsValidAndFlat) {
         EXPECT_TRUE(doc->find("bank_conflicts"));
         EXPECT_TRUE(doc->find("class_mac_cycles"));
       });
-}
-
-// ---------------------------------------------------------------------------
-// perfcmp: the bench-stats regression comparator
-// ---------------------------------------------------------------------------
-
-TEST(Perfcmp, IdenticalInputsReportNoDeltas) {
-  std::string stats =
-      R"({"rows": {"fir": {"cycles": 100, "size_words": 20}}})";
-  auto r = perfcmp::compare(stats, stats, 2.0);
-  EXPECT_TRUE(r.schemaOk);
-  EXPECT_FALSE(r.hasRegressions());
-  EXPECT_TRUE(r.regressions.empty());
-  EXPECT_TRUE(r.improvements.empty());
-  EXPECT_NE(perfcmp::render(r, 2.0).find("no deltas"), std::string::npos);
-}
-
-TEST(Perfcmp, DeterministicRegressionFlagged) {
-  std::string base = R"({"rows": {"fir": {"cycles": 100}}})";
-  std::string cur = R"({"rows": {"fir": {"cycles": 110}}})";
-  auto r = perfcmp::compare(base, cur, 2.0);
-  ASSERT_TRUE(r.schemaOk);
-  ASSERT_EQ(r.regressions.size(), 1u);
-  EXPECT_EQ(r.regressions[0].row, "fir");
-  EXPECT_EQ(r.regressions[0].key, "cycles");
-  EXPECT_DOUBLE_EQ(r.regressions[0].pct, 10.0);
-  EXPECT_TRUE(r.hasRegressions());
-  EXPECT_NE(perfcmp::render(r, 2.0).find("REGRESSION"), std::string::npos);
-}
-
-TEST(Perfcmp, ImprovementAndThreshold) {
-  std::string base = R"({"rows": {"fir": {"cycles": 100, "size_words": 100}}})";
-  std::string cur = R"({"rows": {"fir": {"cycles": 90, "size_words": 101}}})";
-  auto r = perfcmp::compare(base, cur, 2.0);
-  ASSERT_TRUE(r.schemaOk);
-  // size_words moved 1% -- inside the threshold, not reported.
-  EXPECT_TRUE(r.regressions.empty());
-  ASSERT_EQ(r.improvements.size(), 1u);
-  EXPECT_EQ(r.improvements[0].key, "cycles");
-}
-
-TEST(Perfcmp, TimingKeysAreInformationalOnly) {
-  EXPECT_TRUE(perfcmp::isTimingKey("ms_rewrite"));
-  EXPECT_TRUE(perfcmp::isTimingKey("wall_sec"));
-  EXPECT_TRUE(perfcmp::isTimingKey("elapsed_sec"));
-  EXPECT_FALSE(perfcmp::isTimingKey("cycles"));
-  EXPECT_FALSE(perfcmp::isTimingKey("size_words"));
-
-  // Service-telemetry latency summaries: percentile suffixes and embedded
-  // or trailing _ms are host timing; exact counts stay deterministic.
-  EXPECT_TRUE(perfcmp::isTimingKey("compile_ms_p50"));
-  EXPECT_TRUE(perfcmp::isTimingKey("compile_ms_p99"));
-  EXPECT_TRUE(perfcmp::isTimingKey("queue_ms_p99"));
-  EXPECT_TRUE(perfcmp::isTimingKey("parse_ms"));
-  EXPECT_TRUE(perfcmp::isTimingKey("queue_ms_mean"));
-  EXPECT_FALSE(perfcmp::isTimingKey("latency_samples"));
-  EXPECT_FALSE(perfcmp::isTimingKey("served_from_cache"));
-  EXPECT_FALSE(perfcmp::isTimingKey("msisdn_count"));  // no bare-prefix match
-
-  std::string base = R"({"rows": {"fir": {"ms_rewrite": 10}}})";
-  std::string cur = R"({"rows": {"fir": {"ms_rewrite": 20}}})";
-  auto r = perfcmp::compare(base, cur, 2.0);
-  ASSERT_TRUE(r.schemaOk);
-  EXPECT_TRUE(r.regressions.empty());  // host timing never gates
-  ASSERT_EQ(r.timingShifts.size(), 1u);
-  EXPECT_FALSE(r.hasRegressions());
-
-  std::string pbase = R"({"rows": {"dup90": {"compile_ms_p99": 1}}})";
-  std::string pcur = R"({"rows": {"dup90": {"compile_ms_p99": 9}}})";
-  auto pr = perfcmp::compare(pbase, pcur, 2.0);
-  ASSERT_TRUE(pr.schemaOk);
-  EXPECT_TRUE(pr.regressions.empty());
-  ASSERT_EQ(pr.timingShifts.size(), 1u);
-  EXPECT_FALSE(pr.hasRegressions());
-}
-
-TEST(Perfcmp, SchemaErrorsAreLoud) {
-  auto bad1 = perfcmp::compare("not json", R"({"rows": {}})", 2.0);
-  EXPECT_FALSE(bad1.schemaOk);
-  EXPECT_NE(perfcmp::render(bad1, 2.0).find("SCHEMA ERROR"),
-            std::string::npos);
-  auto bad2 = perfcmp::compare(R"({"rows": {}})", R"({"nope": 1})", 2.0);
-  EXPECT_FALSE(bad2.schemaOk);
-  auto bad3 = perfcmp::compare(R"({"rows": {"fir": {"cycles": "x"}}})",
-                               R"({"rows": {}})", 2.0);
-  EXPECT_FALSE(bad3.schemaOk);
-}
-
-TEST(Perfcmp, AddedAndRemovedRowsTracked) {
-  std::string base = R"({"rows": {"fir": {"cycles": 100}}})";
-  std::string cur = R"({"rows": {"iir": {"cycles": 50}}})";
-  auto r = perfcmp::compare(base, cur, 2.0);
-  ASSERT_TRUE(r.schemaOk);
-  ASSERT_EQ(r.removed.size(), 1u);
-  EXPECT_EQ(r.removed[0], "fir");
-  ASSERT_EQ(r.added.size(), 1u);
-  EXPECT_EQ(r.added[0], "iir");
 }
 
 }  // namespace
