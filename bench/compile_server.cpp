@@ -108,7 +108,7 @@ std::vector<int> buildStream(int programs, int dupPct, int poolSize) {
 /// The four outcomes a parse-clean stream can land in.
 constexpr const char* kOutcomes[] = {"hit", "coalesced", "miss", "rejected"};
 
-struct RunResult {
+struct ReplayResult {
   server::ServiceStats stats;
   MetricsSnapshot metrics;     // the service's full registry snapshot
   HistogramSnapshot latency;   // server.latency.* merged across outcomes
@@ -130,7 +130,7 @@ HistogramSnapshot phaseHistogram(const MetricsSnapshot& m,
   return h;
 }
 
-RunResult replay(const std::vector<server::CompileRequest>& pool,
+ReplayResult replay(const std::vector<server::CompileRequest>& pool,
                  const std::vector<int>& stream, int workers,
                  size_t cacheBytes, double slowMs = -1,
                  const std::string& requestLogPath = "") {
@@ -146,7 +146,7 @@ RunResult replay(const std::vector<server::CompileRequest>& pool,
   tickets.reserve(stream.size());
   for (int idx : stream) tickets.push_back(svc.submit(pool[idx]));
 
-  RunResult r;
+  ReplayResult r;
   int uniqueMax = -1;
   for (size_t i = 0; i < tickets.size(); ++i) {
     const server::CompileResponse& resp = tickets[i].wait();
@@ -183,7 +183,7 @@ RunResult replay(const std::vector<server::CompileRequest>& pool,
 /// Exit 1 unless the run's cache counts are the stream's: with the cache
 /// on, one compile per unique program and every duplicate served from the
 /// cache; with it off, one compile per request.
-void checkCounts(const std::string& row, const RunResult& r, bool cached) {
+void checkCounts(const std::string& row, const ReplayResult& r, bool cached) {
   const int64_t compiled = r.stats.misses;
   const int64_t served = r.stats.servedWithoutCompile();
   const int64_t wantCompiled = cached ? r.uniquePrograms : r.programs;
@@ -198,7 +198,7 @@ void checkCounts(const std::string& row, const RunResult& r, bool cached) {
   }
 }
 
-void recordRun(const std::string& row, const RunResult& r) {
+void recordRun(const std::string& row, const ReplayResult& r) {
   auto& g = bench::globalStats();
   g.set(row, "programs", r.programs);
   g.set(row, "unique_programs", r.uniquePrograms);
@@ -262,7 +262,7 @@ int main(int argc, char** argv) {
     // The dup90 run carries the telemetry artifacts (slow trace, request
     // log) when asked -- it is the headline cached run.
     bool artifacts = dupPct == 90 && !slowTracePath.empty();
-    RunResult r = replay(pool, stream, workers,
+    ReplayResult r = replay(pool, stream, workers,
                          server::ServiceOptions{}.cacheBytes,
                          artifacts ? slowMs : -1,
                          dupPct == 90 ? requestLogPath : "");
@@ -290,7 +290,7 @@ int main(int argc, char** argv) {
         (long long)r.stats.servedWithoutCompile(), (long long)r.stats.misses);
     if (dupPct == 90) {
       dup90Cached = thr;
-      RunResult off = replay(pool, stream, workers, /*cacheBytes=*/0);
+      ReplayResult off = replay(pool, stream, workers, /*cacheBytes=*/0);
       checkCounts("dup90_nocache", off, /*cached=*/false);
       recordRun("dup90_nocache", off);
       dup90NoCache = off.steadySec > 0 ? off.programs / off.steadySec : 0;
@@ -310,7 +310,7 @@ int main(int argc, char** argv) {
   {
     std::vector<int> stream =
         buildStream(programs, 50, static_cast<int>(pool.size()));
-    RunResult r = replay(pool, stream, workers, /*cacheBytes=*/64 << 10);
+    ReplayResult r = replay(pool, stream, workers, /*cacheBytes=*/64 << 10);
     auto& g = bench::globalStats();
     g.set("evict", "programs", r.programs);
     g.set("evict", "evicted_any", r.stats.evictions > 0 ? 1 : 0);

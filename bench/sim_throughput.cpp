@@ -10,6 +10,13 @@
 // `{translated,decoded,reference}_insn_per_sec` (timing); a `speedups` row
 // with per-kernel `speedup_<kernel>` (translated vs. decoded), not just the
 // geomean; plus a `total` aggregate row.
+//
+// A second table runs the five DSPStone loop kernels at the sizes of the
+// sim_long benchmark workload (longKernels()) and reports translated vs.
+// decoded microseconds per tick (one reset(false) + run): the per-kernel
+// view of the affine loop path (sim/translate.h) and the translation-off
+// ablation. Its rows `long_<kernel>` are verified like the first table's
+// but sit outside both floors.
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -65,6 +72,84 @@ double measureEngine(Engine& m) {
   return best;
 }
 
+/// Prove `tp`, compiled from kernel `k`, before any number is reported: it
+/// agrees with the golden model, the three engines agree tick by
+/// tick (compareSimEngines), and one run of each of `tra` (translated),
+/// `dec` (decoded) and `ref` over the result retires the same ledger. The
+/// runs also leave the translated machine's promotions done before timing.
+/// Prints the reason and returns false on any failure.
+bool verifyKernel(const Kernel& k, const Program& prog,
+                  const TargetProgram& tp, Machine& tra, Machine& dec,
+                  ReferenceMachine& ref, RunResult* out) {
+  Stimulus stim = defaultStimulus(prog, 1, k.ticks);
+  auto m = runAndCompare(tp, prog, stim);
+  if (!m.ok) {
+    std::fprintf(stderr, "FATAL: %s failed verification: %s\n",
+                 k.name.c_str(), m.error.c_str());
+    return false;
+  }
+  std::string diff = compareSimEngines(tp, stim);
+  if (!diff.empty()) {
+    std::fprintf(stderr, "FATAL: %s: simulator engine divergence: %s\n",
+                 k.name.c_str(), diff.c_str());
+    return false;
+  }
+  tra.setTranslate(true);
+  dec.setTranslate(false);
+  auto rt = tra.run();
+  auto rd = dec.run();
+  auto rr = ref.run();
+  if (rt.cycles != rd.cycles || rd.cycles != rr.cycles ||
+      rt.instructions != rd.instructions ||
+      rd.instructions != rr.instructions) {
+    std::fprintf(stderr, "FATAL: %s: engines disagree on the ledger\n",
+                 k.name.c_str());
+    return false;
+  }
+  *out = rd;
+  return true;
+}
+
+/// The long-loop table: translated vs. decoded us/tick per sim_long kernel.
+/// No floor; a verification failure still fails the bench.
+int runLongLoops() {
+  using namespace record::bench;
+  TargetConfig cfg;
+  std::printf("\nLong loops at sim_long sizes: translated vs. decode-once\n");
+  hr();
+  std::printf("%-24s %8s %7s | %13s %13s %6s %7s\n", "kernel", "cycles",
+              "insns", "translated us", "decoded us", "d/t", "affine");
+  hr();
+  for (const auto& k : longKernels()) {
+    auto prog = dfl::parseDflOrDie(k.dfl);
+    auto tp = RecordCompiler(cfg, recordOptions()).compile(prog).prog;
+    Machine tra(tp);
+    Machine dec(tp);
+    ReferenceMachine ref(tp);
+    RunResult rd;
+    if (!verifyKernel(k, prog, tp, tra, dec, ref, &rd)) return 1;
+    // Each timed run retires rd.instructions, so us/tick follows from the
+    // engine's instruction rate.
+    const double insns = static_cast<double>(rd.instructions);
+    const double usT = 1e6 * insns / measureEngine(tra);
+    const double usD = 1e6 * insns / measureEngine(dec);
+    const bool affine = tra.translateStats().affineRuns > 0;
+    const std::string row = "long_" + k.name;
+    auto& g = globalStats();
+    g.set(row, "cycles", static_cast<double>(rd.cycles));
+    g.set(row, "instructions", insns);
+    g.set(row, "translated_us_per_tick", usT);
+    g.set(row, "decoded_us_per_tick", usD);
+    g.set(row, "affine", affine ? 1 : 0);
+    std::printf("%-24s %8lld %7lld | %13.2f %13.2f %5.2fx %7s\n",
+                k.name.c_str(), static_cast<long long>(rd.cycles),
+                static_cast<long long>(rd.instructions), usT, usD, usD / usT,
+                affine ? "yes" : "no");
+  }
+  hr();
+  return 0;
+}
+
 struct KernelRates {
   double translated = 0;  // insn/sec, superblock translation forced on
   double decoded = 0;     // insn/sec, translation forced off
@@ -87,42 +172,11 @@ int runBench() {
   for (const auto& k : dspstoneKernels()) {
     auto prog = dfl::parseDflOrDie(k.dfl);
     auto res = RecordCompiler(cfg, recordOptions()).compile(prog);
-    Stimulus stim = defaultStimulus(prog, 1, k.ticks);
-
-    // No unverified number: golden-model agreement, then engine identity
-    // (compareSimEngines runs translated, decoded, and reference tick by
-    // tick against each other).
-    auto m = runAndCompare(res.prog, prog, stim);
-    if (!m.ok) {
-      std::fprintf(stderr, "FATAL: %s failed verification: %s\n",
-                   k.name.c_str(), m.error.c_str());
-      return 1;
-    }
-    std::string diff = compareSimEngines(res.prog, stim);
-    if (!diff.empty()) {
-      std::fprintf(stderr, "FATAL: %s: simulator engine divergence: %s\n",
-                   k.name.c_str(), diff.c_str());
-      return 1;
-    }
-
     Machine tra(res.prog);
-    tra.setTranslate(true);
     Machine dec(res.prog);
-    dec.setTranslate(false);
     ReferenceMachine ref(res.prog);
-    // One throwaway run each so the timed windows start from the same
-    // re-armed (reset(false)) state -- and so the translated machine's
-    // dynamic promotion has crossed its thresholds before timing.
-    auto rt = tra.run();
-    auto rd = dec.run();
-    auto rr = ref.run();
-    if (rt.cycles != rd.cycles || rd.cycles != rr.cycles ||
-        rt.instructions != rd.instructions ||
-        rd.instructions != rr.instructions) {
-      std::fprintf(stderr, "FATAL: %s: engines disagree on the ledger\n",
-                   k.name.c_str());
-      return 1;
-    }
+    RunResult rd;
+    if (!verifyKernel(k, prog, res.prog, tra, dec, ref, &rd)) return 1;
 
     KernelRates kr;
     kr.translated = measureEngine(tra);
@@ -166,6 +220,7 @@ int runBench() {
               speedupDR);
   std::printf("geomean speedup (translated vs. decoded):   %.2fx\n",
               speedupTD);
+  if (runLongLoops() != 0) return 1;
   writeGlobalStats("sim_throughput");
 
   if (speedupDR < kMinSpeedup) {

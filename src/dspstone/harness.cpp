@@ -120,6 +120,12 @@ std::string compareEnginePair(int t, EngineA& a, const char* an,
 
 }  // namespace
 
+std::string compareWithReference(Machine& m, const RunResult& rm,
+                                 ReferenceMachine& ref, const RunResult& rr,
+                                 const TargetProgram& tp) {
+  return compareEnginePair(0, m, "machine", rm, ref, "reference", rr, tp);
+}
+
 std::string compareSimEngines(const TargetProgram& tp, const Stimulus& stim) {
   // Three-way: the superblock-translated Machine and the plain decoded
   // Machine are each held against the pre-decode ReferenceMachine (and so,

@@ -15,7 +15,10 @@
 
 namespace record {
 
+class Machine;
 class Profile;
+class ReferenceMachine;
+struct RunResult;
 
 struct Stimulus {
   // Array inputs (and initial var contents), by symbol name.
@@ -59,5 +62,13 @@ Stimulus defaultStimulus(const Program& prog, uint32_t seed = 1,
 /// verification pass; this is what keeps translation honest (see
 /// sim/translate.h's deopt contract).
 std::string compareSimEngines(const TargetProgram& tp, const Stimulus& stim);
+
+/// The check compareSimEngines makes after each tick, for one run of `m`
+/// against one of `ref` (both over `tp`): same RunResult, architectural
+/// state and full data memory. "" when identical, else the first
+/// divergence.
+std::string compareWithReference(Machine& m, const RunResult& rm,
+                                 ReferenceMachine& ref, const RunResult& rr,
+                                 const TargetProgram& tp);
 
 }  // namespace record

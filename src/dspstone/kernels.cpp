@@ -467,4 +467,34 @@ const Kernel& kernelByName(const std::string& name) {
   throw std::out_of_range("unknown kernel: " + name);
 }
 
+const std::vector<Kernel>& longKernels() {
+  static const std::vector<Kernel> ks = [] {
+    struct Sized {
+      const char* name;
+      const char* from;  // the size constant in the kernel's DFL
+      const char* to;    // ... raised
+    };
+    const Sized sizes[] = {
+        {"n_real_updates", "const N = 16;", "const N = 480;"},
+        {"n_complex_updates", "const N = 16;", "const N = 240;"},
+        {"fir", "const N = 16;", "const N = 960;"},
+        {"convolution", "const N = 16;", "const N = 960;"},
+        {"iir_biquad_n_sections", "const NS = 4;", "const NS = 256;"},
+    };
+    std::vector<Kernel> out;
+    for (const Sized& sz : sizes) {
+      Kernel k = kernelByName(sz.name);
+      const std::string from = sz.from;
+      const size_t at = k.dfl.find(from);
+      if (at == std::string::npos)
+        throw std::logic_error(std::string(sz.name) + " lacks " + from);
+      k.dfl.replace(at, from.size(), sz.to);
+      k.refAsm.clear();
+      out.push_back(std::move(k));
+    }
+    return out;
+  }();
+  return ks;
+}
+
 }  // namespace record

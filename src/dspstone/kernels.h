@@ -22,4 +22,9 @@ const std::vector<Kernel>& dspstoneKernels();
 /// Lookup by name; throws std::out_of_range if absent.
 const Kernel& kernelByName(const std::string& name);
 
+/// The five DSPStone loop kernels with their size constant raised as far
+/// as 2048 data words allow: the sizes the sim_long benchmark workload
+/// runs. Same names as dspstoneKernels(); refAsm is empty.
+const std::vector<Kernel>& longKernels();
+
 }  // namespace record

@@ -425,7 +425,7 @@ RunResult Machine::runImpl(int64_t maxCycles) {
     __attribute__((unused));  // label is unreferenced when !kTranslate
     if constexpr (kTranslate) {
       {
-        const Superblock& b = trans_.block(blockMap[pc]);
+        Superblock& b = trans_.block(blockMap[pc]);
         if (b.kind == Superblock::Kind::Entry) {
           // Entry blocks (single straight-line pass, None/Halt close) are
           // walked right here, fully inlined: no out-of-line call, no state
@@ -435,10 +435,10 @@ RunResult Machine::runImpl(int64_t maxCycles) {
           // threaded executor keeps the multi-pass Loop/Rpt blocks, where
           // per-op dispatch quality dominates instead.
           if (res.cycles + b.maxCyclesPerPass > maxCycles) {
-            ++trans_.stats().deopts;
+            ++trans_.counters().deopts;
             goto vm_block_stay;
           }
-          ++trans_.stats().blockRuns;
+          ++trans_.counters().blockRuns;
           const TransOp* op = b.body.data();
           int sub = 0;
           int64_t extra = 0;
@@ -466,10 +466,11 @@ RunResult Machine::runImpl(int64_t maxCycles) {
             // Pass done: fold the precomputed totals (worst-case cycles
             // corrected by the XY bank discounts) plus the close into the
             // run ledger, one update per counter.
+            ++b.passes;
             if (b.close == Superblock::Close::Halt) {
-              res.cycles += b.passCycles + extra + 1;
+              res.cycles += b.passCycles + extra + b.ctlCyc;
               res.instructions += b.passInsns + 1;
-              trans_.stats().blockInstructions += b.passInsns + 1;
+              trans_.counters().blockInstructions += b.passInsns + 1;
               pc = b.closePc;
               res.status = RunStatus::Halted;
               res.halted = true;
@@ -478,7 +479,7 @@ RunResult Machine::runImpl(int64_t maxCycles) {
             }
             res.cycles += b.passCycles + extra;
             res.instructions += b.passInsns;
-            trans_.stats().blockInstructions += b.passInsns;
+            trans_.counters().blockInstructions += b.passInsns;
             pc = b.exitPc;
           } catch (...) {
             // Mid-pass trap: reconstruct the exact decoded-loop ledger and
@@ -488,7 +489,7 @@ RunResult Machine::runImpl(int64_t maxCycles) {
             // locals already hold.
             res.cycles += op->cPre + extra + sub;
             res.instructions += op->nPre + sub;
-            trans_.stats().blockInstructions += op->nPre + sub;
+            trans_.counters().blockInstructions += op->nPre + sub;
             pc = b.entry + op->nPre + sub;
             throw;
           }
@@ -500,7 +501,7 @@ RunResult Machine::runImpl(int64_t maxCycles) {
         try {
           ex = runSuperblock(b, prog_.config, mem.data, mem.size, mem.ar, st,
                              maxCycles, res.cycles, res.instructions,
-                             trans_.stats());
+                             trans_.counters());
         } catch (...) {
           // Trap inside the block: adopt the written-back state so the
           // outer catch flushes exactly what the decoded loop would have.

@@ -124,7 +124,7 @@ class Machine {
   bool translateOn() const { return translateOn_; }
   /// Formation/execution counters of this machine's translation set
   /// (reset whenever the program is re-decoded, e.g. by fault injection).
-  const TranslateStats& translateStats() const { return trans_.stats(); }
+  TranslateStats translateStats() const { return trans_.stats(); }
 
  private:
   /// The interpreter loop, specialized on whether a profiler is attached

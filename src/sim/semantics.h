@@ -36,6 +36,9 @@ struct DecOperand {
   int32_t val = 0;
 };
 
+// The decoded loop streams these; their layout is part of its speed.
+static_assert(sizeof(DecOperand) == 8, "DecOperand grew");
+
 /// Dispatch index of the decode-trap sink (one past the last opcode).
 inline constexpr uint8_t kTrapHandler = kNumOpcodes;
 
@@ -48,6 +51,7 @@ struct DecodedOp {
   DecOperand b;
   int32_t target = -1;   // raw branch target (-1 when not a branch site)
 };
+static_assert(sizeof(DecodedOp) == 24, "DecodedOp grew");
 
 // ---------------------------------------------------------------------------
 // Data access

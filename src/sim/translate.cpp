@@ -37,7 +37,8 @@ TransOp lower(const DecodedOp& d) {
       break;  // control never reaches a block body (bodyLegal)
   }
   // XY ops charge the bank-conflict cycle up front (see RECORD_SEM_MPYXY).
-  if (d.op == Opcode::MPYXY || d.op == Opcode::MACXY) t.cycMax = 2;
+  const bool xy = d.op == Opcode::MPYXY || d.op == Opcode::MACXY;
+  t.cycMax = static_cast<uint8_t>(d.cyc + (xy ? 1 : 0));
   return t;
 }
 
@@ -121,6 +122,59 @@ void finalizeBody(Superblock& b) {
   b.passInsns = static_cast<int>(np);
 }
 
+/// Mark a BANZ-closed loop block affine if its body never touches the
+/// counter AR, never loads or stores an AR, and so moves every AR it uses by
+/// a constant step per pass; record its access slots and AR steps (see
+/// Superblock::affine). Otherwise leave the block as it is.
+void formAffine(Superblock& b) {
+  std::vector<TransOp> body;
+  std::vector<AffineAccess> accesses;
+  std::vector<ArStep> steps;
+  auto stepOf = [&steps](int r) -> int64_t& {
+    for (ArStep& s : steps)
+      if (s.ar == r) return s.step;
+    steps.push_back({r, 0});
+    return steps.back().step;
+  };
+  for (TransOp t : b.body) {
+    switch (t.kind) {
+      case TK::LAR:
+      case TK::LARK:
+      case TK::SAR:
+        return;
+      case TK::ADRK:
+      case TK::SBRK:
+        if (t.a.val == b.closeAr) return;
+        stepOf(t.a.val) += t.kind == TK::ADRK ? t.b.val : -int64_t{t.b.val};
+        continue;  // folded into the slot addresses
+      default:
+        break;
+    }
+    const int span = t.kind == TK::DMOV || t.kind == TK::LTD ? 2 : 1;
+    for (DecOperand* o : {&t.a, &t.b}) {
+      if (o->kind == 0) continue;  // immediate or no operand
+      AffineAccess x{-1, span, o->val};
+      if (o->kind == 2) {
+        if (o->val == b.closeAr) return;
+        int64_t& at = stepOf(o->val);
+        x = {o->val, span, at};
+        at += o->post;
+        o->val = static_cast<int32_t>(accesses.size());
+      }
+      accesses.push_back(x);
+    }
+    body.push_back(t);
+  }
+  // Each indirect slot steps by its AR's whole-pass step; direct ones stay.
+  b.slots.assign(2 * accesses.size(), 0);
+  for (size_t j = 0; j < accesses.size(); ++j)
+    if (accesses[j].ar >= 0) b.slots[2 * j + 1] = stepOf(accesses[j].ar);
+  b.affine = true;
+  b.affineBody = std::move(body);
+  b.accesses = std::move(accesses);
+  b.arSteps = std::move(steps);
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -157,12 +211,13 @@ void TranslationSet::rebuild(const std::vector<DecodedOp>& ops) {
     b.closePc = static_cast<int>(pc);
     b.exitPc = static_cast<int>(pc) + 2;
     b.rptReps = d.a.val;
+    b.ctlCyc = d.cyc;
     b.body.push_back(lower(ops[pc + 1]));
     finalizeBody(b);
     // Informational for RPT blocks (their budget handling is exact, not
     // worst-case -- see runSuperblock).
     b.maxCyclesPerPass =
-        1 + static_cast<int64_t>(b.rptReps + 1) * b.body[0].cycMax;
+        b.ctlCyc + static_cast<int64_t>(b.rptReps + 1) * b.body[0].cycMax;
     ++stats_.rptBlocks;
     install(std::move(b));
   }
@@ -197,13 +252,15 @@ void TranslationSet::tryFormLoop(const std::vector<DecodedOp>& ops,
   b.closePc = branchPc;
   b.exitPc = branchPc + 1;
   b.closeAr = br.a.val;
+  b.ctlCyc = br.cyc;
   for (int pc = target; pc < branchPc; ++pc) {
     if (!bodyLegal(ops[static_cast<size_t>(pc)])) return;
     b.body.push_back(lower(ops[static_cast<size_t>(pc)]));
   }
   fuse(b.body);
   finalizeBody(b);
-  b.maxCyclesPerPass = b.passCycles + 2;  // + closing branch
+  b.maxCyclesPerPass = b.passCycles + b.ctlCyc;  // + closing branch
+  if (close == Superblock::Close::Banz) formAffine(b);
   ++stats_.loopBlocks;
   install(std::move(b));
 }
@@ -228,6 +285,7 @@ void TranslationSet::tryFormEntry(const std::vector<DecodedOp>& ops, int pc) {
     b.close = Superblock::Close::Halt;
     b.closePc = end;
     b.exitPc = end + 1;
+    b.ctlCyc = ops[static_cast<size_t>(end)].cyc;
   } else {
     b.close = Superblock::Close::None;
     b.closePc = end;
@@ -235,10 +293,18 @@ void TranslationSet::tryFormEntry(const std::vector<DecodedOp>& ops, int pc) {
   }
   fuse(b.body);
   finalizeBody(b);
-  b.maxCyclesPerPass =
-      b.passCycles + (b.close == Superblock::Close::Halt ? 1 : 0);
+  b.maxCyclesPerPass = b.passCycles + b.ctlCyc;
   ++stats_.entryBlocks;
   install(std::move(b));
+}
+
+TranslateStats TranslationSet::stats() const {
+  TranslateStats s = stats_;
+  for (const Superblock& b : blocks_)
+    for (const TransOp& op : b.body)
+      if (int f = fusedIndex(op.kind); f >= 0)
+        s.fusedFires[static_cast<size_t>(f)] += b.passes;
+  return s;
 }
 
 }  // namespace record

@@ -52,11 +52,31 @@
 //     picks the kProfile specialization, which never consults the
 //     translation set), so per-PC attribution stays exact.
 //
+// Affine counted loops. A BANZ-closed loop block whose body never touches
+// the counter AR, never loads or stores an AR (LAR/LARK/SAR) and moves
+// every other AR only by constant steps (*ARn+/*ARn-, ADRK/SBRK) is marked
+// affine at formation: each memory access gets a slot holding its AR, its
+// offset within the pass and its span, and each AR its step per pass. At
+// block entry the executor knows the trip count (counter + 1). When the
+// whole run's worst-case ledger fits the budget and every access of every
+// pass lies inside data memory, it runs the whole loop on the affine path:
+// each address is entry AR + k*step + offset (no per-access bounds check,
+// no AR stores), the same RECORD_SEM bodies expand over AffineMemory, the
+// ledger is folded once, and the ARs and counter are written back at exit.
+// When either whole-run check fails, the per-pass walk above runs
+// unchanged: it stays the exact path for budget expiry and traps. At the
+// sizes of the sim_long benchmark this about halves the translated time per
+// tick of fir, convolution, n_real_updates and iir_biquad_n_sections
+// (bench/sim_throughput's long-loop table; numbers in DESIGN.md).
+//
 // Translation is on for every new Machine; Machine::setTranslate(false)
 // turns it off at run time. See DESIGN.md "Hot-region translation".
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
+#include <iterator>
 #include <vector>
 
 #include "sim/semantics.h"
@@ -78,7 +98,8 @@ namespace record {
 /// reads `a` (the first instruction's operand), the second `b` (the
 /// second's), and `sub` counts the halves retired before each later half,
 /// so a trap there retires exactly the instructions the decoded loop would
-/// have (every fusable half costs 1 cycle).
+/// have (every straight-line opcode costs 1 cycle: validateDesc refuses a
+/// description that says otherwise).
 #define RECORD_TB_FUSED(X)                                              \
   X(LtMpy) X(LtaMpy) X(LtpMpy) X(LacSacl) X(PacAdd) X(ApacSacl) X(SpacSacl) \
   X(LtMpyApac)
@@ -103,11 +124,30 @@ enum class TK : uint8_t {
   End
 };
 
+/// Fused kind names, in RECORD_TB_FUSED order (the TranslateStats::fusedFires
+/// index).
+inline constexpr const char* kFusedKindNames[] = {
+#define RECORD_TB_NAME(k) #k,
+    RECORD_TB_FUSED(RECORD_TB_NAME)
+#undef RECORD_TB_NAME
+};
+inline constexpr int kNumFusedKinds =
+    static_cast<int>(std::size(kFusedKindNames));
+
+/// Index of a fused kind in kFusedKindNames, or -1 for any other kind (the
+/// fused kinds are the last ones before End).
+inline int fusedIndex(TK k) {
+  const int first = static_cast<int>(TK::End) - kNumFusedKinds;
+  const int i = static_cast<int>(k) - first;
+  return i >= 0 && i < kNumFusedKinds ? i : -1;
+}
+
 /// One translated micro-op.
 struct TransOp {
   TK kind = TK::NOP;
   uint8_t insns = 1;   // architectural instructions retired (2-3 when fused)
-  uint8_t cycMax = 1;  // worst-case cycles (XY ops 2; fused pairs summed)
+  uint8_t cycMax = 1;  // worst-case cycles: DecodedOp::cyc, + 1 for the XY
+                       // conflict cycle, summed over fused halves
   // Worst-case ledger prefix of the ops before this one in the body (filled
   // at formation): the executor's hot walk keeps no per-op ledger and the
   // trap path reconstructs the exact decoded-loop ledger/PC from these.
@@ -115,6 +155,22 @@ struct TransOp {
   uint8_t nPre = 0;    // instructions retired before this op within a pass
   DecOperand a;
   DecOperand b;
+};
+
+/// One memory access of an affine loop body (see Superblock::affine): the
+/// AR it goes through (-1 for a direct address), its address relative to
+/// that AR's value at pass entry (the direct address itself when ar < 0)
+/// and the words it touches from there (DMOV/LTD also touch addr+1).
+struct AffineAccess {
+  int ar = -1;
+  int span = 1;
+  int64_t offset = 0;
+};
+
+/// One AR an affine loop body moves, with its step per pass.
+struct ArStep {
+  int ar = 0;
+  int64_t step = 0;
 };
 
 /// One superblock: a straight-line region executed without per-instruction
@@ -132,6 +188,9 @@ struct Superblock {
   int exitPc = 0;   // PC to fetch after falling out
   int closePc = 0;  // PC of the closing branch / HALT (ledger-neutral info)
   int closeAr = 0;  // Banz close: counter AR index
+  /// Cycles of the block's control instruction (DecodedOp::cyc of the
+  /// closing branch, the closing HALT, or an Rpt block's leading RPT).
+  uint8_t ctlCyc = 0;
   std::vector<TransOp> body;
   // Rpt blocks: the single body op repeats `rptReps` times after the RPT
   // instruction itself retires.
@@ -144,6 +203,21 @@ struct Superblock {
   /// the budget pre-check guarantees every intra-pass fetch the decoded
   /// loop would have made passes its budget test.
   int64_t maxCyclesPerPass = 0;
+  /// Completed passes over the block's lifetime (Loop and Entry blocks):
+  /// the fused-kind fire counts in TranslateStats derive from it.
+  int64_t passes = 0;
+
+  /// Affine BANZ loops (see the header comment): `affineBody` is `body`
+  /// with ADRK/SBRK dropped and every indirect operand's val re-pointed at
+  /// its slot in `accesses` (direct accesses have slots too, for the range
+  /// check); `arSteps` lists every AR the body moves. `slots` holds two
+  /// words per access, the AffineMemory layout: its address at pass 0
+  /// (set at each affine run) and its step per pass.
+  bool affine = false;
+  std::vector<TransOp> affineBody;
+  std::vector<AffineAccess> accesses;
+  std::vector<ArStep> arSteps;
+  std::vector<int64_t> slots;
 };
 
 /// Formation/execution counters, exposed through Machine::translateStats()
@@ -156,6 +230,10 @@ struct TranslateStats {
   int64_t blockRuns = 0;          // superblock executions
   int64_t blockInstructions = 0;  // architectural instructions retired inside
   int64_t deopts = 0;             // budget pre-check bailouts (Stay exits)
+  int64_t affineRuns = 0;         // loop-block runs taken on the affine path
+  /// Fires per fused kind (kFusedKindNames order): completed passes times
+  /// the kind's occurrences in the body, summed over the blocks.
+  std::array<int64_t, kNumFusedKinds> fusedFires{};
 };
 
 /// Architectural state handed to the block executor and written back on
@@ -184,14 +262,133 @@ inline constexpr int kEntryThreshold = 3;
 /// Longest translatable region, in instructions.
 inline constexpr int kMaxBlockLen = 64;
 
-/// Execute one Loop or Rpt superblock pass-by-pass (Entry blocks are walked
-/// inline by Machine::runImpl). `cycles`/`instructions` are the run ledger
-/// (committed per pass); `maxCycles` the run budget. See BlockExit for the
-/// contract: state is written back into `st` on every exit path, including
-/// the trap unwind, so the caller's catch can adopt it. Kept out of line on
-/// purpose -- inlining it into runImpl spreads its unwind paths into the
-/// interpreter loop and costs more in spilled run-loop locals than the call
-/// saves (measured).
+/// Data memory as an affine loop pass sees it: the SimMemory interface with
+/// every indirect address computed from the pass index `k` (operand val is
+/// the access slot), and no bounds checks -- the executor proved every
+/// access of the whole run in range before taking this path. The AR-file
+/// bodies expand over it too but never run: formation drops ADRK/SBRK from
+/// an affine body and refuses LAR/LARK/SAR.
+struct AffineMemory {
+  int64_t* data;
+  const int64_t* slot;  // Superblock::slots
+  int64_t k;            // pass index
+  int* ar;
+  const TargetConfig* cfg;
+
+  int64_t loadWord(int addr) const {
+    return data[static_cast<unsigned>(addr)];
+  }
+  void storeWord(int addr, int64_t v) const {
+    data[static_cast<unsigned>(addr)] = wrap16(v);
+  }
+  int addrOf(const DecOperand& o) const {
+    if (o.kind != 2) return static_cast<int>(o.val);
+    const int64_t* x = slot + 2 * o.val;
+    return static_cast<int>(x[0] + k * x[1]);
+  }
+  int64_t readOp(const DecOperand& o) const {
+    return o.kind == 0 ? static_cast<int64_t>(o.val) : loadWord(addrOf(o));
+  }
+  int bank(const DecOperand& o, int addr) const {
+    return o.bank >= 0 ? o.bank : cfg->bankOf(addr);
+  }
+};
+
+/// Set each access slot's pass-0 address for an affine run of `trips`
+/// passes from the current ARs. False when some access of some pass would
+/// leave data memory (or the 16-bit AR range, where the register would
+/// wrap): the exact walk then traps where the decoded loop does. Addresses
+/// are affine in the pass index, so the first and last pass bound every
+/// other.
+inline bool affineSlots(Superblock& b, const int* ar, int64_t trips,
+                        unsigned dataSize) {
+  const int64_t limit = std::min<int64_t>(dataSize, 0x10000);
+  for (size_t j = 0; j < b.accesses.size(); ++j) {
+    const AffineAccess& x = b.accesses[j];
+    const int64_t first = (x.ar < 0 ? 0 : ar[x.ar]) + x.offset;
+    const int64_t last = first + (trips - 1) * b.slots[2 * j + 1];
+    if (std::min(first, last) < 0 || std::max(first, last) + x.span > limit)
+      return false;
+    b.slots[2 * j] = first;
+  }
+  return true;
+}
+
+/// The affine path of a Loop block (see the header comment): run the whole
+/// BANZ loop from its entry, or return false -- touching nothing -- when the
+/// whole run's worst-case ledger does not fit the budget or some access
+/// would leave data memory. Out of line on purpose: GCC lets a computed goto
+/// reach every address-taken label of its function, so sharing
+/// runSuperblock's body would merge the two walks' dispatch graphs.
+[[gnu::noinline]] inline bool runAffine(Superblock& b, const TargetConfig& cfg,
+                                        int64_t* data, unsigned dataSize,
+                                        int* ar, SimState& st,
+                                        int64_t maxCycles, int64_t& cycles,
+                                        int64_t& instructions,
+                                        TranslateStats& stats) {
+  // The loop runs the counter's value + 1 passes from here. Its worst case
+  // fitting the budget means no pass of the exact walk would deopt; every
+  // access in range means none would trap.
+  const int64_t trips = static_cast<int64_t>(ar[b.closeAr]) + 1;
+  if (cycles + trips * b.maxCyclesPerPass > maxCycles ||
+      !affineSlots(b, ar, trips, dataSize))
+    return false;
+
+  int64_t acc = st.acc, tr = st.t, pr = st.p;
+  bool ovm = st.ovm, sxm = st.sxm;
+  int sub = 0;        // fused bodies mark their halves; nothing reads it here
+  int64_t extra = 0;  // XY bank-discount refunds
+  auto xyConflict = [&](bool conflict) {
+    if (!conflict) extra -= 1;
+  };
+  AffineMemory mem{data, b.slots.data(), 0, ar, &cfg};
+  const TransOp* op = nullptr;
+  static const void* const kTbl[] = {
+#define RECORD_TB_LABEL(k) &&TA_##k,
+      RECORD_TB_KINDS(RECORD_TB_LABEL)
+#undef RECORD_TB_LABEL
+      &&TA_End,
+  };
+#define TA_DISPATCH() goto* kTbl[static_cast<size_t>(op->kind)]
+ta_pass:
+  op = b.affineBody.data();
+  TA_DISPATCH();
+#define RECORD_TB_EXEC(k)          \
+  TA_##k : {                       \
+    RECORD_SEM_##k(op->a, op->b);  \
+  }                                \
+  ++op;                            \
+  TA_DISPATCH();
+  RECORD_TB_KINDS(RECORD_TB_EXEC)
+#undef RECORD_TB_EXEC
+#undef TA_DISPATCH
+TA_End:
+  if (++mem.k < trips) goto ta_pass;
+  (void)sub;
+
+  for (const ArStep& s : b.arSteps)
+    ar[s.ar] = static_cast<int>((ar[s.ar] + trips * s.step) & 0xffff);
+  ar[b.closeAr] = 0;
+  st = SimState{acc, tr, pr, ovm, sxm, b.exitPc};
+  const int64_t n = trips * (b.passInsns + 1);
+  cycles += trips * (b.passCycles + b.ctlCyc) + extra;
+  instructions += n;
+  stats.blockInstructions += n;
+  ++stats.blockRuns;
+  ++stats.affineRuns;
+  b.passes += trips;
+  return true;
+}
+
+/// Execute one Loop or Rpt superblock (Entry blocks are walked inline by
+/// Machine::runImpl): an affine loop whole on the affine path when its two
+/// whole-run checks pass, any other pass by pass. `cycles`/`instructions`
+/// are the run ledger (committed per pass); `maxCycles` the run budget. See
+/// BlockExit for the contract: state is written back into `st` on every
+/// exit path, including the trap unwind, so the caller's catch can adopt
+/// it. Kept out of line on purpose -- inlining it into runImpl spreads its
+/// unwind paths into the interpreter loop and costs more in spilled
+/// run-loop locals than the call saves (measured).
 ///
 /// The hot walk keeps NO per-op ledger: each op's worst-case ledger prefix
 /// (cPre/nPre) was precomputed at formation, and the pass total is folded in
@@ -200,17 +397,22 @@ inline constexpr int kMaxBlockLen = 64;
 /// fused op, see RECORD_TB_FUSED) and `extra` (this engine's XY hook charges
 /// the conflict cycle in the prefix and refunds it here when the banks
 /// differ).
-inline BlockExit runSuperblock(const Superblock& b, const TargetConfig& cfg,
+inline BlockExit runSuperblock(Superblock& b, const TargetConfig& cfg,
                                int64_t* data, unsigned dataSize, int* ar,
                                SimState& st, int64_t maxCycles,
                                int64_t& cycles, int64_t& instructions,
                                TranslateStats& stats) {
+  if (b.affine && runAffine(b, cfg, data, dataSize, ar, st, maxCycles, cycles,
+                            instructions, stats))
+    return BlockExit::Flow;
+
   // Loop-carried architectural state in locals for the whole block run;
   // written back through st on every exit, including the trap unwind (the
   // catch below sees the locals' values at the throw point).
   int64_t acc = st.acc, tr = st.t, pr = st.p;
   bool ovm = st.ovm, sxm = st.sxm;
   int64_t c = 0, n = 0;  // block-local ledger batch, folded in on exit
+  int64_t done = 0;      // passes completed by the exact walk
   int sub = 0;           // halves retired inside the current fused op
   int64_t extra = 0;     // XY bank-discount corrections, not yet folded
   const SimMemory<NoNote> mem{data, dataSize, ar, &cfg, {}};
@@ -230,6 +432,7 @@ inline BlockExit runSuperblock(const Superblock& b, const TargetConfig& cfg,
     cycles += c;
     instructions += n;
     stats.blockInstructions += n;
+    b.passes += done;
   };
 
   ++stats.blockRuns;
@@ -243,7 +446,7 @@ inline BlockExit runSuperblock(const Superblock& b, const TargetConfig& cfg,
       // body once, budget-checked, and run ALL repeats without further
       // checks -- an RPT batch overshoots maxCycles exactly like the
       // decoded loop does.
-      c += 1;
+      c += b.ctlCyc;
       n += 1;
       if (cycles + c >= maxCycles) {
         // The body fetch would have hit the budget: stop at the body PC
@@ -316,9 +519,10 @@ inline BlockExit runSuperblock(const Superblock& b, const TargetConfig& cfg,
     // corrected by the XY discounts) into the block ledger, then retire the
     // closing branch. Close control never touches data memory, so nothing
     // past this point throws mid-pass.
-    c += b.passCycles + extra + 2;
+    c += b.passCycles + extra + b.ctlCyc;
     n += b.passInsns + 1;
     extra = 0;
+    ++done;
     switch (b.close) {
       case Superblock::Close::B:
         goto tb_pass;
@@ -375,6 +579,7 @@ class TranslationSet {
   const Superblock& block(int i) const {
     return blocks_[static_cast<size_t>(i)];
   }
+  Superblock& block(int i) { return blocks_[static_cast<size_t>(i)]; }
 
   /// Count one taken back-edge at `branchPc`; true exactly once, when the
   /// count reaches kBackEdgeThreshold (the caller should then tryFormLoop).
@@ -397,8 +602,11 @@ class TranslationSet {
   /// Promote the straight-line region starting at `pc`.
   void tryFormEntry(const std::vector<DecodedOp>& ops, int pc);
 
-  const TranslateStats& stats() const { return stats_; }
-  TranslateStats& stats() { return stats_; }
+  /// Snapshot of the counters, with the fused-kind fire counts filled in
+  /// from the blocks' pass counts.
+  TranslateStats stats() const;
+  /// The counters the executors bump.
+  TranslateStats& counters() { return stats_; }
 
  private:
   static bool bump(int32_t& count, int threshold) {

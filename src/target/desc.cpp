@@ -194,6 +194,22 @@ struct DescParser {
   }
 };
 
+/// The cycles every simulator engine charges for `op`: the decoded and
+/// translated ledgers read the description's value, ReferenceMachine has it
+/// built in, so a description must agree with it. The XY conflict cycle is
+/// dynamic and comes on top.
+int engineCycles(Opcode op) {
+  switch (op) {
+    case Opcode::B:
+    case Opcode::BZ:
+    case Opcode::BGEZ:
+    case Opcode::BANZ:
+      return 2;
+    default:
+      return 1;
+  }
+}
+
 /// Chain-rule edge list of one cost dimension (size or cycles), restricted
 /// to zero-cost edges. Positive-cost chain cycles (load/spill: acc <-> mem)
 /// are legitimate -- the BURS labeler's cost comparison terminates them;
@@ -323,8 +339,8 @@ bool validateDesc(const TargetDesc& desc, DiagEngine& diag) {
   for (const DescInsn& i : desc.insns) {
     SourceLoc loc{i.line, 0};
     Opcode op;
-    if (!opcodeFromName(i.name, op))
-      diag.error(loc, "insn '" + i.name + "' names no known opcode");
+    const bool known = opcodeFromName(i.name, op);
+    if (!known) diag.error(loc, "insn '" + i.name + "' names no known opcode");
     auto [it, fresh] = insnLine.emplace(i.name, i.line);
     if (!fresh)
       diag.error(loc, "duplicate insn '" + i.name + "' (first at line " +
@@ -338,6 +354,11 @@ bool validateDesc(const TargetDesc& desc, DiagEngine& diag) {
     if (i.cycles < 1)
       diag.error(loc, "insn '" + i.name + "': cycle count " +
                           std::to_string(i.cycles) + " must be >= 1");
+    else if (known && i.cycles != engineCycles(op))
+      diag.error(loc, "insn '" + i.name + "': cycles " +
+                          std::to_string(i.cycles) + " differs from the " +
+                          std::to_string(engineCycles(op)) +
+                          " every simulator engine charges");
   }
 
   std::map<std::string, int> ruleLine;

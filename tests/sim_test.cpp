@@ -1,7 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <cstring>
-
 #include "codegen/baseline.h"
 #include "codegen/pipeline.h"
 #include "dfl/frontend.h"
@@ -677,9 +675,8 @@ TEST(Machine, EnginesAgreeAcrossCorpus) {
 
 // The same three-way engine agreement on the programs the benchmarks run:
 // the ten DSPStone kernels across the config sweep, and the DSPStone loop
-// kernels at the sizes of the sim_long workload (text-substituted as in
-// interp_test's frozen golden) on the default config, long enough for
-// every promotion threshold to fire.
+// kernels at the sizes of the sim_long workload (longKernels()) on the
+// default config, long enough for every promotion threshold to fire.
 TEST(Machine, EnginesAgreeOnKernelsAcrossSweep) {
   namespace dt = record::difftest;
   int compared = 0;
@@ -702,22 +699,8 @@ TEST(Machine, EnginesAgreeOnKernelsAcrossSweep) {
       check(k.name + " @ " + pt.name, k.dfl, pt.cfg, 6);
   EXPECT_GE(compared, 10);  // every kernel compiles on the default config
   const int sweepCompared = compared;
-  struct Sized {
-    const char* name;
-    const char* from;
-    const char* to;
-  };
-  for (const Sized& sk :
-       {Sized{"n_real_updates", "const N = 16;", "const N = 480;"},
-        Sized{"n_complex_updates", "const N = 16;", "const N = 240;"},
-        Sized{"fir", "const N = 16;", "const N = 960;"},
-        Sized{"convolution", "const N = 16;", "const N = 960;"},
-        Sized{"iir_biquad_n_sections", "const NS = 4;", "const NS = 256;"}}) {
-    std::string src = kernelByName(sk.name).dfl;
-    ASSERT_NE(src.find(sk.from), std::string::npos) << sk.name;
-    src.replace(src.find(sk.from), std::strlen(sk.from), sk.to);
-    check(std::string(sk.name) + " " + sk.to, src, TargetConfig{}, 4);
-  }
+  for (const auto& k : longKernels())
+    check(k.name + " (sim_long size)", k.dfl, TargetConfig{}, 4);
   EXPECT_EQ(compared - sweepCompared, 5);
 }
 

@@ -618,6 +618,36 @@ TEST(IsdProps, MalformedDescriptionsDiagnoseWithLocations) {
   expectRejects(std::string(kToyDesc) + "zzz quux 12\n", "unknown directive");
 }
 
+// Every simulator engine charges 2 cycles for a branch and 1 for anything
+// else, and the translated ledger reads the description's value: a
+// description that disagrees is rejected at the offending insn's line.
+TEST(IsdProps, CyclesOtherThanTheEnginesChargeAreRejected) {
+  struct Case {
+    std::string text;
+    int line;
+    const char* needle;
+  };
+  std::string lacTwo = kToyDesc;
+  const std::string lacOne = "flags aCm cycles 1";
+  lacTwo.replace(lacTwo.find(lacOne), lacOne.size(), "flags aCm cycles 2");
+  const Case cases[] = {
+      {std::string(kToyDesc) +
+           "insn BANZ class branch operands 1 flags B ar cycles 3\n",
+       6, "insn 'BANZ': cycles 3 differs from the 2"},
+      {lacTwo, 2, "insn 'LAC': cycles 2 differs from the 1"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.needle);
+    DiagEngine diag;
+    auto desc = parseTargetDesc(c.text, diag);
+    ASSERT_TRUE(desc.has_value()) << diag.str();
+    EXPECT_FALSE(validateDesc(*desc, diag));
+    ASSERT_EQ(diag.errorCount(), 1) << diag.str();
+    EXPECT_NE(diag.str().find(c.needle), std::string::npos) << diag.str();
+    EXPECT_EQ(diag.all().front().loc.line, c.line) << diag.str();
+  }
+}
+
 // ---------------------------------------------------------------------------
 // The ISE bridge retargets the full pipeline
 // ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@
 #include "dfl/frontend.h"
 #include "difftest/difftest.h"
 #include "dspstone/harness.h"
+#include "dspstone/kernels.h"
 #include "sim/machine.h"
 #include "sim/reference.h"
 #include "target/asmtext.h"
@@ -439,6 +440,326 @@ TEST(Translate, DecodeFaultInvalidatesAndClearRestores) {
   auto rr = ref.run();
   EXPECT_EQ(r2.cycles, rr.cycles);
   EXPECT_EQ(r2.instructions, rr.instructions);
+}
+
+// ---------------------------------------------------------------------------
+// Affine counted loops
+// ---------------------------------------------------------------------------
+
+// `.init` lines filling `words` words of symbol `sym` with a small
+// deterministic pattern.
+std::string initLines(const std::string& sym, int words) {
+  std::string out;
+  for (int i = 0; i < words; ++i)
+    out += "      .init " + sym + " " + std::to_string(i) + " " +
+           std::to_string((i * 37) % 19 - 9) + "\n";
+  return out;
+}
+
+// Every budget from 0 to total+2 over an affine MAC loop: the translated
+// machine matches the reference on status, ledger, PC, ACC/T/P, every AR
+// and full data memory. The affine path runs exactly when the whole
+// remaining loop fits the budget (it charges no XY cycle, so the worst case
+// is the real ledger: budgets from the loop's exit cycle on); every smaller
+// budget takes the exact walk and its deopt.
+TEST(Translate, AffineBudgetSweepMatchesReference) {
+  auto tp = asmProg(R"(
+      .sym x 40
+      .sym h 40
+      .sym y 1
+)" + initLines("x", 40) + initLines("h", 40) + R"(
+      LARK AR0, #0
+      LARK AR1, #40
+      LARK AR2, #39
+      ZAC
+ top: LT *AR0+
+      MPY *AR1+
+      APAC
+      BANZ AR2, top
+      SACL y
+      HALT
+  )");
+  Machine tra(tp);
+  tra.setTranslate(true);
+  ASSERT_TRUE(tra.run().halted);  // promotes the loop mid-run
+  ASSERT_EQ(tra.translateStats().loopBlocks, 1);
+  tra.reset();
+  const auto full = tra.run();
+  ASSERT_TRUE(full.halted);
+  const int64_t loopExit = full.cycles - 2;  // before SACL y; HALT
+
+  for (int64_t budget = 0; budget <= full.cycles + 2; ++budget) {
+    tra.reset();
+    ReferenceMachine ref(tp);
+    const int64_t before = tra.translateStats().affineRuns;
+    auto rt = tra.run(budget);
+    auto rr = ref.run(budget);
+    EXPECT_EQ(compareWithReference(tra, rt, ref, rr, tp), "")
+        << "budget " << budget;
+    EXPECT_EQ(tra.translateStats().affineRuns - before,
+              budget >= loopExit ? 1 : 0)
+        << "budget " << budget;
+  }
+}
+
+// A stream whose last pass touches one word past data memory: the affine
+// path is refused at block entry and the exact walk traps exactly where the
+// decoded loop and the reference do. One word earlier the same loop stays
+// inside memory and runs affine. The DMOV stream's span counts: its last
+// pass writes one word past the word it reads.
+TEST(Translate, AffineRefusedWhenStreamLeavesMemory) {
+  TargetConfig cfg;
+  cfg.dataWords = 256;
+  struct Stream {
+    const char* op;   // the access that walks toward the end of memory
+    int span;         // words it touches from its address
+    const char* trap;
+  };
+  for (const Stream& sm :
+       {Stream{"MPY *AR1+", 1, "data read out of range: 256"},
+        Stream{"DMOV *AR1+", 2, "data write out of range: 256"}}) {
+    for (int over : {1, 0}) {
+      // 40 passes walk *AR1+ up from `start`; the last touches start + 39
+      // and, for DMOV, the word after it.
+      const int start = cfg.dataWords - 39 - sm.span + over;
+      SCOPED_TRACE(std::string(sm.op) + " from " + std::to_string(start));
+      auto tp = asmProg(R"(
+      .sym y 1
+      LARK AR0, #100
+      LARK AR1, #)" + std::to_string(start) + R"(
+      LARK AR2, #39
+      ZAC
+ top: LT *AR0+
+      )" + sm.op + R"(
+      APAC
+      SACL y
+      BANZ AR2, top
+      HALT
+  )", cfg);
+      Machine tra(tp);
+      tra.setTranslate(true);
+      ReferenceMachine ref(tp);
+      auto rt = tra.run();
+      auto rr = ref.run();
+      EXPECT_EQ(compareWithReference(tra, rt, ref, rr, tp), "");
+      EXPECT_EQ(tra.translateStats().loopBlocks, 1);
+      EXPECT_GE(tra.translateStats().blockRuns, 1);
+      if (over) {
+        EXPECT_EQ(rt.trapReason, sm.trap);
+        EXPECT_EQ(tra.translateStats().affineRuns, 0);
+      } else {
+        EXPECT_TRUE(rt.halted);
+        EXPECT_EQ(tra.translateStats().affineRuns, 1);
+      }
+      Stimulus stim;
+      stim.ticks = 2;
+      EXPECT_EQ(compareSimEngines(tp, stim), "");
+    }
+  }
+}
+
+// MACXY loops on the dual-bank sweep config: the XY conflict cycle is
+// charged per pass only when both streams hit the same bank, and the affine
+// path's folded ledger must carry exactly the refunds the per-pass walk
+// does -- with both streams in one bank, in different banks, and with one
+// stream crossing the bank boundary mid-loop.
+TEST(Translate, AffineMacxyLedgerMatchesOnDualBanks) {
+  TargetConfig cfg;
+  for (const auto& pt : difftest::defaultSweep())
+    if (pt.name == std::string("dual-mul")) cfg = pt.cfg;
+  ASSERT_TRUE(cfg.hasDualMul);
+  ASSERT_EQ(cfg.memBanks, 2);
+  const int bankSize = cfg.dataWords / cfg.memBanks;
+  struct Streams {
+    const char* name;
+    int x, y;  // stream start addresses
+  };
+  for (const Streams& st :
+       {Streams{"same bank", 0, 100}, Streams{"cross bank", 0, bankSize + 8},
+        Streams{"crosses the boundary", 0, bankSize - 20}}) {
+    SCOPED_TRACE(st.name);
+    auto tp = asmProg(R"(
+      .sym d )" + std::to_string(cfg.dataWords - 1) + R"(
+      .sym y 1
+)" + initLines("d", 120) + R"(
+      LARK AR0, #)" + std::to_string(st.x) + R"(
+      LARK AR1, #)" + std::to_string(st.y) + R"(
+      LARK AR2, #39
+      ZAC
+      MPYK #0
+ top: MACXY *AR0+, *AR1+
+      BANZ AR2, top
+      APAC
+      SACL y
+      HALT
+  )", cfg);
+    Stimulus stim;
+    stim.ticks = 3;
+    EXPECT_EQ(compareSimEngines(tp, stim), "");
+    Machine tra(tp);
+    tra.setTranslate(true);
+    ReferenceMachine ref(tp);
+    for (int tick = 0; tick < 2; ++tick) {
+      auto rt = tra.run();
+      auto rr = ref.run();
+      EXPECT_EQ(compareWithReference(tra, rt, ref, rr, tp), "") << tick;
+      tra.reset(false);
+      ref.reset(false);
+    }
+    EXPECT_EQ(tra.translateStats().affineRuns, 2);
+  }
+}
+
+// Mixed steps: post-decrement, post-increment, post-zero, ADRK and SBRK on
+// one pass, the two-word DMOV/LTD accesses, and a fused LT;MPY whose halves
+// step one AR back and forth (T holds the first read), with loads and
+// stores overlapping across passes.
+TEST(Translate, AffineMixedStepsMatchReference) {
+  auto tp = asmProg(R"(
+      .sym d 600
+)" + initLines("d", 600) + R"(
+      LARK AR0, #200
+      LARK AR1, #100
+      LARK AR2, #500
+      LARK AR3, #29
+      ZAC
+ top: ADD *AR0-
+      SACL *AR1+
+      ADRK AR1, #2
+      LAC *AR2
+      SBRK AR2, #3
+      DMOV *AR1-
+      LT *AR1-
+      MPY *AR1+
+      APAC
+      LTD *AR0-
+      MPY *AR2+
+      SPAC
+      BANZ AR3, top
+      SACL *AR1
+      HALT
+  )");
+  Stimulus stim;
+  stim.ticks = 3;
+  EXPECT_EQ(compareSimEngines(tp, stim), "");
+  Machine tra(tp);
+  tra.setTranslate(true);
+  ReferenceMachine ref(tp);
+  for (int tick = 0; tick < 2; ++tick) {
+    auto rt = tra.run();
+    auto rr = ref.run();
+    EXPECT_EQ(compareWithReference(tra, rt, ref, rr, tp), "") << tick;
+    tra.reset(false);
+    ref.reset(false);
+  }
+  EXPECT_EQ(tra.translateStats().affineRuns, 2);
+}
+
+// A body that moves the counter AR, or loads or stores an AR, has no
+// constant per-pass step: the loop still forms a block, but only the exact
+// walk runs it.
+TEST(Translate, CounterWritesAndArLoadsAreNotAffine) {
+  const char* bodies[] = {
+      "ADDK #1\n SBRK AR2, #1",  // moves the counter
+      "ADD *AR2",                // re-stores the counter (post 0)
+      "LAR AR1, s\n ADD *AR1",   // loads an AR from memory
+      "SAR AR1, s\n ADD *AR1+",  // stores an AR to memory
+      "LARK AR1, #7\n ADD *AR1", // loads an AR with a constant
+  };
+  for (const char* body : bodies) {
+    SCOPED_TRACE(body);
+    auto tp = asmProg(std::string(R"(
+      .sym s 1
+      .sym d 64
+      .init s 0 5
+      LARK AR1, #3
+      LARK AR2, #40
+      ZAC
+ top: )") + body + R"(
+      BANZ AR2, top
+      HALT
+  )");
+    Machine tra(tp);
+    tra.setTranslate(true);
+    ReferenceMachine ref(tp);
+    auto rt = tra.run();
+    auto rr = ref.run();
+    EXPECT_EQ(compareWithReference(tra, rt, ref, rr, tp), "");
+    EXPECT_EQ(tra.translateStats().loopBlocks, 1);
+    EXPECT_GE(tra.translateStats().blockRuns, 1);
+    EXPECT_EQ(tra.translateStats().affineRuns, 0);
+    Stimulus stim;
+    stim.ticks = 3;
+    EXPECT_EQ(compareSimEngines(tp, stim), "");
+  }
+}
+
+// At the sim_long sizes the hot loops of fir, convolution, n_real_updates
+// and iir_biquad_n_sections run on the affine path; n_complex_updates'
+// BGEZ-closed, LAR-indexed loop does not.
+TEST(Translate, AffinePathTakenByLongKernels) {
+  for (const auto& k : longKernels()) {
+    SCOPED_TRACE(k.name);
+    Program prog = dfl::parseDflOrDie(k.dfl);
+    TargetProgram tp = RecordCompiler(TargetConfig{}, recordOptions())
+                           .compile(prog)
+                           .prog;
+    Machine m(tp);
+    m.setTranslate(true);
+    for (int tick = 0; tick < 3; ++tick) {
+      ASSERT_TRUE(m.run().halted);
+      m.reset(false);
+    }
+    const TranslateStats ts = m.translateStats();
+    EXPECT_GE(ts.loopBlocks, 1);
+    if (k.name == "n_complex_updates")
+      EXPECT_EQ(ts.affineRuns, 0);
+    else
+      EXPECT_GE(ts.affineRuns, 3);
+  }
+}
+
+// The fused-kind fire count is completed passes times occurrences, the
+// same whether the affine path or the exact walk ran the passes (a LARK of
+// an unused AR in the body keeps the second loop off the affine path).
+TEST(Translate, FusedFiresCountCompletedPasses) {
+  const int kLtMpyApac = fusedIndex(TK::LtMpyApac);
+  ASSERT_GE(kLtMpyApac, 0);
+  EXPECT_EQ(std::string(kFusedKindNames[kLtMpyApac]), "LtMpyApac");
+  EXPECT_EQ(fusedIndex(TK::LAC), -1);
+  EXPECT_EQ(fusedIndex(TK::End), -1);
+  for (const char* extra : {"", "LARK AR5, #0\n"}) {
+    SCOPED_TRACE(extra);
+    auto tp = asmProg(std::string(R"(
+      .sym x 80
+      LARK AR0, #0
+      LARK AR1, #40
+      LARK AR2, #39
+      ZAC
+ top: )") + extra + R"(
+      LT *AR0+
+      MPY *AR1+
+      APAC
+      BANZ AR2, top
+      HALT
+  )");
+    Machine m(tp);
+    m.setTranslate(true);
+    ASSERT_TRUE(m.run().halted);
+    // Promoted at the kBackEdgeThreshold-th taken BANZ: the block ran the
+    // remaining passes of the 40.
+    const int64_t first = 40 - kBackEdgeThreshold;
+    TranslateStats ts = m.translateStats();
+    EXPECT_EQ(ts.fusedFires[static_cast<size_t>(kLtMpyApac)], first);
+    m.reset();
+    ASSERT_TRUE(m.run().halted);
+    ts = m.translateStats();
+    EXPECT_EQ(ts.affineRuns, *extra ? 0 : 2);
+    for (int f = 0; f < kNumFusedKinds; ++f)
+      EXPECT_EQ(ts.fusedFires[static_cast<size_t>(f)],
+                f == kLtMpyApac ? first + 40 : 0)
+          << kFusedKindNames[f];
+  }
 }
 
 // ---------------------------------------------------------------------------
