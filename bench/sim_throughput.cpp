@@ -3,23 +3,34 @@
 // kernels. Every kernel is first verified (compiled output against the
 // golden model, then the three engines against each other, bit-for-bit)
 // before any number is reported, and the binary asserts both tentpole
-// claims in-binary: decode-once >= 2x the reference (PR 7) and translation
+// claims in-binary: decode-once >= 2x the reference and translation
 // >= 1.3x the decoded loop (see DESIGN.md "Hot-region translation").
 //
+// Timing is paired: each kernel's engines run in rounds of adjacent
+// windows, so host noise (which here moves one kernel's rate up to 2x
+// between runs) hits both sides of a pair alike. A kernel's speedup is the
+// median of its per-round ratios, printed with their min-max range, and
+// each floor gates the geomean of those medians.
+//
 // Stats rows: per kernel `cycles` / `instructions` (deterministic) and
-// `{translated,decoded,reference}_insn_per_sec` (timing); a `speedups` row
-// with per-kernel `speedup_<kernel>` (translated vs. decoded), not just the
-// geomean; plus a `total` aggregate row.
+// `{translated,decoded,reference}_insn_per_sec` (best window); a `speedups`
+// row with per-kernel `speedup_<kernel>` (median translated vs. decoded
+// ratio), not just the geomean; plus a `total` aggregate row.
 //
 // A second table runs the five DSPStone loop kernels at the sizes of the
 // sim_long benchmark workload (longKernels()) and reports translated vs.
-// decoded microseconds per tick (one reset(false) + run): the per-kernel
-// view of the affine loop path (sim/translate.h) and the translation-off
-// ablation. Its rows `long_<kernel>` are verified like the first table's
-// but sit outside both floors.
+// decoded microseconds per tick (one reset(false) + run, best window) and
+// their median paired ratio: the per-kernel view of the affine loop path
+// (sim/translate.h) and the translation-off ablation. Its rows
+// `long_<kernel>` are verified like the first table's but sit outside both
+// floors.
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <string>
+#include <vector>
 
 #include "benchutil.h"
 #include "sim/machine.h"
@@ -30,7 +41,9 @@ namespace {
 
 constexpr double kMinSpeedup = 2.0;            // decoded vs. reference
 constexpr double kMinTranslateSpeedup = 1.3;   // translated vs. decoded
-constexpr double kMinMeasureSec = 0.12;
+constexpr double kWindowSec = 0.1;  // one timed window
+constexpr int kRounds = 7;          // paired windows per engine and kernel
+static_assert(kRounds % 2 == 1, "odd, so a median is one round's ratio");
 
 /// One timed window: `reps` runs (reset(false) + run, the standard re-arm),
 /// returning instructions/sec over the window.
@@ -51,13 +64,11 @@ double timeWindow(Engine& m, int reps) {
   return static_cast<double>(insn) / t.elapsed().steadySec;
 }
 
-/// Measure an engine's throughput: calibrate the rep count up to the target
-/// window length, then report the best of three windows. Peak-of-N is the
-/// right estimator here -- the benchmark host is a single shared core, so
-/// noise is strictly one-sided (a neighbor steals time and depresses a
-/// window; nothing ever inflates one).
+/// One timed window of an engine, its run count calibrated so the window
+/// lasts about kWindowSec: runs double until a trial takes an eighth of
+/// that, then scale by the trial's rate.
 template <class Engine>
-double measureEngine(Engine& m) {
+std::function<double()> windowOf(Engine& m) {
   int reps = 1;
   for (;; reps *= 2) {
     bench::DualTimer t;
@@ -65,11 +76,45 @@ double measureEngine(Engine& m) {
       m.reset(false);
       (void)m.run();
     }
-    if (t.elapsed().steadySec >= kMinMeasureSec) break;
+    const double sec = t.elapsed().steadySec;
+    if (sec >= kWindowSec / 8) {
+      reps = std::max(1, static_cast<int>(std::ceil(reps * kWindowSec / sec)));
+      break;
+    }
   }
-  double best = 0;
-  for (int w = 0; w < 3; ++w) best = std::max(best, timeWindow(m, reps));
-  return best;
+  return [&m, reps] { return timeWindow(m, reps); };
+}
+
+/// Each engine's instructions/sec in kRounds rounds of adjacent windows.
+/// The order reverses every round, so no engine always runs first, and the
+/// middle engine of three is adjacent to both others in every round.
+std::vector<std::vector<double>> timeRounds(
+    const std::vector<std::function<double()>>& engines) {
+  const size_t n = engines.size();
+  std::vector<std::vector<double>> rates(n);
+  for (int r = 0; r < kRounds; ++r)
+    for (size_t j = 0; j < n; ++j) {
+      const size_t e = r % 2 ? n - 1 - j : j;
+      rates[e].push_back(engines[e]());
+    }
+  return rates;
+}
+
+/// The per-round ratios a[i] / b[i] of two engines timed by timeRounds.
+struct PairRatio {
+  double median = 0, min = 0, max = 0;
+};
+PairRatio pairRatio(const std::vector<double>& a,
+                    const std::vector<double>& b) {
+  std::vector<double> r;
+  for (size_t i = 0; i < a.size(); ++i) r.push_back(a[i] / b[i]);
+  std::sort(r.begin(), r.end());
+  return {r[r.size() / 2], r.front(), r.back()};
+}
+
+/// An engine's best window: noise only ever slows a window down.
+double best(const std::vector<double>& rates) {
+  return *std::max_element(rates.begin(), rates.end());
 }
 
 /// Prove `tp`, compiled from kernel `k`, before any number is reported: it
@@ -131,8 +176,10 @@ int runLongLoops() {
     // Each timed run retires rd.instructions, so us/tick follows from the
     // engine's instruction rate.
     const double insns = static_cast<double>(rd.instructions);
-    const double usT = 1e6 * insns / measureEngine(tra);
-    const double usD = 1e6 * insns / measureEngine(dec);
+    const auto rates = timeRounds({windowOf(tra), windowOf(dec)});
+    const double usT = 1e6 * insns / best(rates[0]);
+    const double usD = 1e6 * insns / best(rates[1]);
+    const double dOverT = pairRatio(rates[0], rates[1]).median;
     const bool affine = tra.translateStats().affineRuns > 0;
     const std::string row = "long_" + k.name;
     auto& g = globalStats();
@@ -143,18 +190,12 @@ int runLongLoops() {
     g.set(row, "affine", affine ? 1 : 0);
     std::printf("%-24s %8lld %7lld | %13.2f %13.2f %5.2fx %7s\n",
                 k.name.c_str(), static_cast<long long>(rd.cycles),
-                static_cast<long long>(rd.instructions), usT, usD, usD / usT,
+                static_cast<long long>(rd.instructions), usT, usD, dOverT,
                 affine ? "yes" : "no");
   }
   hr();
   return 0;
 }
-
-struct KernelRates {
-  double translated = 0;  // insn/sec, superblock translation forced on
-  double decoded = 0;     // insn/sec, translation forced off
-  double reference = 0;   // insn/sec
-};
 
 int runBench() {
   using namespace record::bench;
@@ -162,12 +203,13 @@ int runBench() {
   std::printf(
       "Simulator throughput: translated vs. decode-once vs. reference\n");
   hr();
-  std::printf("%-24s %8s %6s | %11s %11s %11s %7s %7s\n", "kernel", "cycles",
-              "insns", "translated/s", "decoded/s", "reference/s", "t/d",
-              "d/r");
+  std::printf("%-24s %8s %6s | %11s %11s %11s | %-17s %-17s\n", "kernel",
+              "cycles", "insns", "translated/s", "decoded/s", "reference/s",
+              "t/d (min-max)", "d/r (min-max)");
   hr();
 
-  std::vector<std::pair<std::string, KernelRates>> rates;
+  int kernels = 0;
+  double logDR = 0, logTD = 0;
   double sumTranslated = 0, sumDecoded = 0, sumReference = 0;
   for (const auto& k : dspstoneKernels()) {
     auto prog = dfl::parseDflOrDie(k.dfl);
@@ -178,41 +220,43 @@ int runBench() {
     RunResult rd;
     if (!verifyKernel(k, prog, res.prog, tra, dec, ref, &rd)) return 1;
 
-    KernelRates kr;
-    kr.translated = measureEngine(tra);
-    kr.decoded = measureEngine(dec);
-    kr.reference = measureEngine(ref);
-    rates.emplace_back(k.name, kr);
-    sumTranslated += kr.translated;
-    sumDecoded += kr.decoded;
-    sumReference += kr.reference;
+    // Decoded runs in the middle of every round, next to both others.
+    const auto rates =
+        timeRounds({windowOf(tra), windowOf(dec), windowOf(ref)});
+    const PairRatio td = pairRatio(rates[0], rates[1]);
+    const PairRatio dr = pairRatio(rates[1], rates[2]);
+    const double translated = best(rates[0]), decoded = best(rates[1]),
+                 reference = best(rates[2]);
+    ++kernels;
+    logTD += std::log(td.median);
+    logDR += std::log(dr.median);
+    sumTranslated += translated;
+    sumDecoded += decoded;
+    sumReference += reference;
 
     auto& g = globalStats();
     g.set(k.name, "cycles", static_cast<double>(rd.cycles));
     g.set(k.name, "instructions", static_cast<double>(rd.instructions));
-    g.set(k.name, "translated_insn_per_sec", kr.translated);
-    g.set(k.name, "decoded_insn_per_sec", kr.decoded);
-    g.set(k.name, "reference_insn_per_sec", kr.reference);
-    g.set("speedups", "speedup_" + k.name, kr.translated / kr.decoded);
-    std::printf("%-24s %8lld %6lld | %10.2fM %10.2fM %10.2fM %6.2fx %6.2fx\n",
+    g.set(k.name, "translated_insn_per_sec", translated);
+    g.set(k.name, "decoded_insn_per_sec", decoded);
+    g.set(k.name, "reference_insn_per_sec", reference);
+    g.set("speedups", "speedup_" + k.name, td.median);
+    std::printf("%-24s %8lld %6lld | %10.2fM %10.2fM %10.2fM | %5.2fx "
+                "%4.2f-%4.2f  %5.2fx %4.2f-%4.2f\n",
                 k.name.c_str(), static_cast<long long>(rd.cycles),
-                static_cast<long long>(rd.instructions), kr.translated / 1e6,
-                kr.decoded / 1e6, kr.reference / 1e6,
-                kr.translated / kr.decoded, kr.decoded / kr.reference);
+                static_cast<long long>(rd.instructions), translated / 1e6,
+                decoded / 1e6, reference / 1e6, td.median, td.min, td.max,
+                dr.median, dr.min, dr.max);
   }
   hr();
 
-  // Aggregates: geometric mean of per-kernel speedups (robust to the mix of
-  // branchy and straight-line kernels), plus summed rates for the record.
-  double logDR = 0, logTD = 0;
-  for (const auto& [name, kr] : rates) {
-    logDR += std::log(kr.decoded / kr.reference);
-    logTD += std::log(kr.translated / kr.decoded);
-  }
-  double speedupDR = std::exp(logDR / static_cast<double>(rates.size()));
-  double speedupTD = std::exp(logTD / static_cast<double>(rates.size()));
+  // Aggregates: geometric mean of per-kernel median speedups (robust to the
+  // mix of branchy and straight-line kernels), plus summed rates for the
+  // record.
+  double speedupDR = std::exp(logDR / kernels);
+  double speedupTD = std::exp(logTD / kernels);
   auto& g = globalStats();
-  g.set("total", "kernels", static_cast<double>(rates.size()));
+  g.set("total", "kernels", static_cast<double>(kernels));
   g.set("total", "translated_insn_per_sec", sumTranslated);
   g.set("total", "decoded_insn_per_sec", sumDecoded);
   g.set("total", "reference_insn_per_sec", sumReference);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
-#include <chrono>
 #include <cstdio>
 #include <limits>
 #include <map>
@@ -314,13 +313,6 @@ struct StreamGroup {
   Symbol* streamSym = nullptr;
 };
 
-using Clock = std::chrono::steady_clock;
-
-double msSince(Clock::time_point from) {
-  return std::chrono::duration<double, std::milli>(Clock::now() - from)
-      .count();
-}
-
 class Emitter {
  public:
   Emitter(const TargetConfig& cfg, const CodegenOptions& opt,
@@ -335,10 +327,8 @@ class Emitter {
         prog_(prog),
         trace_(opt.trace) {
     if (trace_) {
-      // Resolve the hot-path counters once; searchSlice workers bump them
+      // Resolve the hot-path counter once; searchSlice workers bump it
       // with relaxed atomic adds.
-      cExplored_ = trace_->counter("rewrite.variants_explored");
-      cPruned_ = trace_->counter("rewrite.variants_pruned");
       cLabelings_ = trace_->counter("search.labelings");
       matcher_.setTrace(trace_, &curLoc_);
     }
@@ -384,35 +374,35 @@ class Emitter {
       appendRaw(Opcode::HALT, Operand::none(), Operand::none());
     }
 
-    auto tLate = Clock::now();
+    // msLate is the sum of the late-pass spans below.
+    double* late = &stats_.msLate;
     auto mcode = std::move(code_);
     if (opt_.accPromote) {
-      TraceSpan span(trace_, "accpromote");
+      TraceSpan span(trace_, "accpromote", late);
       mcode = promoteAccumulators(
           mcode, &stats_.promote,
           [this](int addr) { return layout_.inArrayRegion(addr); }, trace_);
     }
     std::vector<Instr> icode;
     {
-      TraceSpan span(trace_, "modes");
+      TraceSpan span(trace_, "modes", late);
       icode = resolveModes(mcode, cfg_, opt_.modeOpt, &stats_.modes);
     }
     {
-      TraceSpan span(trace_, "compact");
+      TraceSpan span(trace_, "compact", late);
       icode = compact(icode, cfg_, opt_.compaction, &stats_.compacted,
                       trace_);
     }
     if (opt_.loopTransforms) {
-      TraceSpan span(trace_, "looptrans");
+      TraceSpan span(trace_, "looptrans", late);
       icode = applyLoopTransforms(icode, cfg_,
                                   opt_.cost == CostKind::Cycles,
                                   &stats_.loops);
     }
     if (opt_.peephole) {
-      TraceSpan span(trace_, "peephole");
+      TraceSpan span(trace_, "peephole", late);
       icode = peephole(icode, cfg_, &stats_.peep, trace_);
     }
-    stats_.msLate += msSince(tLate);
 
     for (const BursMatcher* m : matchers_) {
       stats_.memoHits += m->memoHits();
@@ -434,9 +424,10 @@ class Emitter {
 
     if (trace_) {
       // Publish the pass statistics as counters (the hot-path counters --
-      // variants explored/pruned, labelings, rules fired -- were already
-      // bumped in place).
+      // labelings, rules fired -- were already bumped in place).
       trace_->add("isel.statements", stats_.statements);
+      trace_->add("rewrite.variants_explored", stats_.variantsTried);
+      trace_->add("rewrite.variants_pruned", stats_.variantsPruned);
       trace_->add("isel.patterns_used", stats_.patternsUsed);
       if (rcache_) {
         trace_->add("rewrite.variant_cache_hits",
@@ -572,11 +563,10 @@ class Emitter {
   // (a pruned variant is provably strictly worse than the running bound).
   void selectAndEmit(const ExprPtr& storeTree) {
     TraceSpan stmtSpan(trace_, "stmt");
-    auto tRewrite = Clock::now();
     ExprPtr root;
     std::vector<ExprPtr> variants;
     {
-      TraceSpan span(trace_, "rewrite");
+      TraceSpan span(trace_, "rewrite", &stats_.msRewrite);
       root = interner_ ? interner_->intern(storeTree) : storeTree;
       variants =
           opt_.rewriteBudget > 1
@@ -584,10 +574,8 @@ class Emitter {
                                   rcache_)
               : std::vector<ExprPtr>{root};
     }
-    stats_.msRewrite += msSince(tRewrite);
 
-    TraceSpan searchSpan(trace_, "search");
-    auto tSearch = Clock::now();
+    TraceSpan searchSpan(trace_, "search", &stats_.msSearch);
     const int n = static_cast<int>(variants.size());
     constexpr int kNone = std::numeric_limits<int>::max();
 
@@ -629,7 +617,6 @@ class Emitter {
                                       Nonterm::Stmt, binder_, limit);
         if (out.pruned) {
           pruned.fetch_add(1, std::memory_order_relaxed);
-          if (cPruned_) cPruned_->add(1);
           continue;
         }
         if (cLabelings_) cLabelings_->add(1);
@@ -655,14 +642,12 @@ class Emitter {
         bestIdx = static_cast<size_t>(i);
       }
     }
-    stats_.msSearch += msSince(tSearch);
     searchSpan.close();
     if (bestCost == kNone)
       throw std::runtime_error("no instruction cover for: " +
                                storeTree->str() + " on " + cfg_.describe());
     stats_.variantsTried += n;
     stats_.variantsPruned += pruned.load(std::memory_order_relaxed);
-    if (cExplored_) cExplored_->add(n);
     if (trace_)
       trace_->remark("select",
                      "picked variant " + std::to_string(bestIdx + 1) + "/" +
@@ -671,8 +656,7 @@ class Emitter {
                          storeTree->str(),
                      curLoc_);
 
-    auto tReduce = Clock::now();
-    TraceSpan reduceSpan(trace_, "reduce");
+    TraceSpan reduceSpan(trace_, "reduce", &stats_.msReduce);
     const size_t first = code_.size();
     auto res =
         matcher_.reduce(variants[bestIdx], Nonterm::Stmt, binder_, code_);
@@ -680,7 +664,6 @@ class Emitter {
     stats_.patternsUsed += res.patternsUsed;
     for (size_t i = first; i < code_.size(); ++i) stamp(code_[i]);
     ++stats_.statements;
-    stats_.msReduce += msSince(tReduce);
   }
 
   /// Is `e` usable directly as a mem/imm leaf *without* setup code (i.e.
@@ -1125,8 +1108,6 @@ class Emitter {
   int threads_ = 1;
   // Observability (null/unused when tracing is off).
   TraceContext* trace_ = nullptr;
-  TraceCounter* cExplored_ = nullptr;
-  TraceCounter* cPruned_ = nullptr;
   TraceCounter* cLabelings_ = nullptr;
   /// Rendered source attribution ("prog.dfl:12:3") of the statement being
   /// selected; the matcher reads it through setTrace at remark time.

@@ -152,24 +152,15 @@ struct CompileService::Impl {
         workerCount(o.workers > 0
                         ? o.workers
                         : std::max(1u, std::thread::hardware_concurrency())),
-        pool(workerCount - 1) {
+        pool(workerCount - 1),
+        reg(o.trace ? o.trace->metrics() : ownReg) {
     if (opt.queueDepth < 1) opt.queueDepth = 1;
     if (opt.batchSize < 1) opt.batchSize = 2 * workerCount;
     if (opt.recycleAfter < 1) opt.recycleAfter = 1;
     if (opt.slowTraceLimit < 1) opt.slowTraceLimit = 1;
-    if (opt.trace) {
-      cRequests = opt.trace->counter("server.requests");
-      cParseErrors = opt.trace->counter("server.parse_errors");
-      cHits = opt.trace->counter("server.cache_hits");
-      cCoalesced = opt.trace->counter("server.coalesced");
-      cMisses = opt.trace->counter("server.cache_misses");
-      cRejections = opt.trace->counter("server.rejections");
-      cEvictions = opt.trace->counter("server.evictions");
-      cBatches = opt.trace->counter("server.batches");
-    }
-    // Pre-resolve every metric the hot path records into: counters mirror
-    // ServiceStats, gauges track levels, histograms carry the phase/outcome
-    // latency matrix. record() on them is lock-free.
+    // Pre-resolve every metric the hot path records into: counters and
+    // gauges back ServiceStats, histograms carry the phase/outcome latency
+    // matrix. record() on them is lock-free.
     mRequests = reg.counter("server.requests");
     mParseErrors = reg.counter("server.parse_errors");
     mHits = reg.counter("server.cache_hits");
@@ -311,35 +302,31 @@ struct CompileService::Impl {
     w.promise = std::make_shared<std::promise<CompileResponse>>();
     Ticket ticket{w.promise->get_future().share()};
 
-    // Parse outside every lock: it is cheap relative to a compile but not
-    // free, and a malformed request must never occupy a queue slot.
+    // Parse and key outside every lock: it is cheap relative to a compile
+    // but not free, and a malformed request must never occupy a queue slot.
     DiagEngine diag;
     std::optional<Program> parsed = dfl::parseDfl(req.source, diag);
     w.tParsed = Clock::now();
-    if (!parsed) {
-      w.tClassified = w.tParsed;
-      {
-        std::lock_guard<std::mutex> lock(mu);
-        stats.requests++;
-        stats.parseErrors++;
-      }
-      if (cRequests) cRequests->add();
-      if (cParseErrors) cParseErrors->add();
-      mRequests->add();
+    CodegenOptions effective = effectiveOptions(req.opt, opt);
+    std::shared_ptr<const Program> progPtr;
+    uint64_t key = 0;
+    if (parsed) {
+      progPtr = std::make_shared<const Program>(std::move(*parsed));
+      key = keyOf(*progPtr, req.cfg, effective);
+    }
+
+    // Every counter stats() reports moves under `mu`, so its view is
+    // consistent.
+    std::unique_lock<std::mutex> lock(mu);
+    mRequests->add();
+    if (!progPtr) {
       mParseErrors->add();
-      fulfill(w, /*key=*/0, Outcome::ParseError, nullptr,
+      lock.unlock();
+      w.tClassified = w.tParsed;
+      fulfill(w, key, Outcome::ParseError, nullptr,
               diag.str().empty() ? "parse error" : diag.str(), nullptr);
       return ticket;
     }
-
-    CodegenOptions effective = effectiveOptions(req.opt, opt);
-    auto progPtr = std::make_shared<const Program>(std::move(*parsed));
-    uint64_t key = keyOf(*progPtr, req.cfg, effective);
-
-    std::unique_lock<std::mutex> lock(mu);
-    stats.requests++;
-    if (cRequests) cRequests->add();
-    mRequests->add();
 
     if (opt.cacheBytes > 0) {
       auto it = cache.find(key);
@@ -348,8 +335,6 @@ struct CompileService::Impl {
         lruOrder.splice(lruOrder.begin(), lruOrder, it->second.lruIt);
         std::shared_ptr<const TargetProgram> prog = it->second.prog;
         std::string error = it->second.error;
-        stats.cacheHits++;
-        if (cHits) cHits->add();
         mHits->add();
         w.tClassified = Clock::now();
         lock.unlock();
@@ -360,8 +345,6 @@ struct CompileService::Impl {
       auto inIt = inflight.find(key);
       if (inIt != inflight.end()) {
         // Single-flight: attach to the compile already running/queued.
-        stats.coalesced++;
-        if (cCoalesced) cCoalesced->add();
         mCoalesced->add();
         w.tClassified = Clock::now();
         w.coalesced = true;
@@ -370,8 +353,6 @@ struct CompileService::Impl {
       }
     }
 
-    stats.misses++;
-    if (cMisses) cMisses->add();
     mMisses->add();
     w.tClassified = Clock::now();
     Job job;
@@ -420,8 +401,6 @@ struct CompileService::Impl {
         queue.pop_front();
       }
       gQueueDepth->set(static_cast<int64_t>(queue.size()));
-      stats.batches++;
-      if (cBatches) cBatches->add();
       mBatches->add();
       lock.unlock();
       queueSpace.notify_all();
@@ -454,11 +433,7 @@ struct CompileService::Impl {
 
     std::vector<Waiter> waiters = std::move(job.directWaiters);
     lock.lock();
-    if (!error.empty()) {
-      stats.rejections++;
-      if (cRejections) cRejections->add();
-      mRejections->add();
-    }
+    if (!error.empty()) mRejections->add();
     if (opt.cacheBytes > 0) {
       insertCacheLocked(job.key, prog, error);
       auto it = inflight.find(job.key);
@@ -515,14 +490,28 @@ struct CompileService::Impl {
       auto it = cache.find(victim);
       cacheBytesUsed -= it->second.bytes;
       cache.erase(it);
-      stats.evictions++;
-      if (cEvictions) cEvictions->add();
       mEvictions->add();
     }
-    stats.cacheEntries = static_cast<int64_t>(cache.size());
-    stats.cacheBytes = static_cast<int64_t>(cacheBytesUsed);
-    gCacheEntries->set(stats.cacheEntries);
-    gCacheBytes->set(stats.cacheBytes);
+    gCacheEntries->set(static_cast<int64_t>(cache.size()));
+    gCacheBytes->set(static_cast<int64_t>(cacheBytesUsed));
+  }
+
+  /// ServiceStats as a view of the registry, read under `mu` (where every
+  /// counter it reports is incremented).
+  ServiceStats stats() const {
+    std::lock_guard<std::mutex> lock(mu);
+    ServiceStats st;
+    st.requests = mRequests->get();
+    st.parseErrors = mParseErrors->get();
+    st.cacheHits = mHits->get();
+    st.coalesced = mCoalesced->get();
+    st.misses = mMisses->get();
+    st.rejections = mRejections->get();
+    st.evictions = mEvictions->get();
+    st.batches = mBatches->get();
+    st.cacheEntries = gCacheEntries->get();
+    st.cacheBytes = gCacheBytes->get();
+    return st;
   }
 
   std::vector<SlowRequest> slowRequests() const {
@@ -536,7 +525,7 @@ struct CompileService::Impl {
   ThreadPool pool;
   std::thread dispatcher;
 
-  std::mutex mu;
+  mutable std::mutex mu;
   std::condition_variable work;        // dispatcher: jobs available / stop
   std::condition_variable queueSpace;  // submitters: queue below depth
   bool stop = false;
@@ -548,14 +537,13 @@ struct CompileService::Impl {
   size_t cacheBytesUsed = 0;
   std::unordered_map<std::string, std::vector<std::unique_ptr<Lease>>> leases;
 
-  ServiceStats stats;  // guarded by mu
-
   std::atomic<uint64_t> nextRequestId{1};
 
   // Telemetry. The registry's hot-path handles are lock-free; the slow-
   // request ring and event log sit behind their own mutex so they never
   // contend with the service lock.
-  MetricsRegistry reg;
+  MetricsRegistry ownReg;  // unused when a trace is attached
+  MetricsRegistry& reg;    // the trace's registry, else ownReg
   TraceCounter* mRequests = nullptr;
   TraceCounter* mParseErrors = nullptr;
   TraceCounter* mHits = nullptr;
@@ -573,15 +561,6 @@ struct CompileService::Impl {
   mutable std::mutex telemetryMu;
   std::deque<SlowRequest> slowRing;
   std::ofstream requestLog;
-
-  TraceCounter* cRequests = nullptr;
-  TraceCounter* cParseErrors = nullptr;
-  TraceCounter* cHits = nullptr;
-  TraceCounter* cCoalesced = nullptr;
-  TraceCounter* cMisses = nullptr;
-  TraceCounter* cRejections = nullptr;
-  TraceCounter* cEvictions = nullptr;
-  TraceCounter* cBatches = nullptr;
 };
 
 CompileService::CompileService(ServiceOptions opt)
@@ -597,10 +576,7 @@ CompileResponse CompileService::compileSync(CompileRequest req) {
   return submit(std::move(req)).wait();
 }
 
-ServiceStats CompileService::stats() const {
-  std::lock_guard<std::mutex> lock(impl_->mu);
-  return impl_->stats;
-}
+ServiceStats CompileService::stats() const { return impl_->stats(); }
 
 int CompileService::workers() const { return impl_->workerCount; }
 

@@ -45,20 +45,23 @@
 //   production stream should not re-derive "unsupported" at full compile
 //   cost per duplicate.
 //
-// Observability: hit/miss/evict/coalesce/reject counters live in
-// ServiceStats (atomics, always on) and are mirrored into a TraceContext
-// ("server.cache_hits", ...) when one is attached, so they appear in
-// recordc --trace / --stats and every stats JSON artifact.
+// Observability: the request/hit/miss/evict/coalesce/reject/batch counters
+// ("server.cache_hits", ...) are counted once, in one MetricsRegistry: the
+// attached TraceContext's when ServiceOptions::trace is set (so they appear
+// in recordc --trace / --metrics next to the compile counters), else the
+// service's own. stats() is a view of those counters, read under the
+// service lock where every one of them is incremented.
 //
-// Telemetry (always on; see DESIGN.md "Service telemetry"): the service
-// owns a MetricsRegistry and stamps every request with a monotonic id and
-// a per-phase timing breakdown -- parse, cache lookup, queue wait, batch
-// assembly, compile, fulfillment. Phase durations tile the request's
-// lifetime exactly (CompileResponse::msLatency == phases.totalMs(), one
-// measurement path, asserted by tests/metrics_test.cpp) and feed
-// per-phase log-bucketed histograms split by outcome (hit / coalesced /
-// miss / rejected / parse_error), so phase-histogram counts reconcile
-// exactly with ServiceStats. metricsJson() / prometheusText() export the
+// Telemetry (always on; see DESIGN.md "Service telemetry"): that registry
+// also holds the service's gauges and histograms, and every request is
+// stamped with a monotonic id and a per-phase timing breakdown -- parse,
+// cache lookup, queue wait, batch assembly, compile, fulfillment. Phase
+// durations tile the request's lifetime exactly
+// (CompileResponse::msLatency == phases.totalMs(), one measurement path,
+// asserted by tests/metrics_test.cpp) and feed per-phase log-bucketed
+// histograms split by outcome (hit / coalesced / miss / rejected /
+// parse_error), so phase-histogram counts reconcile exactly with
+// ServiceStats. metricsJson() / prometheusText() export the
 // registry; a slow-request tracer (ServiceOptions::slowRequestMs) keeps
 // the newest-N full per-phase span captures and renders them as
 // validateChromeTrace-clean Chrome trace JSON, and an optional JSONL
@@ -190,7 +193,9 @@ struct ServiceOptions {
   /// Pin every compile to searchThreads=1 (the soak discipline): the
   /// service parallelizes across requests, not inside one compile.
   bool sequentialSearch = true;
-  /// Optional trace sink for the server.* counters.
+  /// Optional trace: compiles record into it, and the service keeps its
+  /// server.* counters, gauges and histograms in the trace's registry
+  /// instead of its own. Services sharing a trace share those metrics.
   TraceContext* trace = nullptr;
   /// Slow-request tracing: capture the full per-phase span breakdown of
   /// every request whose latency is >= this many milliseconds (0 captures
@@ -214,7 +219,8 @@ struct SlowRequest {
   double msLatency = 0;  // == phases.totalMs()
 };
 
-/// Monotonic service counters; a consistent snapshot via stats().
+/// Monotonic service counters and current cache levels: stats() builds one
+/// from the service's registry under the service lock, so it is consistent.
 struct ServiceStats {
   int64_t requests = 0;
   int64_t parseErrors = 0;
@@ -252,9 +258,10 @@ class CompileService {
   int workers() const;
 
   // ---- telemetry ----------------------------------------------------------
-  /// The service's always-on metrics registry: server.* counters and
-  /// gauges, per-phase latency histograms "server.phase.<phase>.<outcome>"
-  /// and overall "server.latency.<outcome>" (milliseconds).
+  /// The registry the service records into (the trace's, if one is
+  /// attached): server.* counters and gauges, per-phase latency histograms
+  /// "server.phase.<phase>.<outcome>" and overall "server.latency.<outcome>"
+  /// (milliseconds).
   MetricsRegistry& metrics() const;
   /// Consistent copy of every metric (mergeable across services/runs).
   MetricsSnapshot metricsSnapshot() const;

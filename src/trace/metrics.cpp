@@ -252,7 +252,7 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
   MetricsSnapshot s;
   for (const auto& [name, c] : counterIdx_)
-    s.counters.emplace_back(name, c->value.load(std::memory_order_relaxed));
+    s.counters.emplace_back(name, c->get());
   for (const auto& [name, g] : gaugeIdx_) s.gauges.emplace_back(name, g->get());
   for (const auto& [name, h] : histogramIdx_)
     s.histograms.emplace_back(name, h->snapshot());

@@ -1,14 +1,15 @@
-// Service telemetry: a thread-safe metrics registry extending the trace
-// layer's TraceCounter model with gauges and log-bucketed latency
-// histograms. Where src/trace/trace.h observes *one compilation* (pass
-// spans, counters, remarks), this observes *a running service*: monotonic
-// totals, point-in-time levels, and latency distributions that answer
+// Telemetry substrate: the one thread-safe registry of named counters,
+// gauges and log-bucketed latency histograms. A TraceContext (trace.h)
+// owns one for a compilation's counters; the compile service records its
+// server.* counters, gauges and per-phase latency histograms into the same
+// registry when a trace is attached, and into its own otherwise. Counters
+// are monotonic totals, gauges point-in-time levels, and histograms answer
 // "where do a request's microseconds go" with percentiles instead of
 // averages.
 //
 // Design constraints (see DESIGN.md "Service telemetry"):
 //
-//   * Lock-free hot path. Counter::add, Gauge::set and
+//   * Lock-free hot path. TraceCounter::add, Gauge::set and
 //     LatencyHistogram::record are relaxed atomics on stable addresses --
 //     resolve the pointer once (MetricsRegistry::histogram(...)) and record
 //     freely from any thread. Only find-or-create and snapshot take the
@@ -44,9 +45,20 @@
 #include <utility>
 #include <vector>
 
-#include "trace/trace.h"
-
 namespace record {
+
+/// A named monotonic counter with a stable address: resolve once with
+/// MetricsRegistry::counter() (or TraceContext::counter()), then add()
+/// freely from any thread.
+struct TraceCounter {
+  std::string name;
+  std::atomic<int64_t> value{0};
+
+  void add(int64_t delta = 1) {
+    value.fetch_add(delta, std::memory_order_relaxed);
+  }
+  int64_t get() const { return value.load(std::memory_order_relaxed); }
+};
 
 /// A named level (queue depth, cache bytes, in-flight keys): set/add from
 /// any thread, read at snapshot time. Same stable-address contract as

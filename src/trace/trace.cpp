@@ -9,7 +9,7 @@
 
 namespace record {
 
-TraceContext::TraceContext() : epoch_(std::chrono::steady_clock::now()) {}
+TraceContext::TraceContext() : epoch_(Clock::now()) {}
 
 uint32_t TraceContext::tidOf() {
   std::lock_guard<std::mutex> lock(tidMu_);
@@ -21,51 +21,15 @@ uint32_t TraceContext::tidOf() {
   return t;
 }
 
-TraceCounter* TraceContext::counter(std::string_view name) {
-  std::lock_guard<std::mutex> lock(countersMu_);
-  auto it = counterIdx_.find(name);
-  if (it != counterIdx_.end()) return it->second;
-  counters_.emplace_back();
-  TraceCounter* c = &counters_.back();
-  c->name = std::string(name);
-  counterIdx_.emplace(c->name, c);
-  return c;
-}
-
-void TraceContext::add(std::string_view name, int64_t delta) {
-  counter(name)->add(delta);
-}
-
-std::vector<std::pair<std::string, int64_t>> TraceContext::counterValues()
-    const {
-  std::lock_guard<std::mutex> lock(countersMu_);
-  std::vector<std::pair<std::string, int64_t>> out;
-  out.reserve(counterIdx_.size());
-  for (const auto& [name, c] : counterIdx_)
-    out.emplace_back(name, c->value.load(std::memory_order_relaxed));
-  return out;
-}
-
-int64_t TraceContext::counterValue(std::string_view name) const {
-  std::lock_guard<std::mutex> lock(countersMu_);
-  auto it = counterIdx_.find(name);
-  return it == counterIdx_.end()
-             ? 0
-             : it->second->value.load(std::memory_order_relaxed);
-}
-
-void TraceContext::beginSpan(const char* name) {
+TraceContext::Clock::time_point TraceContext::spanEvent(char ph,
+                                                        const char* name) {
   uint32_t tid = tidOf();
   std::lock_guard<std::mutex> lock(eventsMu_);
-  // The timestamp is taken under the lock so buffer order == time order
-  // (the monotonic-ts guarantee of the JSON sink).
-  events_.push_back({'B', name, {}, {}, tid, nowUs()});
-}
-
-void TraceContext::endSpan(const char* name) {
-  uint32_t tid = tidOf();
-  std::lock_guard<std::mutex> lock(eventsMu_);
-  events_.push_back({'E', name, {}, {}, tid, nowUs()});
+  // The clock is read under the lock so buffer order == time order (the
+  // monotonic-ts guarantee of the JSON sink).
+  Clock::time_point t = Clock::now();
+  events_.push_back({ph, name, {}, {}, tid, usSinceEpoch(t)});
+  return t;
 }
 
 void TraceContext::remark(const char* pass, std::string message,
@@ -208,8 +172,10 @@ std::string TraceContext::statsJson() const {
   os << "\n  },\n  \"spans\": {";
   first = true;
   for (const auto& [path, a] : aggregateSpans()) {
+    // Nanosecond resolution: a phase's span total here is the same
+    // measurement as its CompileStats::ms* field.
     char buf[64];
-    std::snprintf(buf, sizeof buf, "{\"count\": %d, \"ms\": %.3f}", a.count,
+    std::snprintf(buf, sizeof buf, "{\"count\": %d, \"ms\": %.6f}", a.count,
                   a.ms);
     os << (first ? "\n" : ",\n") << "    \"" << json::escape(path)
        << "\": " << buf;

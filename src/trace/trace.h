@@ -14,6 +14,11 @@
 //     span/remark recording takes a mutex (those happen on the driving
 //     thread or rarely). One TraceContext may be shared across the pool.
 //
+//   * One counter store. The context's counters live in the
+//     MetricsRegistry it owns (metrics()); a compile service attached to
+//     the context records its server.* counters, gauges and histograms
+//     there too, so one export carries both.
+//
 //   * Never perturbs codegen. Instrumentation only observes; no compiler
 //     decision may read trace state.
 //
@@ -23,8 +28,8 @@
 //                the pass tree: compile > select > stmt > rewrite/search/
 //                reduce, then the late passes.
 //   Counters  -- named monotonic totals (variants explored/pruned, interner
-//                and memo hit rates, peephole firings, ...). Glossary in
-//                DESIGN.md.
+//                and memo hit rates, peephole firings, ...), kept in the
+//                context's MetricsRegistry. Glossary in DESIGN.md.
 //   Remarks   -- optimization decisions with optional source attribution
 //                ("picked variant 3/48", "rule MAC fired", "rewrite
 //                rejected: ..."), the -Rpass analog.
@@ -35,10 +40,8 @@
 // artifacts.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <mutex>
 #include <string>
@@ -47,18 +50,9 @@
 #include <utility>
 #include <vector>
 
+#include "trace/metrics.h"
+
 namespace record {
-
-/// A named atomic counter with a stable address: resolve once with
-/// TraceContext::counter(), then add() freely from any thread.
-struct TraceCounter {
-  std::string name;
-  std::atomic<int64_t> value{0};
-
-  void add(int64_t delta = 1) {
-    value.fetch_add(delta, std::memory_order_relaxed);
-  }
-};
 
 /// One recorded event. Span names must be string literals (stored by
 /// pointer); remark text is owned.
@@ -73,22 +67,38 @@ struct TraceEvent {
 
 class TraceContext {
  public:
+  using Clock = std::chrono::steady_clock;
+
   TraceContext();
 
   // ---- counters -----------------------------------------------------------
-  /// Find-or-create; the returned pointer stays valid for the context's
-  /// lifetime. Hot paths should resolve once and cache the pointer.
-  TraceCounter* counter(std::string_view name);
+  /// The registry that holds this context's counters (and whatever else is
+  /// recorded into it, e.g. an attached compile service's metrics).
+  MetricsRegistry& metrics() { return metrics_; }
+  /// Find-or-create in metrics(); the returned pointer stays valid for the
+  /// context's lifetime. Hot paths should resolve once and cache it.
+  TraceCounter* counter(std::string_view name) {
+    return metrics_.counter(name);
+  }
   /// One-shot convenience for cold paths.
-  void add(std::string_view name, int64_t delta);
+  void add(std::string_view name, int64_t delta) {
+    counter(name)->add(delta);
+  }
   /// Final values, sorted by name. 0-valued counters are included.
-  std::vector<std::pair<std::string, int64_t>> counterValues() const;
+  std::vector<std::pair<std::string, int64_t>> counterValues() const {
+    return metrics_.snapshot().counters;
+  }
   /// Value of one counter (0 when it was never touched).
-  int64_t counterValue(std::string_view name) const;
+  int64_t counterValue(std::string_view name) const {
+    return metrics_.snapshot().counter(name);
+  }
 
   // ---- spans & remarks ----------------------------------------------------
-  void beginSpan(const char* name);
-  void endSpan(const char* name);
+  /// Record a span boundary; returns the clock reading stamped on it.
+  Clock::time_point beginSpan(const char* name) {
+    return spanEvent('B', name);
+  }
+  Clock::time_point endSpan(const char* name) { return spanEvent('E', name); }
   /// `pass` must be a string literal. `loc` is a pre-rendered
   /// "source:line:col" attribution (empty = none).
   void remark(const char* pass, std::string message, std::string loc = {});
@@ -108,12 +118,12 @@ class TraceContext {
   std::string statsJson() const;
 
  private:
-  double nowUs() const {
-    return std::chrono::duration<double, std::micro>(
-               std::chrono::steady_clock::now() - epoch_)
-        .count();
+  double usSinceEpoch(Clock::time_point t) const {
+    return std::chrono::duration<double, std::micro>(t - epoch_).count();
   }
+  double nowUs() const { return usSinceEpoch(Clock::now()); }
   uint32_t tidOf();
+  Clock::time_point spanEvent(char ph, const char* name);
 
   /// Aggregated span statistics keyed by slash-joined path, built by
   /// replaying the event stream (shared by text()/statsJson()).
@@ -125,33 +135,41 @@ class TraceContext {
   };
   std::map<std::string, SpanAgg> aggregateSpans() const;
 
-  std::chrono::steady_clock::time_point epoch_;
+  Clock::time_point epoch_;
 
   mutable std::mutex eventsMu_;
   std::vector<TraceEvent> events_;
 
-  mutable std::mutex countersMu_;
-  std::deque<TraceCounter> counters_;  // deque: stable addresses
-  std::map<std::string, TraceCounter*, std::less<>> counterIdx_;
+  MetricsRegistry metrics_;
 
   std::mutex tidMu_;
   std::map<std::thread::id, uint32_t> tids_;
 };
 
-/// RAII scoped span. No-op (one branch) when `ctx` is null, so call sites
-/// need no `if (trace)` of their own.
+/// RAII scoped span. No-op (one branch) when `ctx` and `ms` are both null,
+/// so call sites need no `if (trace)` of their own. With `ms` set, the
+/// span's duration in milliseconds is also added to `*ms`, taken from the
+/// same two clock readings the trace records (or from two of its own when
+/// `ctx` is null): a phase time and its span are one measurement.
 class TraceSpan {
  public:
-  TraceSpan(TraceContext* ctx, const char* name) : ctx_(ctx), name_(name) {
-    if (ctx_) ctx_->beginSpan(name_);
+  TraceSpan(TraceContext* ctx, const char* name, double* ms = nullptr)
+      : ctx_(ctx), name_(name), ms_(ms) {
+    if (ctx_)
+      t0_ = ctx_->beginSpan(name_);
+    else if (ms_)
+      t0_ = TraceContext::Clock::now();
   }
-  ~TraceSpan() {
-    if (ctx_) ctx_->endSpan(name_);
-  }
+  ~TraceSpan() { close(); }
   /// End the span before scope exit; the destructor then does nothing.
   void close() {
-    if (ctx_) ctx_->endSpan(name_);
+    if (!ctx_ && !ms_) return;
+    const TraceContext::Clock::time_point t1 =
+        ctx_ ? ctx_->endSpan(name_) : TraceContext::Clock::now();
+    if (ms_)
+      *ms_ += std::chrono::duration<double, std::milli>(t1 - t0_).count();
     ctx_ = nullptr;
+    ms_ = nullptr;
   }
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
@@ -159,6 +177,8 @@ class TraceSpan {
  private:
   TraceContext* ctx_;
   const char* name_;
+  double* ms_;
+  TraceContext::Clock::time_point t0_;
 };
 
 /// Schema check for Chrome trace_event JSON (used by the golden-trace tests

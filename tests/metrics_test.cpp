@@ -386,6 +386,66 @@ TEST(MetricsService, HistogramCountsReconcileWithServiceStats) {
   EXPECT_EQ(histCount("server.phase.compile.parse_error"), 0);
 }
 
+TEST(MetricsService, TraceAndServiceShareOneCounterStore) {
+  // With a trace attached, the service counts into the trace's registry:
+  // the trace, stats() and metricsSnapshot() read one counter per quantity,
+  // and the one snapshot also carries the compile counters.
+  TraceContext trace;
+  ServiceOptions so;
+  so.trace = &trace;
+  so.cacheBytes = 4 << 10;  // a few KiB: inserts evict
+  CompileService svc(so);
+  TargetConfig cfg;
+  CodegenOptions opt;
+  const std::string fir = kernelByName("fir").dfl;
+  std::vector<server::Ticket> tickets;
+  for (int i = 0; i < 6; ++i) tickets.push_back(svc.submit({fir, cfg, opt}));
+  for (auto& t : tickets) ASSERT_TRUE(t.wait().ok()) << t.wait().error;
+  EXPECT_TRUE(svc.compileSync({fir, cfg, opt}).cacheHit);
+  for (const char* k : {"dot_product", "convolution", "n_real_updates"})
+    ASSERT_TRUE(svc.compileSync({kernelByName(k).dfl, cfg, opt}).ok()) << k;
+  TargetConfig noSat;
+  noSat.hasSat = false;
+  EXPECT_FALSE(svc.compileSync({"program satprog;\n"
+                                "input a : fix;\ninput b : fix;\n"
+                                "output o : fix;\n"
+                                "begin\n  o := a +| b;\nend\n",
+                                noSat, opt})
+                   .ok());
+  EXPECT_EQ(svc.compileSync({"this is not DFL (", cfg, opt}).outcome,
+            Outcome::ParseError);
+
+  const server::ServiceStats st = svc.stats();
+  const MetricsSnapshot m = svc.metricsSnapshot();
+  const struct {
+    const char* name;
+    int64_t stat;
+  } quantities[] = {
+      {"server.requests", st.requests},
+      {"server.parse_errors", st.parseErrors},
+      {"server.cache_hits", st.cacheHits},
+      {"server.coalesced", st.coalesced},
+      {"server.cache_misses", st.misses},
+      {"server.rejections", st.rejections},
+      {"server.evictions", st.evictions},
+      {"server.batches", st.batches},
+  };
+  for (const auto& q : quantities) {
+    EXPECT_EQ(trace.counterValue(q.name), q.stat) << q.name;
+    EXPECT_EQ(m.counter(q.name), q.stat) << q.name;
+  }
+  EXPECT_EQ(st.requests, 12);
+  EXPECT_EQ(st.parseErrors, 1);
+  EXPECT_EQ(st.misses, 5);
+  EXPECT_EQ(st.rejections, 1);
+  EXPECT_EQ(st.cacheHits + st.coalesced, 6);
+  EXPECT_GE(st.cacheHits, 1);
+  EXPECT_GT(st.evictions, 0);
+  EXPECT_GT(st.batches, 0);
+  EXPECT_GT(m.counter("codegen.size_words"), 0);
+  EXPECT_GT(m.counter("rewrite.variants_explored"), 0);
+}
+
 TEST(MetricsService, SlowTraceValidatesAndHonorsRingLimit) {
   ServiceOptions so;
   so.slowRequestMs = 0;  // capture everything

@@ -13,6 +13,7 @@
 //     reports both clocks.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -241,6 +242,48 @@ TEST(TraceSinks, StatsJsonParses) {
   ASSERT_NE(spans, nullptr);
   EXPECT_NE(counters->find("rewrite.variants_explored"), nullptr);
   EXPECT_NE(spans->find("compile"), nullptr);
+}
+
+TEST(TraceSinks, PhaseSpansAreTheCompileStatsTimes) {
+  // A phase's CompileStats time and its spans come from the same clock
+  // readings, so the span totals in statsJson() equal the ms* fields.
+  TraceContext trace;
+  auto res = compileTraced("fir", &trace);
+  std::string err;
+  auto doc = json::parse(trace.statsJson(), &err);
+  ASSERT_TRUE(doc.has_value()) << err;
+  const json::Value* spans = doc->find("spans");
+  ASSERT_NE(spans, nullptr);
+  // Sum every span path whose last component is one of `names`.
+  auto spanTotal = [&](std::vector<std::string> names, int* count) {
+    double ms = 0;
+    *count = 0;
+    for (const auto& [path, v] : spans->obj) {
+      const std::string leaf = path.substr(path.rfind('/') + 1);
+      if (std::find(names.begin(), names.end(), leaf) == names.end())
+        continue;
+      ms += v.find("ms")->number;
+      *count += static_cast<int>(v.find("count")->number);
+    }
+    return ms;
+  };
+  const struct {
+    std::vector<std::string> spans;
+    double ms;
+  } phases[] = {
+      {{"rewrite"}, res.stats.msRewrite},
+      {{"search"}, res.stats.msSearch},
+      {{"reduce"}, res.stats.msReduce},
+      {{"accpromote", "modes", "compact", "looptrans", "peephole"},
+       res.stats.msLate},
+  };
+  for (const auto& ph : phases) {
+    int count = 0;
+    const double ms = spanTotal(ph.spans, &count);
+    EXPECT_GT(count, 0) << ph.spans.front();
+    EXPECT_GT(ph.ms, 0) << ph.spans.front();
+    EXPECT_NEAR(ms, ph.ms, 1e-6 * count) << ph.spans.front();
+  }
 }
 
 TEST(TraceSinks, TextMentionsPassesCountersRemarks) {
