@@ -283,20 +283,79 @@ ExprPtr normalizeSums(const ExprPtr& e, bool wide, bool softMul,
   return changed ? Expr::withKids(*e, std::move(kids)) : e;
 }
 
+/// The constant `substInduction(e, ivar, v)` folds to, computed without
+/// building the substituted tree; nullopt when it would not fold to one.
+/// Only meaningful when `e` mentions `ivar` (else nothing is substituted).
+std::optional<int64_t> valueAt(const Expr& e, const Symbol* ivar, int64_t v) {
+  switch (e.op) {
+    case Op::Const: return e.value;
+    case Op::Ref:
+      if (e.sym == ivar) return v;
+      return std::nullopt;
+    case Op::ArrayRef: return std::nullopt;
+    default: break;
+  }
+  auto a = valueAt(*e.kids[0], ivar, v);
+  if (!a) return std::nullopt;
+  int64_t b = 0;
+  if (e.kids.size() > 1) {
+    auto kb = valueAt(*e.kids[1], ivar, v);
+    if (!kb) return std::nullopt;
+    b = *kb;
+  }
+  return foldOp(e.op, *a, b);
+}
+
+/// Is `e` built from `ivar` and constants by operators that keep it affine
+/// (+, -, negation, and * or << by an ivar-free operand)? Three points fit
+/// a line through `i & 7` or `i*(i-1)*(i-2)` too, so the shape is checked.
+bool linearIn(const ExprPtr& e, const Symbol* ivar) {
+  if (!exprMentions(e, ivar)) return true;
+  switch (e->op) {
+    case Op::Ref: return true;  // ivar itself
+    case Op::Add:
+    case Op::Sub:
+      return linearIn(e->kids[0], ivar) && linearIn(e->kids[1], ivar);
+    case Op::Neg: return linearIn(e->kids[0], ivar);
+    case Op::Mul:
+      return (!exprMentions(e->kids[0], ivar) ||
+              !exprMentions(e->kids[1], ivar)) &&
+             linearIn(e->kids[0], ivar) && linearIn(e->kids[1], ivar);
+    case Op::Shl:
+      return !exprMentions(e->kids[1], ivar) && linearIn(e->kids[0], ivar);
+    default: return false;
+  }
+}
+
 /// Affine analysis: idx as a function of ivar. Returns (coeff, valueAtZero)
-/// when idx = coeff*ivar + c exactly (checked at three points).
+/// when idx = coeff*ivar + c exactly (an affine shape, checked at three
+/// points).
 std::optional<std::pair<int64_t, int64_t>> affineIndex(const ExprPtr& idx,
                                                        const Symbol* ivar) {
-  auto at = [&](int64_t v) -> std::optional<int64_t> {
-    auto e = substInduction(idx, ivar, v);
-    if (e->op != Op::Const) return std::nullopt;
-    return e->value;
-  };
-  auto c0 = at(0), c1 = at(1), c2 = at(2);
+  if (!exprMentions(idx, ivar)) {  // substInduction leaves idx as it is
+    if (idx->op != Op::Const) return std::nullopt;
+    return std::make_pair(int64_t{0}, idx->value);
+  }
+  if (!linearIn(idx, ivar)) return std::nullopt;
+  auto c0 = valueAt(*idx, ivar, 0), c1 = valueAt(*idx, ivar, 1),
+       c2 = valueAt(*idx, ivar, 2);
   if (!c0 || !c1 || !c2) return std::nullopt;
   int64_t k = *c1 - *c0;
   if (*c2 - *c1 != k) return std::nullopt;
   return std::make_pair(k, *c0);
+}
+
+/// Does `e` read `sym` anywhere but at the array element `at` (an affine
+/// index of `ivar`)? A scalar read, or any read when `at` is empty, counts.
+bool readsBeside(const ExprPtr& e, const Symbol* sym,
+                 const std::optional<std::pair<int64_t, int64_t>>& at,
+                 const Symbol* ivar) {
+  if ((e->op == Op::Ref || e->op == Op::ArrayRef) && e->sym == sym &&
+      (e->op == Op::Ref || !at || affineIndex(e->kids[0], ivar) != at))
+    return true;
+  for (const auto& k : e->kids)
+    if (readsBeside(k, sym, at, ivar)) return true;
+  return false;
 }
 
 // ---------------------------------------------------------------------------
@@ -896,6 +955,89 @@ class Emitter {
     return Expr::withKids(*e, std::move(kids));
   }
 
+  /// Collect the stream groups of a step-1 all-assign loop body. Returns
+  /// whether the body also makes an array access that will NOT stream, i.e.
+  /// one that needs the scratch AR.
+  bool findStreams(const std::vector<Stmt>& body, const Symbol* ivar,
+                   std::map<StreamKey, StreamGroup>& groups) {
+    bool leftoverDynamic = false;
+    for (const auto& b : body) {
+      findStreamsInExpr(b.rhs, ivar, groups);
+      leftoverDynamic |= hasNonStreamArrayRef(b.rhs, ivar);
+      if (b.lhsIndex) {
+        // The write access itself is a stream candidate...
+        if (auto aff = affineIndex(b.lhsIndex, ivar)) {
+          addStreamOccurrence(b.lhs, aff->first, aff->second, groups);
+          if (aff->first != 1 && aff->first != -1) leftoverDynamic = true;
+        } else {
+          // ...and a non-affine index may contain streamable reads.
+          findStreamsInExpr(b.lhsIndex, ivar, groups);
+          leftoverDynamic = true;
+        }
+        leftoverDynamic |= hasNonStreamArrayRef(b.lhsIndex, ivar);
+      }
+    }
+    return leftoverDynamic;
+  }
+
+  /// Do `groups` streams plus a BANZ counter all get an AR? The reserved
+  /// scratch AR counts only when no access of the loop needs it.
+  bool arsFit(size_t groups, bool leftoverDynamic) const {
+    const bool scratch = !leftoverDynamic && !arfile_.scratchLeased();
+    return static_cast<int>(groups) + 1 <=
+           arfile_.available() + (scratch ? 1 : 0);
+  }
+
+  bool streamsFit(const std::vector<Stmt>& body, const Symbol* ivar) {
+    std::map<StreamKey, StreamGroup> groups;
+    const bool dyn = findStreams(body, ivar, groups);
+    return arsFit(groups.size(), dyn);
+  }
+
+  /// May every iteration of `before` run ahead of every iteration of
+  /// `after` (loop fission)? `after` must write nothing `before` mentions,
+  /// and may read what `before` writes only as the same array element that
+  /// the same iteration wrote: the identical affine index of `ivar`.
+  static bool fissionLegal(const std::vector<Stmt>& before,
+                           const std::vector<Stmt>& after,
+                           const Symbol* ivar) {
+    for (const Stmt& a : before) {
+      std::optional<std::pair<int64_t, int64_t>> wrote;
+      if (a.lhsIndex) wrote = affineIndex(a.lhsIndex, ivar);
+      if (wrote && wrote->first == 0) wrote.reset();  // one element, all i
+      for (const Stmt& b : after) {
+        if (b.lhs == a.lhs || exprMentions(a.rhs, b.lhs) ||
+            (a.lhsIndex && exprMentions(a.lhsIndex, b.lhs)))
+          return false;
+        if (readsBeside(b.rhs, a.lhs, wrote, ivar) ||
+            (b.lhsIndex && readsBeside(b.lhsIndex, a.lhs, wrote, ivar)))
+          return false;
+      }
+    }
+    return true;
+  }
+
+  /// Loop fission for AR pressure: greedily cut a body whose streams plus
+  /// counter overflow the AR file into chunks that each fit. Empty when a
+  /// single statement overflows or a cut is illegal.
+  std::vector<std::vector<Stmt>> splitForArs(const Stmt& s) {
+    std::vector<std::vector<Stmt>> chunks{{s.body.front()}};
+    for (size_t i = 1; i < s.body.size(); ++i) {
+      std::vector<Stmt> grown = chunks.back();
+      grown.push_back(s.body[i]);
+      if (streamsFit(grown, s.ivar))
+        chunks.back() = std::move(grown);
+      else
+        chunks.push_back({s.body[i]});
+    }
+    for (size_t c = 0; c < chunks.size(); ++c) {
+      if (!streamsFit(chunks[c], s.ivar)) return {};
+      for (size_t d = c + 1; d < chunks.size(); ++d)
+        if (!fissionLegal(chunks[c], chunks[d], s.ivar)) return {};
+    }
+    return chunks;
+  }
+
   // ---- loops ----------------------------------------------------------------
   void emitFor(const Stmt& s) {
     int64_t n = s.tripCount();
@@ -916,21 +1058,21 @@ class Emitter {
     std::map<StreamKey, StreamGroup> groups;
     bool useScratch = false;
     if (opt_.useStreams && bodyAllAssign && s.step == 1) {
-      bool leftoverDynamic = false;  // array access that will NOT stream
-      for (const auto& b : s.body) {
-        findStreamsInExpr(b.rhs, s.ivar, groups);
-        leftoverDynamic |= hasNonStreamArrayRef(b.rhs, s.ivar);
-        if (b.lhsIndex) {
-          // The write access itself is a stream candidate...
-          if (auto aff = affineIndex(b.lhsIndex, s.ivar)) {
-            addStreamOccurrence(b.lhs, aff->first, aff->second, groups);
-            if (aff->first != 1 && aff->first != -1) leftoverDynamic = true;
-          } else {
-            // ...and a non-affine index may contain streamable reads.
-            findStreamsInExpr(b.lhsIndex, s.ivar, groups);
-            leftoverDynamic = true;
+      const bool leftoverDynamic = findStreams(s.body, s.ivar, groups);
+      // A loop whose streams and counter overflow the AR file runs as
+      // consecutive counted loops when its body splits legally into chunks
+      // that each fit.
+      if (opt_.arLoopCounters && s.body.size() > 1 &&
+          !arsFit(groups.size(), leftoverDynamic)) {
+        auto chunks = splitForArs(s);
+        if (!chunks.empty()) {
+          for (auto& chunk : chunks) {
+            Stmt part =
+                Stmt::forLoop(s.ivar, s.lo, s.hi, s.step, std::move(chunk));
+            part.loc = s.loc;
+            emitFor(part);
           }
-          leftoverDynamic |= hasNonStreamArrayRef(b.lhsIndex, s.ivar);
+          return;
         }
       }
       // The reserved scratch AR may join the pool when this loop provably

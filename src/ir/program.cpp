@@ -78,6 +78,26 @@ std::vector<const Symbol*> Program::storageSymbols() const {
   return out;
 }
 
+int64_t foldOp(Op op, int64_t a, int64_t b) {
+  switch (op) {
+    // Folding must agree bit-for-bit with Interp::eval (the golden model),
+    // so every case goes through the same type.h helpers.
+    case Op::Add: return wrap32(a + b);
+    case Op::Sub: return wrap32(a - b);
+    case Op::Mul: return mul16(a, b);
+    case Op::Neg: return wrap32(-a);
+    case Op::SatAdd: return sat32(a + b);
+    case Op::SatSub: return sat32(a - b);
+    case Op::Shl: return wrapShl32(a, b);
+    case Op::Shr: return asr32(a, b);
+    case Op::Shru: return lsr32(a, b);
+    case Op::And: return and16(a, b);
+    case Op::Or: return or16(a, b);
+    case Op::Xor: return xor16(a, b);
+    default: return 0;
+  }
+}
+
 ExprPtr foldConstants(const ExprPtr& e) {
   if (opIsLeaf(e->op)) return e;
   ExprKids kids;
@@ -92,29 +112,10 @@ ExprPtr foldConstants(const ExprPtr& e) {
       if (k->op != Op::Const) return false;
     return true;
   };
-  if (e->op != Op::ArrayRef && allConst()) {
-    int64_t v = 0;
-    int64_t a = kids[0]->value;
-    int64_t b = kids.size() > 1 ? kids[1]->value : 0;
-    switch (e->op) {
-      // Folding must agree bit-for-bit with Interp::eval (the golden
-      // model), so every case goes through the same type.h helpers.
-      case Op::Add: v = wrap32(a + b); break;
-      case Op::Sub: v = wrap32(a - b); break;
-      case Op::Mul: v = mul16(a, b); break;
-      case Op::Neg: v = wrap32(-a); break;
-      case Op::SatAdd: v = sat32(a + b); break;
-      case Op::SatSub: v = sat32(a - b); break;
-      case Op::Shl: v = wrapShl32(a, b); break;
-      case Op::Shr: v = asr32(a, b); break;
-      case Op::Shru: v = lsr32(a, b); break;
-      case Op::And: v = and16(a, b); break;
-      case Op::Or: v = or16(a, b); break;
-      case Op::Xor: v = xor16(a, b); break;
-      default: v = 0; break;
-    }
-    return Expr::constant(v, e->type);
-  }
+  if (e->op != Op::ArrayRef && allConst())
+    return Expr::constant(
+        foldOp(e->op, kids[0]->value, kids.size() > 1 ? kids[1]->value : 0),
+        e->type);
   return changed ? Expr::withKids(*e, std::move(kids)) : e;
 }
 

@@ -68,4 +68,8 @@ std::vector<Stmt> flattenStmts(const std::vector<Stmt>& body);
 /// baseline compiler's constant folding and by loop substitution.
 ExprPtr foldConstants(const ExprPtr& e);
 
+/// The folded value of operator `op` over constant operands (`b` ignored by
+/// unary ops): the one definition foldConstants and the loop analyses share.
+int64_t foldOp(Op op, int64_t a, int64_t b);
+
 }  // namespace record

@@ -13,7 +13,6 @@ BursMatcher::BursMatcher(const RuleSet& rules, CostKind costKind)
 void BursMatcher::setTrace(TraceContext* trace, const std::string* loc) {
   trace_ = trace;
   traceLoc_ = loc;
-  rulesFired_ = trace ? trace->counter("isel.rules_fired") : nullptr;
 }
 
 void BursMatcher::LabelMemo::newEpoch() {
@@ -247,7 +246,6 @@ Operand BursMatcher::reduceTo(const ExprPtr& e, Nonterm nt,
   const Rule& r = rules_.rules[static_cast<size_t>(c.rule)];
   ++patterns;
   if (trace_) {
-    rulesFired_->add(1);
     std::string node = e->str();
     if (node.size() > 48) node.replace(45, node.size() - 45, "...");
     trace_->remark("isel.rule", "fired '" + r.name + "' on " + node,

@@ -26,7 +26,6 @@
 namespace record {
 
 class TraceContext;
-struct TraceCounter;
 
 /// Cost dimension optimized by the matcher. Table 1 reports size, so Size is
 /// the default; Cycles is used by the speed-oriented experiments.
@@ -148,9 +147,10 @@ class BursMatcher {
   int64_t memoMisses() const { return memoMisses_; }
 
   /// Attach an optimization-remark stream: every reduce() afterwards
-  /// reports each rule fired in the winning cover ("isel.rule" remarks)
-  /// and bumps the "isel.rules_fired" counter. `loc` (may be null) points
-  /// at a caller-owned rendered source attribution, read at remark time.
+  /// reports each rule fired in the winning cover ("isel.rule" remarks;
+  /// the compile counts them once, as "isel.patterns_used"). `loc` (may be
+  /// null) points at a caller-owned rendered source attribution, read at
+  /// remark time.
   /// Observability only -- never changes labeling or reduction.
   void setTrace(TraceContext* trace, const std::string* loc = nullptr);
 
@@ -213,7 +213,6 @@ class BursMatcher {
 
   // Optimization-remark stream (null = off).
   TraceContext* trace_ = nullptr;
-  TraceCounter* rulesFired_ = nullptr;
   const std::string* traceLoc_ = nullptr;
 
   // Branch-and-bound state for the current bounded call.

@@ -9,7 +9,9 @@
 #include "codegen/baseline.h"
 #include "codegen/pipeline.h"
 #include "dfl/frontend.h"
+#include "difftest/difftest.h"
 #include "dspstone/harness.h"
+#include "dspstone/kernels.h"
 
 namespace record {
 namespace {
@@ -356,6 +358,206 @@ TEST(Codegen, StatsArePopulated) {
   EXPECT_GT(res.stats.variantsTried, 0);
   EXPECT_GT(res.stats.patternsUsed, 0);
   EXPECT_EQ(res.stats.promote.promotions, 1);  // acc promoted out of loop
+}
+
+// ---------------------------------------------------------------------------
+// Loop fission: a counted loop whose streams plus counter overflow the AR
+// file runs as consecutive BANZ loops when its body splits legally.
+// ---------------------------------------------------------------------------
+
+/// [top, back branch] instruction ranges of the loops of `tp`.
+std::vector<std::pair<int, int>> loopsOf(const TargetProgram& tp) {
+  std::vector<std::pair<int, int>> loops;
+  for (int j = 0; j < tp.sizeWords(); ++j) {
+    const std::string& target = tp.code[static_cast<size_t>(j)].targetLabel;
+    if (target.empty()) continue;
+    const int top = tp.labelIndex(target);
+    if (top >= 0 && top <= j) loops.push_back({top, j});
+  }
+  return loops;
+}
+
+/// Compile `prog` for every defaultSweep() config in the oracle's fast and
+/// slow modes and check each against Interp over three ticks (state carried
+/// between ticks shows a misplaced read); both modes must emit the same
+/// code. Returns the default config's program.
+TargetProgram expectMatchesInterpOnSweep(const Program& prog) {
+  const Stimulus stim = defaultStimulus(prog, 7, 3);
+  TargetProgram onDefault;
+  for (const auto& pt : difftest::defaultSweep()) {
+    SCOPED_TRACE(pt.name);
+    std::string listing[2];
+    for (bool fast : {false, true}) {
+      auto res = RecordCompiler(pt.cfg, difftest::oracleOptions(fast))
+                     .compile(prog);
+      auto m = runAndCompare(res.prog, prog, stim);
+      EXPECT_TRUE(m.ok) << (fast ? "fast: " : "slow: ") << m.error << "\n"
+                        << res.prog.listing();
+      listing[fast] = res.prog.listing();
+      if (pt.name == "default") onDefault = std::move(res.prog);
+    }
+    EXPECT_EQ(listing[0], listing[1]);
+  }
+  return onDefault;
+}
+
+TEST(Codegen, LoopFissionSplitsNComplexUpdates) {
+  const Program prog =
+      dfl::parseDflOrDie(kernelByName("n_complex_updates").dfl);
+  const TargetProgram tp = expectMatchesInterpOnSweep(prog);
+  const auto loops = loopsOf(tp);
+  ASSERT_EQ(loops.size(), 2u) << tp.listing();
+  for (const auto& [top, back] : loops) {
+    EXPECT_EQ(tp.code[static_cast<size_t>(back)].op, Opcode::BANZ);
+    for (int i = top; i <= back; ++i) {
+      const Opcode op = tp.code[static_cast<size_t>(i)].op;
+      EXPECT_NE(op, Opcode::LAR) << tp.listing();
+      EXPECT_NE(op, Opcode::ADRK) << tp.listing();
+    }
+  }
+  for (const Instr& in : tp.code) EXPECT_NE(in.op, Opcode::BGEZ);
+}
+
+// The second statement reads x only at the element the first one wrote in
+// the same iteration, so the split is legal.
+TEST(Codegen, LoopFissionSplitsSameElementRead) {
+  const Program prog = dfl::parseDflOrDie(R"(
+    program fission_same;
+    const N = 16;
+    input a[N] : fix; input b[N] : fix; input c[N] : fix;
+    input d[N] : fix; input e[N] : fix; input f[N] : fix;
+    input g[N] : fix; input h[N] : fix;
+    output x[N] : fix;
+    output y[N] : fix;
+    begin
+      for i := 0 to N-1 do
+        x[i] := a[i] + b[i] + c[i] + d[i] + e[i];
+        y[i] := x[i] - f[i] + g[i] - h[i];
+      endfor
+    end
+  )");
+  const TargetProgram tp = expectMatchesInterpOnSweep(prog);
+  const auto loops = loopsOf(tp);
+  ASSERT_EQ(loops.size(), 2u) << tp.listing();
+  for (const auto& loop : loops)
+    EXPECT_EQ(tp.code[static_cast<size_t>(loop.second)].op, Opcode::BANZ);
+}
+
+// Each body below has ten stream groups, one too many for the default AR
+// file even with the scratch AR, and each statement alone would fit. A cut
+// between the two statements is illegal, so each stays one loop.
+TEST(Codegen, LoopFissionRefusesIllegalCuts) {
+  const char* kDecls = R"(
+    const N = 16;
+    input a[N] : fix; input b[N] : fix; input c[N] : fix;
+    input d[N] : fix; input e[N] : fix; input f[N] : fix;
+    input g[N] : fix; input h[N] : fix; input p[N] : fix;
+    input v : int;
+    output y[N] : fix;
+  )";
+  struct Case {
+    const char* name;
+    const char* decls;
+    const char* body;
+  };
+  const Case cases[] = {
+      // A later statement writes an array the earlier one reads.
+      {"later_writes_read_array", "var t[N] : fix;",
+       "y[i] := t[i] + a[i] + b[i] + c[i] + d[i];\n"
+       "t[i] := e[i] + f[i] + g[i] + h[i];"},
+      // The later statement reads x one element ahead of the write.
+      {"shifted_read", "var x[17] : fix;",
+       "x[i] := a[i] + b[i] + c[i] + d[i] + e[i];\n"
+       "y[i] := x[i+1] + f[i] + g[i] + h[i];"},
+      // A scalar carries a value from one statement to the next.
+      {"carried_scalar", "var s : fix;",
+       "s := a[i] + b[i] + c[i] + d[i] + e[i];\n"
+       "y[i] := s + f[i] + g[i] + h[i] + p[i];"},
+      // The later statement reads x at a dynamic index.
+      {"dynamic_index", "var x[N] : fix;",
+       "x[i] := a[i] + b[i] + c[i] + d[i] + e[i];\n"
+       "y[i] := x[v & 7] + f[i] + g[i] + h[i];"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const Program prog = dfl::parseDflOrDie(
+        std::string("program ") + c.name + ";\n" + kDecls + c.decls +
+        "\nbegin\n  for i := 0 to N-1 do\n" + c.body +
+        "\n  endfor\nend\n");
+    const TargetProgram tp = expectMatchesInterpOnSweep(prog);
+    EXPECT_EQ(loopsOf(tp).size(), 1u) << tp.listing();
+  }
+}
+
+// Random loop bodies over shared arrays and scalars, at shifted indexes:
+// the small AR files of the sweep (two-ars, one-ar, kitchen-sink) make
+// most of them overflow, so cuts are tried, taken and refused at random,
+// and Interp checks each outcome.
+TEST(Codegen, LoopFissionRandomBodies) {
+  int splitLoops = 0;
+  for (uint32_t seed = 1; seed <= 40; ++seed) {
+    std::mt19937 rng(seed);
+    auto pick = [&](int n) {
+      return std::uniform_int_distribution<int>(0, n - 1)(rng);
+    };
+    auto read = [&]() -> std::string {
+      switch (pick(4)) {
+        case 0: return "s" + std::to_string(pick(2));
+        case 1:
+          return "y" + std::to_string(pick(3)) + "[i+" +
+                 std::to_string(pick(3)) + "]";
+        default:
+          return "a" + std::to_string(pick(6)) + "[i+" +
+                 std::to_string(pick(2)) + "]";
+      }
+    };
+    std::ostringstream os;
+    os << "program fission" << seed << ";\n";
+    for (int k = 0; k < 6; ++k) os << "input a" << k << "[9] : fix;\n";
+    for (int k = 0; k < 3; ++k) os << "output y" << k << "[10] : fix;\n";
+    os << "var s0 : fix;\nvar s1 : fix;\nbegin\n  for i := 0 to 7 do\n";
+    const int stmts = 2 + pick(3);
+    for (int n = 0; n < stmts; ++n) {
+      if (pick(5) == 0)
+        os << "    s" << pick(2) << " := ";
+      else
+        os << "    y" << pick(3) << "[i+" << pick(3) << "] := ";
+      os << read();
+      for (int terms = 1 + pick(3); terms > 0; --terms)
+        os << (pick(2) ? " + " : " - ") << read();
+      os << ";\n";
+    }
+    os << "  endfor\nend\n";
+    SCOPED_TRACE(os.str());
+    const Program prog = dfl::parseDflOrDie(os.str());
+    const Stimulus stim = defaultStimulus(prog, seed, 3);
+    for (const auto& pt : difftest::defaultSweep()) {
+      auto res = RecordCompiler(pt.cfg, difftest::oracleOptions(true))
+                     .compile(prog);
+      auto m = runAndCompare(res.prog, prog, stim);
+      EXPECT_TRUE(m.ok) << pt.name << ": " << m.error << "\n"
+                        << res.prog.listing();
+      splitLoops += loopsOf(res.prog).size() > 1;
+    }
+  }
+  EXPECT_GT(splitLoops, 0);
+}
+
+// Three points fit a line through i & 7, so the affine test checks the
+// shape of the index too: y[i & 7] is no stream of y[i].
+TEST(Codegen, NonAffineIndexIsNoStream) {
+  const Program prog = dfl::parseDflOrDie(R"(
+    program and7;
+    const N = 16;
+    input a[N] : fix;
+    output y[N] : fix;
+    begin
+      for i := 0 to N-1 do
+        y[i & 7] := a[i];
+      endfor
+    end
+  )");
+  expectMatchesInterpOnSweep(prog);
 }
 
 // ---------------------------------------------------------------------------

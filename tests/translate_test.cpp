@@ -694,9 +694,9 @@ TEST(Translate, CounterWritesAndArLoadsAreNotAffine) {
   }
 }
 
-// At the sim_long sizes the hot loops of fir, convolution, n_real_updates
-// and iir_biquad_n_sections run on the affine path; n_complex_updates'
-// BGEZ-closed, LAR-indexed loop does not.
+// At the sim_long sizes the hot loops of every long kernel run on the
+// affine path, n_complex_updates' too: its streams overflow the AR file, so
+// the code generator splits it into two BANZ loops that each fit.
 TEST(Translate, AffinePathTakenByLongKernels) {
   for (const auto& k : longKernels()) {
     SCOPED_TRACE(k.name);
@@ -712,10 +712,7 @@ TEST(Translate, AffinePathTakenByLongKernels) {
     }
     const TranslateStats ts = m.translateStats();
     EXPECT_GE(ts.loopBlocks, 1);
-    if (k.name == "n_complex_updates")
-      EXPECT_EQ(ts.affineRuns, 0);
-    else
-      EXPECT_GE(ts.affineRuns, 3);
+    EXPECT_GE(ts.affineRuns, 3);
   }
 }
 
