@@ -94,7 +94,7 @@ std::optional<int> CodegenBinder::leafCost(const Expr& e, Nonterm nt) {
   }
 }
 
-Operand CodegenBinder::bindDynamic(const Expr& e, std::vector<MInstr>& out) {
+Operand CodegenBinder::bindDynamic(const Expr& e, std::vector<Instr>& out) {
   if (ars_.scratchLeased())
     throw std::runtime_error(
         "dynamic array access while the scratch AR is leased to a stream "
@@ -106,18 +106,18 @@ Operand CodegenBinder::bindDynamic(const Expr& e, std::vector<MInstr>& out) {
   assert(idx.op == Op::Ref);
   int idxAddr = addrFor(idx.sym);
   int base = addrFor(e.sym);
-  MInstr lar;
-  lar.instr.op = Opcode::LAR;
-  lar.instr.a = Operand::imm(scratch);
-  lar.instr.b = Operand::direct(idxAddr);
+  Instr lar;
+  lar.op = Opcode::LAR;
+  lar.a = Operand::imm(scratch);
+  lar.b = Operand::direct(idxAddr);
   out.push_back(lar);
   int remaining = base;
   while (remaining > 0) {
     int step = std::min(remaining, 255);
-    MInstr adrk;
-    adrk.instr.op = Opcode::ADRK;
-    adrk.instr.a = Operand::imm(scratch);
-    adrk.instr.b = Operand::imm(step);
+    Instr adrk;
+    adrk.op = Opcode::ADRK;
+    adrk.a = Operand::imm(scratch);
+    adrk.b = Operand::imm(step);
     out.push_back(adrk);
     remaining -= step;
   }
@@ -125,7 +125,7 @@ Operand CodegenBinder::bindDynamic(const Expr& e, std::vector<MInstr>& out) {
 }
 
 Operand CodegenBinder::bind(const Expr& e, Nonterm nt,
-                            std::vector<MInstr>& out, bool isStoreDest) {
+                            std::vector<Instr>& out, bool isStoreDest) {
   auto cv = leafConstValue(e);
   switch (nt) {
     case Nonterm::Imm8:
@@ -150,14 +150,14 @@ Operand CodegenBinder::bind(const Expr& e, Nonterm nt,
         if (isStoreDest) return ind;
         // Read access: route through a statement temp so later scratch-AR
         // reloads cannot clobber the address before use.
-        MInstr lac;
-        lac.instr.op = Opcode::LAC;
-        lac.instr.a = ind;
+        Instr lac;
+        lac.op = Opcode::LAC;
+        lac.a = ind;
         out.push_back(lac);
         int temp = allocTemp();
-        MInstr sacl;
-        sacl.instr.op = Opcode::SACL;
-        sacl.instr.a = Operand::direct(temp);
+        Instr sacl;
+        sacl.op = Opcode::SACL;
+        sacl.a = Operand::direct(temp);
         out.push_back(sacl);
         return Operand::direct(temp);
       }

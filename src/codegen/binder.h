@@ -43,7 +43,7 @@ class CodegenBinder : public OperandBinder {
 
   // -- OperandBinder -------------------------------------------------------
   std::optional<int> leafCost(const Expr& e, Nonterm nt) override;
-  Operand bind(const Expr& e, Nonterm nt, std::vector<MInstr>& out,
+  Operand bind(const Expr& e, Nonterm nt, std::vector<Instr>& out,
                bool isStoreDest) override;
   int allocTemp() override;
   void freeTemp(int addr) override;
@@ -60,7 +60,7 @@ class CodegenBinder : public OperandBinder {
  private:
   /// Emit scratch-AR setup for a dynamic array access; returns the indirect
   /// operand.
-  Operand bindDynamic(const Expr& e, std::vector<MInstr>& out);
+  Operand bindDynamic(const Expr& e, std::vector<Instr>& out);
 
   DataLayout& layout_;
   const TargetConfig& cfg_;

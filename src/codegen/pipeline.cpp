@@ -359,6 +359,80 @@ bool readsBeside(const ExprPtr& e, const Symbol* sym,
 }
 
 // ---------------------------------------------------------------------------
+// The late passes (§3.3), in pipeline order
+// ---------------------------------------------------------------------------
+
+/// What a late pass reads besides the code, and the stats it records into.
+struct LatePassEnv {
+  const TargetConfig& cfg;
+  const CodegenOptions& opt;
+  const DataLayout& layout;
+  TraceContext* trace;
+  CompileStats& stats;
+};
+
+/// One late pass: its span name, the option that switches it on (null:
+/// always runs), the pass itself, rewriting the code in place, and the
+/// counters it publishes from CompileStats. A disabled pass opens no span
+/// but still publishes its (zero) counters, so every traced compile
+/// carries the same counter set.
+struct LatePass {
+  const char* span;
+  bool CodegenOptions::*enabled;
+  void (*run)(std::vector<Instr>& code, const LatePassEnv& env);
+  void (*publish)(TraceContext& trace, const CompileStats& stats);
+};
+
+constexpr LatePass kLatePasses[] = {
+    {"accpromote", &CodegenOptions::accPromote,
+     [](std::vector<Instr>& code, const LatePassEnv& env) {
+       // Compiled code points ARs only into array storage.
+       promoteAccumulators(
+           code, &env.stats.promote,
+           [&](int addr) { return env.layout.inArrayRegion(addr); },
+           env.trace);
+     },
+     [](TraceContext& t, const CompileStats& s) {
+       t.add("accpromote.promotions", s.promote.promotions);
+     }},
+    {"modes", nullptr,
+     [](std::vector<Instr>& code, const LatePassEnv& env) {
+       resolveModes(code, env.cfg, env.opt.modeOpt, &env.stats.modes);
+     },
+     [](TraceContext& t, const CompileStats& s) {
+       t.add("modes.switches_inserted", s.modes.switchesInserted);
+     }},
+    {"compact", nullptr,
+     [](std::vector<Instr>& code, const LatePassEnv& env) {
+       compact(code, env.cfg, env.opt.compaction, &env.stats.compacted,
+               env.trace);
+     },
+     [](TraceContext& t, const CompileStats& s) {
+       t.add("compact.merges", s.compacted.merges);
+       t.add("compact.blocks_reordered", s.compacted.blocksReordered);
+     }},
+    {"looptrans", &CodegenOptions::loopTransforms,
+     [](std::vector<Instr>& code, const LatePassEnv& env) {
+       applyLoopTransforms(code, env.cfg, env.opt.cost == CostKind::Cycles,
+                           &env.stats.loops);
+     },
+     [](TraceContext& t, const CompileStats& s) {
+       t.add("looptrans.rpt_conversions", s.loops.rptConversions);
+       t.add("looptrans.mac_pipelined", s.loops.macPipelined);
+       t.add("looptrans.mac_rotations", s.loops.macRotations);
+     }},
+    {"peephole", &CodegenOptions::peephole,
+     [](std::vector<Instr>& code, const LatePassEnv& env) {
+       peephole(code, env.cfg, &env.stats.peep, env.trace);
+     },
+     [](TraceContext& t, const CompileStats& s) {
+       t.add("peephole.removed_loads", s.peep.removedLoads);
+       t.add("peephole.dmov_fusions", s.peep.dmovFusions);
+       t.add("peephole.dead_ar_loads", s.peep.deadArLoads);
+     }},
+};
+
+// ---------------------------------------------------------------------------
 // The emitter
 // ---------------------------------------------------------------------------
 
@@ -433,34 +507,14 @@ class Emitter {
       appendRaw(Opcode::HALT, Operand::none(), Operand::none());
     }
 
-    // msLate is the sum of the late-pass spans below.
-    double* late = &stats_.msLate;
-    auto mcode = std::move(code_);
-    if (opt_.accPromote) {
-      TraceSpan span(trace_, "accpromote", late);
-      mcode = promoteAccumulators(
-          mcode, &stats_.promote,
-          [this](int addr) { return layout_.inArrayRegion(addr); }, trace_);
-    }
-    std::vector<Instr> icode;
-    {
-      TraceSpan span(trace_, "modes", late);
-      icode = resolveModes(mcode, cfg_, opt_.modeOpt, &stats_.modes);
-    }
-    {
-      TraceSpan span(trace_, "compact", late);
-      icode = compact(icode, cfg_, opt_.compaction, &stats_.compacted,
-                      trace_);
-    }
-    if (opt_.loopTransforms) {
-      TraceSpan span(trace_, "looptrans", late);
-      icode = applyLoopTransforms(icode, cfg_,
-                                  opt_.cost == CostKind::Cycles,
-                                  &stats_.loops);
-    }
-    if (opt_.peephole) {
-      TraceSpan span(trace_, "peephole", late);
-      icode = peephole(icode, cfg_, &stats_.peep, trace_);
+    // The late passes, in place on code_; msLate is the sum of their spans.
+    const LatePassEnv env{cfg_, opt_, layout_, trace_, stats_};
+    for (const LatePass& pass : kLatePasses) {
+      if (!pass.enabled || opt_.*pass.enabled) {
+        TraceSpan span(trace_, pass.span, &stats_.msLate);
+        pass.run(code_, env);
+      }
+      if (trace_) pass.publish(*trace_, stats_);
     }
 
     for (const BursMatcher* m : matchers_) {
@@ -474,7 +528,7 @@ class Emitter {
 
     CompileResult res;
     res.prog.config = cfg_;
-    res.prog.code = std::move(icode);
+    res.prog.code = std::move(code_);
     res.prog.symbolAddr = layout_.symbolTable();
     res.prog.dataInit = layout_.dataInit();
     res.prog.sourceName = prog_.name;
@@ -482,8 +536,9 @@ class Emitter {
     res.stats.sizeWords = res.prog.sizeWords();
 
     if (trace_) {
-      // Publish the pass statistics as counters (the hot-path counters --
-      // labelings, rules fired -- were already bumped in place).
+      // Publish the selection statistics as counters (search.labelings,
+      // the one hot-path counter, was bumped in place; the late passes
+      // published theirs above).
       trace_->add("isel.statements", stats_.statements);
       trace_->add("rewrite.variants_explored", stats_.variantsTried);
       trace_->add("rewrite.variants_pruned", stats_.variantsPruned);
@@ -498,17 +553,6 @@ class Emitter {
       trace_->add("intern.hits", stats_.internHits);
       trace_->add("burs.memo_hits", stats_.memoHits);
       trace_->add("burs.memo_misses", stats_.memoMisses);
-      trace_->add("accpromote.promotions", stats_.promote.promotions);
-      trace_->add("modes.switches_inserted", stats_.modes.switchesInserted);
-      trace_->add("compact.merges", stats_.compacted.merges);
-      trace_->add("compact.blocks_reordered",
-                  stats_.compacted.blocksReordered);
-      trace_->add("looptrans.rpt_conversions", stats_.loops.rptConversions);
-      trace_->add("looptrans.mac_pipelined", stats_.loops.macPipelined);
-      trace_->add("looptrans.mac_rotations", stats_.loops.macRotations);
-      trace_->add("peephole.removed_loads", stats_.peep.removedLoads);
-      trace_->add("peephole.dmov_fusions", stats_.peep.dmovFusions);
-      trace_->add("peephole.dead_ar_loads", stats_.peep.deadArLoads);
       trace_->add("binder.spill_temps", binder_.tempAllocs());
       trace_->add("codegen.size_words", res.stats.sizeWords);
     }
@@ -517,16 +561,16 @@ class Emitter {
 
  private:
   // ---- low-level emission -------------------------------------------------
-  void append(MInstr mi) {
-    code_.push_back(std::move(mi));
+  void append(Instr in) {
+    code_.push_back(std::move(in));
     stamp(code_.back());
   }
 
   /// Gives a just-emitted instruction the pending label and the current
   /// source position.
-  void stamp(MInstr& mi) {
-    if (!pendingLabel_.empty() && mi.instr.label.empty()) {
-      mi.instr.label = std::move(pendingLabel_);
+  void stamp(Instr& in) {
+    if (!pendingLabel_.empty() && in.label.empty()) {
+      in.label = std::move(pendingLabel_);
       pendingLabel_.clear();
     }
     // Debug info: every instruction inherits the source position of the
@@ -534,8 +578,8 @@ class Emitter {
     // such as final delay shifts and HALT). Loop prologue/epilogue code
     // attributes to the `for` line; a statement's own spills, soft-mul
     // expansions, and index hoists attribute to the statement.
-    mi.instr.srcLine = curLine_;
-    mi.instr.srcCol = curCol_;
+    in.srcLine = curLine_;
+    in.srcCol = curCol_;
   }
 
   void setSrcLoc(int line, int col) {
@@ -545,13 +589,13 @@ class Emitter {
 
   void appendRaw(Opcode op, Operand a, Operand b, ModeReq need = {},
                  std::string target = {}) {
-    MInstr mi;
-    mi.instr.op = op;
-    mi.instr.a = a;
-    mi.instr.b = b;
-    mi.instr.targetLabel = std::move(target);
-    mi.need = need;
-    append(std::move(mi));
+    Instr in;
+    in.op = op;
+    in.need = need;
+    in.a = a;
+    in.b = b;
+    in.targetLabel = std::move(target);
+    append(std::move(in));
   }
 
   std::string freshLabel() { return "L" + std::to_string(labelN_++); }
@@ -1259,7 +1303,7 @@ class Emitter {
   int curLine_ = 0;
   int curCol_ = 0;
   std::vector<std::unique_ptr<Symbol>> synths_;
-  std::vector<MInstr> code_;
+  std::vector<Instr> code_;
   // selectAndEmit's per-variant search order, node counts and cover costs.
   std::vector<int> order_;
   std::vector<int> sizes_;

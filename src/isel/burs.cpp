@@ -233,7 +233,7 @@ void forEachLeaf(const PatNode& pat, const ExprPtr& e, F&& f) {
 }  // namespace
 
 Operand BursMatcher::reduceTo(const ExprPtr& e, Nonterm nt,
-                              OperandBinder& binder, std::vector<MInstr>& out,
+                              OperandBinder& binder, std::vector<Instr>& out,
                               int& patterns, bool isStoreDest) {
   const NodeState* st = findState(e.get());
   assert(st && "reducing an unlabeled node");
@@ -281,9 +281,9 @@ Operand BursMatcher::reduceTo(const ExprPtr& e, Nonterm nt,
   // Emit the rule's instructions.
   int tempAddr = -1;
   for (const auto& tmpl : r.emit) {
-    MInstr mi;
-    mi.instr.op = tmpl.op;
-    mi.need = r.mode;
+    Instr in;
+    in.op = tmpl.op;
+    in.need = r.mode;
     auto materialize = [&](const OperTemplate& ot) -> Operand {
       switch (ot.kind) {
         case OperTemplate::Kind::None:
@@ -298,9 +298,9 @@ Operand BursMatcher::reduceTo(const ExprPtr& e, Nonterm nt,
       }
       return Operand::none();
     };
-    mi.instr.a = materialize(tmpl.a);
-    mi.instr.b = materialize(tmpl.b);
-    out.push_back(std::move(mi));
+    in.a = materialize(tmpl.a);
+    in.b = materialize(tmpl.b);
+    out.push_back(std::move(in));
   }
 
   // The operand representing this node's value as `nt` (none for Acc and
@@ -320,7 +320,7 @@ Operand BursMatcher::reduceTo(const ExprPtr& e, Nonterm nt,
 
 CoverResult BursMatcher::reduce(const ExprPtr& tree, Nonterm goal,
                                 OperandBinder& binder) {
-  std::vector<MInstr> code;
+  std::vector<Instr> code;
   CoverResult res = reduce(tree, goal, binder, code);
   res.code = std::move(code);
   return res;
@@ -328,7 +328,7 @@ CoverResult BursMatcher::reduce(const ExprPtr& tree, Nonterm goal,
 
 CoverResult BursMatcher::reduce(const ExprPtr& tree, Nonterm goal,
                                 OperandBinder& binder,
-                                std::vector<MInstr>& out) {
+                                std::vector<Instr>& out) {
   CoverResult res;
   beginLabeling(binder);
   binder_ = &binder;

@@ -31,13 +31,6 @@ class TraceContext;
 /// the default; Cycles is used by the speed-oriented experiments.
 enum class CostKind : uint8_t { Size, Cycles };
 
-/// An instruction plus its mode-bit requirements (resolved later by the
-/// mode-change minimization pass).
-struct MInstr {
-  Instr instr;
-  ModeReq need;
-};
-
 /// Supplies target-memory knowledge to the selector: how program leaves
 /// (variables, array elements, constants) map to operands, and where
 /// spill temps live. Implemented by the codegen driver.
@@ -53,7 +46,7 @@ class OperandBinder {
   /// dynamically indexed arrays). `isStoreDest` is true when the operand is
   /// the destination of a Store pattern (the value will be written, not
   /// read, so dynamic accesses must yield a live indirect operand).
-  virtual Operand bind(const Expr& e, Nonterm nt, std::vector<MInstr>& out,
+  virtual Operand bind(const Expr& e, Nonterm nt, std::vector<Instr>& out,
                        bool isStoreDest) = 0;
 
   /// Allocate / release a one-word spill temp in data memory.
@@ -69,7 +62,7 @@ class OperandBinder {
 struct CoverResult {
   bool ok = false;
   int cost = 0;
-  std::vector<MInstr> code;
+  std::vector<Instr> code;
   /// Number of rule applications in the cover (pattern count of Fig. 5).
   int patternsUsed = 0;
 };
@@ -133,7 +126,7 @@ class BursMatcher {
   /// The same, appending the code to `out` rather than to res.code, so a
   /// caller can emit every statement into one buffer.
   CoverResult reduce(const ExprPtr& tree, Nonterm goal, OperandBinder& binder,
-                     std::vector<MInstr>& out);
+                     std::vector<Instr>& out);
 
   /// Keep node labels across matchCost/reduce calls in `memo` (null turns
   /// the memo off), indexed by intern ID and valid for one binder
@@ -186,7 +179,7 @@ class BursMatcher {
   /// Reduce `e` to `nt`; returns the operand carrying the value for
   /// Mem/Imm nonterms (unused for Acc/Stmt).
   Operand reduceTo(const ExprPtr& e, Nonterm nt, OperandBinder& binder,
-                   std::vector<MInstr>& out, int& patterns,
+                   std::vector<Instr>& out, int& patterns,
                    bool isStoreDest = false);
 
   const RuleSet& rules_;

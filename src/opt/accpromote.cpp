@@ -1,5 +1,6 @@
 #include "opt/accpromote.h"
 
+#include <algorithm>
 #include <map>
 
 #include "trace/trace.h"
@@ -29,20 +30,19 @@ bool touchesAddr(const Instr& in, int addr,
 
 }  // namespace
 
-std::vector<MInstr> promoteAccumulators(
-    const std::vector<MInstr>& code, AccPromoteStats* stats,
-    const std::function<bool(int)>& indirectMayTouch, TraceContext* trace) {
+void promoteAccumulators(std::vector<Instr>& code, AccPromoteStats* stats,
+                         const std::function<bool(int)>& indirectMayTouch,
+                         TraceContext* trace) {
   // Label -> number of branches targeting it.
   std::map<std::string, int> targetCount;
-  for (const auto& mi : code)
-    if (opInfo(mi.instr.op).isBranch) ++targetCount[mi.instr.targetLabel];
+  for (const auto& in : code)
+    if (opInfo(in.op).isBranch) ++targetCount[in.targetLabel];
 
-  std::vector<MInstr> cur = code;
   bool changed = true;
   while (changed) {
     changed = false;
-    for (size_t i = 0; i + 1 < cur.size() && !changed; ++i) {
-      const Instr& head = cur[i].instr;
+    for (size_t i = 0; i + 1 < code.size() && !changed; ++i) {
+      Instr& head = code[i];
       if (head.label.empty() || head.op != Opcode::LAC ||
           head.a.mode != AddrMode::Direct)
         continue;
@@ -50,8 +50,8 @@ std::vector<MInstr> promoteAccumulators(
       // Find the BANZ closing this loop.
       size_t j = i + 1;
       bool clean = true;
-      while (j < cur.size()) {
-        const Instr& in = cur[j].instr;
+      while (j < code.size()) {
+        const Instr& in = code[j];
         if (in.op == Opcode::BANZ && in.targetLabel == head.label) break;
         if (!in.label.empty() || opInfo(in.op).isBranch ||
             in.op == Opcode::HALT || in.op == Opcode::RPT) {
@@ -60,7 +60,7 @@ std::vector<MInstr> promoteAccumulators(
         }
         ++j;
       }
-      if (!clean || j >= cur.size()) continue;
+      if (!clean || j >= code.size()) continue;
       int addr = head.a.value;
       // Find the unique SACL addr in the body; nothing after it may touch
       // ACC, and nothing else may touch addr.
@@ -68,7 +68,7 @@ std::vector<MInstr> promoteAccumulators(
       int sacls = 0;
       bool legal = true;
       for (size_t k = i + 1; k < j; ++k) {
-        const Instr& in = cur[k].instr;
+        const Instr& in = code[k];
         if (in.op == Opcode::SACL && in.a.mode == AddrMode::Direct &&
             in.a.value == addr) {
           ++sacls;
@@ -86,53 +86,32 @@ std::vector<MInstr> promoteAccumulators(
         // 0x40000000-scale partial sums.
         if (opInfo(in.op).readsAcc &&
             (in.op == Opcode::SFR || in.op == Opcode::SACH ||
-             cur[k].need.ovm == 1))
+             in.need.ovm == 1))
           legal = false;
         if (touchesAddr(in, addr, indirectMayTouch)) legal = false;
       }
       if (!legal || sacls != 1) continue;
       for (size_t k = sacl + 1; k < j; ++k) {
-        const OpInfo& info = opInfo(cur[k].instr.op);
+        const OpInfo& info = opInfo(code[k].op);
         if (info.readsAcc || info.writesAcc) legal = false;
       }
       if (!legal) continue;
 
       // Transform: LAC moves before the label (into the preheader), SACL
-      // moves after the BANZ. The label migrates to the next instruction.
-      std::vector<MInstr> out;
-      out.reserve(cur.size());
-      for (size_t k = 0; k < i; ++k) out.push_back(cur[k]);
-      MInstr lac = cur[i];
-      lac.instr.label.clear();
-      out.push_back(lac);
-      bool labelPlaced = false;
-      MInstr saclMi;
-      for (size_t k = i + 1; k <= j; ++k) {
-        if (k == sacl) {
-          saclMi = cur[k];
-          // If the loop body was only the SACL (degenerate), keep order.
-          continue;
-        }
-        MInstr mi = cur[k];
-        if (!labelPlaced) {
-          mi.instr.label = head.label;
-          labelPlaced = true;
-        }
-        out.push_back(mi);
-      }
-      if (!labelPlaced) continue;  // body was empty besides SACL; skip
-      out.push_back(saclMi);
-      for (size_t k = j + 1; k < cur.size(); ++k) out.push_back(cur[k]);
+      // moves after the BANZ, and the label migrates to the instruction
+      // after the LAC (at least the BANZ is left between them).
       if (trace)
         trace->remark("accpromote", "hoisted '" + head.str() +
                                         "' out of loop '" + head.label +
                                         "', sunk matching SACL past BANZ");
-      cur = std::move(out);
+      auto at = [&](size_t k) { return code.begin() + static_cast<long>(k); };
+      std::rotate(at(sacl), at(sacl + 1), at(j + 1));
+      code[i + 1].label = std::move(head.label);
+      head.label.clear();
       if (stats) ++stats->promotions;
       changed = true;
     }
   }
-  return cur;
 }
 
 }  // namespace record

@@ -19,7 +19,7 @@
 #include <functional>
 #include <vector>
 
-#include "isel/burs.h"
+#include "target/isa.h"
 
 namespace record {
 
@@ -35,9 +35,9 @@ struct AccPromoteStats {
 /// false for scalar addresses, unlocking promotion in stream loops. The
 /// default is fully conservative. `trace` (optional) receives one
 /// "accpromote" remark per promoted loop; observability only.
-std::vector<MInstr> promoteAccumulators(
-    const std::vector<MInstr>& code, AccPromoteStats* stats = nullptr,
-    const std::function<bool(int)>& indirectMayTouch = {},
-    TraceContext* trace = nullptr);
+void promoteAccumulators(std::vector<Instr>& code,
+                         AccPromoteStats* stats = nullptr,
+                         const std::function<bool(int)>& indirectMayTouch = {},
+                         TraceContext* trace = nullptr);
 
 }  // namespace record

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
-#include <map>
 #include <optional>
+#include <span>
 
 #include "trace/trace.h"
 
@@ -190,12 +190,14 @@ std::optional<Instr> tryMerge(const Instr& a, const Instr& b,
   return std::nullopt;
 }
 
-std::vector<Instr> compactList(const std::vector<Instr>& block,
-                               const TargetConfig& cfg, CompactStats* stats,
-                               TraceContext* trace) {
-  std::vector<Instr> out;
+/// Greedy adjacent-pair merging of `block`, appended to `out`. Merges
+/// never reach the instructions `out` held before the call.
+void compactList(std::span<const Instr> block, const TargetConfig& cfg,
+                 std::vector<Instr>& out, CompactStats* stats,
+                 TraceContext* trace) {
+  const size_t base = out.size();
   for (const auto& in : block) {
-    if (!out.empty() && !isBarrier(out.back()) && !isBarrier(in)) {
+    if (out.size() > base && !isBarrier(out.back()) && !isBarrier(in)) {
       if (auto m = tryMerge(out.back(), in, cfg)) {
         if (trace)
           trace->remark("compact", "merged '" + out.back().str() + "' + '" +
@@ -207,18 +209,17 @@ std::vector<Instr> compactList(const std::vector<Instr>& block,
     }
     out.push_back(in);
   }
-  return out;
 }
 
 /// Optimal reordering of one dependence-closed block (no barriers inside):
 /// DP over subsets maximizing pairwise merges. Falls back to the input order
-/// plus greedy merging for large blocks.
-std::vector<Instr> compactOptimal(const std::vector<Instr>& block,
-                                  const TargetConfig& cfg,
-                                  CompactStats* stats, TraceContext* trace) {
+/// plus greedy merging for large blocks. Appends to `out` like compactList.
+void compactOptimal(std::span<const Instr> block, const TargetConfig& cfg,
+                    std::vector<Instr>& out, CompactStats* stats,
+                    TraceContext* trace) {
   const size_t n = block.size();
   constexpr size_t kMaxN = 14;
-  if (n > kMaxN || n < 2) return compactList(block, cfg, stats, trace);
+  if (n > kMaxN || n < 2) return compactList(block, cfg, out, stats, trace);
 
   // deps[j] = bitmask of instructions that must precede j.
   std::vector<uint32_t> deps(n, 0);
@@ -287,7 +288,7 @@ std::vector<Instr> compactOptimal(const std::vector<Instr>& block,
         bestLast = last;
         bestConsumed = c;
       }
-  if (bestVal <= 0) return compactList(block, cfg, stats, trace);
+  if (bestVal <= 0) return compactList(block, cfg, out, stats, trace);
 
   // Reconstruct the order.
   std::vector<size_t> order;
@@ -322,41 +323,41 @@ std::vector<Instr> compactOptimal(const std::vector<Instr>& block,
                   "reordered a " + std::to_string(n) +
                       "-instruction block for " + std::to_string(bestVal) +
                       " merge(s)");
-  return compactList(reordered, cfg, stats, trace);
+  compactList(reordered, cfg, out, stats, trace);
 }
 
 }  // namespace
 
-std::vector<Instr> compact(const std::vector<Instr>& code,
-                           const TargetConfig& cfg, CompactMode mode,
-                           CompactStats* stats, TraceContext* trace) {
-  if (mode == CompactMode::None) return code;
+void compact(std::vector<Instr>& code, const TargetConfig& cfg,
+             CompactMode mode, CompactStats* stats, TraceContext* trace) {
+  if (mode == CompactMode::None) return;
   std::vector<Instr> out;
-  std::vector<Instr> block;
-  auto flush = [&]() {
+  out.reserve(code.size());
+  size_t begin = 0;  // first instruction of the open block
+  auto flush = [&](size_t end) {
+    std::span<const Instr> block(code.data() + begin, end - begin);
     if (block.empty()) return;
-    auto compacted = (mode == CompactMode::Optimal)
-                         ? compactOptimal(block, cfg, stats, trace)
-                         : compactList(block, cfg, stats, trace);
-    out.insert(out.end(), compacted.begin(), compacted.end());
-    block.clear();
+    if (mode == CompactMode::Optimal)
+      compactOptimal(block, cfg, out, stats, trace);
+    else
+      compactList(block, cfg, out, stats, trace);
   };
   for (size_t i = 0; i < code.size(); ++i) {
     const Instr& in = code[i];
-    if (!in.label.empty()) flush();
+    if (!in.label.empty()) {
+      flush(i);
+      begin = i;
+    }
     if (isBarrier(in)) {
-      flush();
+      flush(i);
       out.push_back(in);
       // Keep an RPT glued to its repeated instruction.
-      if (in.op == Opcode::RPT && i + 1 < code.size()) {
-        out.push_back(code[++i]);
-      }
-      continue;
+      if (in.op == Opcode::RPT && i + 1 < code.size()) out.push_back(code[++i]);
+      begin = i + 1;
     }
-    block.push_back(in);
   }
-  flush();
-  return out;
+  flush(code.size());
+  code.swap(out);
 }
 
 }  // namespace record

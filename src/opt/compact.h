@@ -28,12 +28,12 @@ struct CompactStats {
   int blocksReordered = 0;
 };
 
+/// Compacts `code` in place (CompactMode::None leaves it as it is).
 /// `trace` (optional) receives one "compact" remark per merged pair and per
 /// reordered block; observability only.
-std::vector<Instr> compact(const std::vector<Instr>& code,
-                           const TargetConfig& cfg, CompactMode mode,
-                           CompactStats* stats = nullptr,
-                           TraceContext* trace = nullptr);
+void compact(std::vector<Instr>& code, const TargetConfig& cfg,
+             CompactMode mode, CompactStats* stats = nullptr,
+             TraceContext* trace = nullptr);
 
 /// True if instructions i and j (i before j) can be swapped without changing
 /// observable behaviour. Exposed for the reordering tests.

@@ -84,18 +84,15 @@ std::optional<Loop> findLoop(const std::vector<Instr>& code, size_t from,
 
 }  // namespace
 
-std::vector<Instr> applyLoopTransforms(const std::vector<Instr>& code,
-                                       const TargetConfig& cfg,
-                                       bool favorCycles,
-                                       LoopTransStats* stats) {
+void applyLoopTransforms(std::vector<Instr>& code, const TargetConfig& cfg,
+                         bool favorCycles, LoopTransStats* stats) {
   std::map<std::string, int> targetCount;
   for (const auto& in : code)
     if (opInfo(in.op).isBranch) ++targetCount[in.targetLabel];
 
-  std::vector<Instr> cur = code;
   size_t searchFrom = 0;
   while (true) {
-    auto loop = findLoop(cur, searchFrom, targetCount);
+    auto loop = findLoop(code, searchFrom, targetCount);
     if (!loop) break;
     size_t bodyLen = loop->banz - loop->head;
     std::vector<Instr> repl;  // replacement for [head, banz]
@@ -106,42 +103,42 @@ std::vector<Instr> applyLoopTransforms(const std::vector<Instr>& code,
       Instr in;
       in.op = op;
       in.a = a;
-      in.srcLine = cur[loop->head].srcLine;
-      in.srcCol = cur[loop->head].srcCol;
+      in.srcLine = code[loop->head].srcLine;
+      in.srcCol = code[loop->head].srcCol;
       return in;
     };
 
     if (bodyLen == 1 && cfg.hasRpt) {
       // RPT conversion.
       Instr rpt = synth(Opcode::RPT, Operand::imm(loop->count));
-      Instr body = cur[loop->head];
+      Instr body = code[loop->head];
       body.label.clear();
       repl = {rpt, body};
       if (stats) ++stats->rptConversions;
     } else if (bodyLen == 2 && cfg.hasRpt && cfg.hasMac && cfg.hasDualMul &&
-               cur[loop->head].op == Opcode::MPYXY &&
-               cur[loop->head + 1].op == Opcode::APAC) {
+               code[loop->head].op == Opcode::MPYXY &&
+               code[loop->head + 1].op == Opcode::APAC) {
       // MAC pipelining: clear P, repeat MACXY, drain the last product.
       Instr clr = synth(Opcode::MPYK, Operand::imm(0));
       Instr rpt = synth(Opcode::RPT, Operand::imm(loop->count));
-      Instr mac = cur[loop->head];
+      Instr mac = code[loop->head];
       mac.op = Opcode::MACXY;
       mac.label.clear();
       Instr drain = synth(Opcode::APAC);
       repl = {clr, rpt, mac, drain};
       if (stats) ++stats->macPipelined;
     } else if (bodyLen == 3 && favorCycles && cfg.hasMac &&
-               cur[loop->head].op == Opcode::LT &&
-               cur[loop->head + 1].op == Opcode::MPY &&
-               cur[loop->head + 2].op == Opcode::APAC) {
+               code[loop->head].op == Opcode::LT &&
+               code[loop->head + 1].op == Opcode::MPY &&
+               code[loop->head + 2].op == Opcode::APAC) {
       // MAC rotation: fold the accumulate into the next LT (LTA); keeps
       // the counted loop but saves a cycle per iteration.
       Instr clr = synth(Opcode::MPYK, Operand::imm(0));
-      Instr lark = cur[loop->lark];
-      Instr lta = cur[loop->head];  // keeps the loop label
+      Instr lark = code[loop->lark];
+      Instr lta = code[loop->head];  // keeps the loop label
       lta.op = Opcode::LTA;
-      Instr mpy = cur[loop->head + 1];
-      Instr banz = cur[loop->banz];
+      Instr mpy = code[loop->head + 1];
+      Instr banz = code[loop->banz];
       Instr drain = synth(Opcode::APAC);
       repl = {clr, lark, lta, mpy, banz, drain};
       keepLabelOnFirst = false;  // label stays on the LTA
@@ -154,24 +151,17 @@ std::vector<Instr> applyLoopTransforms(const std::vector<Instr>& code,
     // The loop label had a single (now removed or kept) user; transfer it
     // to the replacement head for listing readability on RPT forms.
     if (keepLabelOnFirst && !repl.empty())
-      repl[0].label = cur[loop->head].label;
+      repl[0].label = code[loop->head].label;
 
-    std::vector<Instr> next;
-    next.reserve(cur.size());
-    for (size_t i = 0; i < cur.size(); ++i) {
-      if (i == loop->lark) continue;  // counter init no longer needed
-      if (i == loop->head) {
-        next.insert(next.end(), repl.begin(), repl.end());
-        i = loop->banz;  // skip original body + BANZ
-        continue;
-      }
-      next.push_back(cur[i]);
-    }
-    cur = std::move(next);
+    // Replace the body and BANZ, then drop the counter init (it precedes
+    // the head, so the head's index is still valid for the first step).
+    auto at = [&](size_t k) { return code.begin() + static_cast<long>(k); };
+    code.erase(at(loop->head), at(loop->banz + 1));
+    code.insert(at(loop->head), repl.begin(), repl.end());
+    code.erase(at(loop->lark));
     // Restart the scan: indices shifted.
     searchFrom = 0;
   }
-  return cur;
 }
 
 }  // namespace record

@@ -41,9 +41,7 @@ struct LoopTransStats {
   int macRotations = 0;
 };
 
-std::vector<Instr> applyLoopTransforms(const std::vector<Instr>& code,
-                                       const TargetConfig& cfg,
-                                       bool favorCycles,
-                                       LoopTransStats* stats = nullptr);
+void applyLoopTransforms(std::vector<Instr>& code, const TargetConfig& cfg,
+                         bool favorCycles, LoopTransStats* stats = nullptr);
 
 }  // namespace record

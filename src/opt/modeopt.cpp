@@ -23,106 +23,37 @@ struct Block {
   MState inOvm = MState::Unknown, inSxm = MState::Unknown;
 };
 
-Instr mkMode(Opcode op) {
-  Instr in;
-  in.op = op;
-  return in;
-}
-
-}  // namespace
-
-std::vector<Instr> resolveModes(const std::vector<MInstr>& code,
-                                const TargetConfig& cfg, bool optimize,
-                                ModeOptStats* stats) {
-  ModeOptStats local;
-  std::vector<Instr> out;
-  out.reserve(code.size() + 8);
-
-  if (!optimize) {
-    // Naive: switch before every mode-sensitive instruction.
-    for (const auto& mi : code) {
-      Instr in = mi.instr;
-      std::string label = in.label;
-      bool first = true;
-      auto emitSwitch = [&](Opcode op) {
-        Instr sw = mkMode(op);
-        // The switch serves the instruction that required it.
-        sw.srcLine = in.srcLine;
-        sw.srcCol = in.srcCol;
-        if (first && !label.empty()) {
-          sw.label = label;
-          in.label.clear();
-        }
-        first = false;
-        out.push_back(sw);
-        ++local.switchesInserted;
-      };
-      if (mi.need.ovm >= 0) {
-        ++local.sensitiveInstrs;
-        assert(cfg.hasSat || mi.need.ovm == 0);
-        if (cfg.hasSat)
-          emitSwitch(mi.need.ovm ? Opcode::SOVM : Opcode::ROVM);
-      }
-      if (mi.need.sxm >= 0) {
-        ++local.sensitiveInstrs;
-        emitSwitch(mi.need.sxm ? Opcode::SSXM : Opcode::RSXM);
-      }
-      out.push_back(std::move(in));
-    }
-    if (stats) *stats = local;
-    return out;
-  }
-
-  // ---- Optimized: dataflow over basic blocks -------------------------------
-  // Block leaders: instruction 0, labeled instructions, instructions
-  // following a branch.
-  std::vector<size_t> leaders;
-  for (size_t i = 0; i < code.size(); ++i) {
-    bool lead = (i == 0) || !code[i].instr.label.empty() ||
-                (i > 0 && opInfo(code[i - 1].instr.op).isBranch);
-    if (lead) leaders.push_back(i);
-  }
-  std::vector<Block> blocks;
+/// Forward dataflow over `blocks`: the mode state at each block entry.
+void solveEntryStates(const std::vector<Instr>& code,
+                      std::vector<Block>& blocks) {
+  if (blocks.empty()) return;
   std::map<std::string, size_t> labelBlock;
-  for (size_t b = 0; b < leaders.size(); ++b) {
-    Block blk;
-    blk.begin = leaders[b];
-    blk.end = (b + 1 < leaders.size()) ? leaders[b + 1] : code.size();
-    if (!code[blk.begin].instr.label.empty())
-      labelBlock[code[blk.begin].instr.label] = b;
-    blocks.push_back(blk);
-  }
-  auto blockOfLabel = [&](const std::string& l) -> int {
-    auto it = labelBlock.find(l);
-    return it == labelBlock.end() ? -1 : static_cast<int>(it->second);
-  };
+  for (size_t b = 0; b < blocks.size(); ++b)
+    if (!code[blocks[b].begin].label.empty())
+      labelBlock[code[blocks[b].begin].label] = b;
   for (size_t b = 0; b < blocks.size(); ++b) {
     Block& blk = blocks[b];
-    if (blk.begin == blk.end) continue;
-    const Instr& last = code[blk.end - 1].instr;
+    const Instr& last = code[blk.end - 1];
     bool uncond = (last.op == Opcode::B || last.op == Opcode::HALT);
     if (opInfo(last.op).isBranch) {
-      int t = blockOfLabel(last.targetLabel);
-      if (t >= 0) blk.succs.push_back(static_cast<size_t>(t));
+      auto it = labelBlock.find(last.targetLabel);
+      if (it != labelBlock.end()) blk.succs.push_back(it->second);
     }
     if (!uncond && b + 1 < blocks.size()) blk.succs.push_back(b + 1);
   }
 
-  // Forward dataflow. Entry block starts with the hardware reset state
-  // (OVM=0, SXM=0).
-  if (!blocks.empty()) {
-    blocks[0].inOvm = MState::Zero;
-    blocks[0].inSxm = MState::Zero;
-  }
+  // The entry block starts with the hardware reset state (OVM=0, SXM=0).
+  blocks[0].inOvm = MState::Zero;
+  blocks[0].inSxm = MState::Zero;
   // Transfer: walk a block propagating requirements (a requirement forces
   // the state, since we will insert a switch there if needed).
   auto transfer = [&](const Block& blk, MState ovm, MState sxm) {
     for (size_t i = blk.begin; i < blk.end; ++i) {
-      const MInstr& mi = code[i];
-      if (mi.need.ovm >= 0) ovm = fromReq(mi.need.ovm);
-      if (mi.need.sxm >= 0) sxm = fromReq(mi.need.sxm);
+      const Instr& in = code[i];
+      if (in.need.ovm >= 0) ovm = fromReq(in.need.ovm);
+      if (in.need.sxm >= 0) sxm = fromReq(in.need.sxm);
       // Explicit switches already present (e.g. hand-written) also define.
-      switch (mi.instr.op) {
+      switch (in.op) {
         case Opcode::SOVM: ovm = MState::One; break;
         case Opcode::ROVM: ovm = MState::Zero; break;
         case Opcode::SSXM: sxm = MState::One; break;
@@ -134,7 +65,7 @@ std::vector<Instr> resolveModes(const std::vector<MInstr>& code,
   };
   bool changed = true;
   std::vector<bool> reached(blocks.size(), false);
-  if (!blocks.empty()) reached[0] = true;
+  reached[0] = true;
   while (changed) {
     changed = false;
     for (size_t b = 0; b < blocks.size(); ++b) {
@@ -154,36 +85,54 @@ std::vector<Instr> resolveModes(const std::vector<MInstr>& code,
       }
     }
   }
+}
+
+}  // namespace
+
+void resolveModes(std::vector<Instr>& code, const TargetConfig& cfg,
+                  bool optimize, ModeOptStats* stats) {
+  // Block leaders: instruction 0, labeled instructions, instructions
+  // following a branch. The naive variant makes every instruction its own
+  // block entered with both bits unknown, so the greedy emission below
+  // switches before every mode-sensitive instruction.
+  std::vector<Block> blocks;
+  for (size_t i = 0; i < code.size(); ++i) {
+    if (!optimize || i == 0 || !code[i].label.empty() ||
+        opInfo(code[i - 1].op).isBranch) {
+      if (!blocks.empty()) blocks.back().end = i;
+      blocks.push_back({i, code.size(), {}});
+    }
+  }
+  if (optimize) solveEntryStates(code, blocks);
 
   // Emission with greedy switching.
+  std::vector<Instr> out;
+  out.reserve(code.size() + 8);
+  int switches = 0;
   for (const auto& blk : blocks) {
     MState ovm = blk.inOvm, sxm = blk.inSxm;
     for (size_t i = blk.begin; i < blk.end; ++i) {
-      Instr in = code[i].instr;
-      const ModeReq& need = code[i].need;
-      std::string label = in.label;
+      Instr& in = code[i];
+      const ModeReq need = in.need;
       bool first = true;
       auto emitSwitch = [&](Opcode op) {
-        Instr sw = mkMode(op);
+        Instr& sw = out.emplace_back();
+        sw.op = op;
+        // The switch serves the instruction that required it, and takes
+        // over its label so a branch to the label runs the switch.
         sw.srcLine = in.srcLine;
         sw.srcCol = in.srcCol;
-        if (first && !label.empty()) {
-          sw.label = label;
-          in.label.clear();
-        }
+        if (first) sw.label.swap(in.label);
         first = false;
-        out.push_back(sw);
-        ++local.switchesInserted;
+        ++switches;
       };
       if (need.ovm >= 0) {
-        ++local.sensitiveInstrs;
         assert(cfg.hasSat || need.ovm == 0);
         if (cfg.hasSat && ovm != fromReq(need.ovm))
           emitSwitch(need.ovm ? Opcode::SOVM : Opcode::ROVM);
         ovm = fromReq(need.ovm);
       }
       if (need.sxm >= 0) {
-        ++local.sensitiveInstrs;
         if (sxm != fromReq(need.sxm))
           emitSwitch(need.sxm ? Opcode::SSXM : Opcode::RSXM);
         sxm = fromReq(need.sxm);
@@ -198,8 +147,8 @@ std::vector<Instr> resolveModes(const std::vector<MInstr>& code,
       out.push_back(std::move(in));
     }
   }
-  if (stats) *stats = local;
-  return out;
+  code.swap(out);
+  if (stats) stats->switchesInserted = switches;
 }
 
 }  // namespace record

@@ -15,20 +15,17 @@
 
 #include <vector>
 
-#include "isel/burs.h"
 #include "target/isa.h"
 
 namespace record {
 
 struct ModeOptStats {
   int switchesInserted = 0;
-  int sensitiveInstrs = 0;
 };
 
-/// Resolve mode requirements into explicit mode-switch instructions.
-/// `optimize` selects the dataflow algorithm vs. the naive one.
-std::vector<Instr> resolveModes(const std::vector<MInstr>& code,
-                                const TargetConfig& cfg, bool optimize,
-                                ModeOptStats* stats = nullptr);
+/// Meet every instruction's `need` by inserting mode-switch instructions
+/// into `code`. `optimize` selects the dataflow algorithm vs. the naive one.
+void resolveModes(std::vector<Instr>& code, const TargetConfig& cfg,
+                  bool optimize, ModeOptStats* stats = nullptr);
 
 }  // namespace record

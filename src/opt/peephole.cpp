@@ -60,17 +60,18 @@ bool truncationObservable(const std::vector<Instr>& code, size_t i) {
 
 }  // namespace
 
-std::vector<Instr> peephole(const std::vector<Instr>& code,
-                            const TargetConfig& cfg, PeepholeStats* stats,
-                            TraceContext* trace) {
-  std::vector<Instr> cur = code;
+void peephole(std::vector<Instr>& code, const TargetConfig& cfg,
+              PeepholeStats* stats, TraceContext* trace) {
+  // Each sweep rewrites `code` into `out`; the lookahead checks read the
+  // unchanged input.
+  std::vector<Instr> out;
   bool changed = true;
   while (changed) {
     changed = false;
-    std::vector<Instr> out;
-    out.reserve(cur.size());
-    for (size_t i = 0; i < cur.size(); ++i) {
-      const Instr& in = cur[i];
+    out.clear();
+    out.reserve(code.size());
+    for (size_t i = 0; i < code.size(); ++i) {
+      const Instr& in = code[i];
       bool joinable = !out.empty() && in.label.empty() &&
                       !blockBoundary(out.back());
 
@@ -79,7 +80,7 @@ std::vector<Instr> peephole(const std::vector<Instr>& code,
       if (joinable && in.op == Opcode::LAC &&
           out.back().op == Opcode::SACL &&
           in.a.mode == AddrMode::Direct && out.back().a == in.a &&
-          !truncationObservable(cur, i)) {
+          !truncationObservable(code, i)) {
         if (stats) ++stats->removedLoads;
         if (trace)
           trace->remark("peephole",
@@ -106,7 +107,7 @@ std::vector<Instr> peephole(const std::vector<Instr>& code,
           out.back().op == Opcode::LAC &&
           in.a.mode == AddrMode::Direct &&
           out.back().a.mode == AddrMode::Direct &&
-          in.a.value == out.back().a.value + 1 && accDeadAfter(cur, i)) {
+          in.a.value == out.back().a.value + 1 && accDeadAfter(code, i)) {
         Instr dmov;
         dmov.op = Opcode::DMOV;
         dmov.a = out.back().a;
@@ -123,9 +124,8 @@ std::vector<Instr> peephole(const std::vector<Instr>& code,
       }
       out.push_back(in);
     }
-    cur = std::move(out);
+    code.swap(out);
   }
-  return cur;
 }
 
 }  // namespace record

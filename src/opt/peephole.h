@@ -24,9 +24,7 @@ struct PeepholeStats {
 
 /// `trace` (optional) receives one "peephole" remark per rewrite applied;
 /// observability only.
-std::vector<Instr> peephole(const std::vector<Instr>& code,
-                            const TargetConfig& cfg,
-                            PeepholeStats* stats = nullptr,
-                            TraceContext* trace = nullptr);
+void peephole(std::vector<Instr>& code, const TargetConfig& cfg,
+              PeepholeStats* stats = nullptr, TraceContext* trace = nullptr);
 
 }  // namespace record

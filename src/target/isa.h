@@ -100,8 +100,8 @@ bool opTakesArIndex(Opcode op);
 /// bit must hold that value when the instruction executes. Resolved into
 /// SOVM/ROVM/SSXM/RSXM instructions by mode-change minimization.
 struct ModeReq {
-  int ovm = -1;
-  int sxm = -1;
+  int8_t ovm = -1;
+  int8_t sxm = -1;
 
   bool operator==(const ModeReq&) const = default;
 };
@@ -132,6 +132,10 @@ struct Operand {
 /// One target instruction, possibly labeled, possibly a branch.
 struct Instr {
   Opcode op = Opcode::NOP;
+  /// Mode bits this instruction needs, stamped by selection and met by
+  /// mode-change minimization (opt/modeopt.h); encode, asmtext and decode
+  /// ignore it. Sits in the padding after `op`, so it costs no space.
+  ModeReq need;
   Operand a;
   Operand b;
   std::string label;        // definition: this instruction carries a label

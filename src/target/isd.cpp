@@ -233,8 +233,8 @@ std::string RuleSet::str() const {
     os << " cost " << r.size << "," << r.cycles;
     if (r.mode.ovm != -1 || r.mode.sxm != -1) {
       os << " mode";
-      if (r.mode.ovm != -1) os << " ovm=" << r.mode.ovm;
-      if (r.mode.sxm != -1) os << " sxm=" << r.mode.sxm;
+      if (r.mode.ovm != -1) os << " ovm=" << int{r.mode.ovm};
+      if (r.mode.sxm != -1) os << " sxm=" << int{r.mode.sxm};
     }
     os << "\n";
   }
@@ -442,10 +442,10 @@ struct IsdParser {
       while (!atEnd()) {
         std::string kv = take();
         int v = 0;
-        if (std::sscanf(kv.c_str(), "ovm=%d", &v) == 1) {
-          r.mode.ovm = v;
-        } else if (std::sscanf(kv.c_str(), "sxm=%d", &v) == 1) {
-          r.mode.sxm = v;
+        const bool ovm = std::sscanf(kv.c_str(), "ovm=%d", &v) == 1;
+        if ((ovm || std::sscanf(kv.c_str(), "sxm=%d", &v) == 1) &&
+            (v == 0 || v == 1)) {
+          (ovm ? r.mode.ovm : r.mode.sxm) = static_cast<int8_t>(v);
         } else {
           error("bad mode clause '" + kv + "'");
           return false;

@@ -88,12 +88,13 @@ int64_t measured(const Program& prog, const TargetConfig& cfg) {
 }
 
 // Budgets: total allocations over every compile of the set, set ~3% above
-// the counts measured when they were last tightened (16361 and 7343; they
-// were 40654 and 20748 while every node carried a heap-allocated kid
+// the counts measured when they were last tightened (11473 and 5809, once
+// the late passes stopped copying the code; before that 16361 and 7343,
+// and 40654 and 20748 while every node carried a heap-allocated kid
 // vector and every matcher rebuilt its rule index). Lower them when a
 // change cuts allocations further.
-constexpr int64_t kKernelSweepBudget = 16800;
-constexpr int64_t kCorpusBudget = 7550;
+constexpr int64_t kKernelSweepBudget = 11820;
+constexpr int64_t kCorpusBudget = 5980;
 constexpr int kCorpusPrograms = 60;
 
 TEST(AllocBudget, DspstoneKernelsOnTheSweep) {

@@ -264,7 +264,7 @@ class ShiftingBinder : public OperandBinder {
     }
   }
 
-  Operand bind(const Expr& e, Nonterm nt, std::vector<MInstr>&,
+  Operand bind(const Expr& e, Nonterm nt, std::vector<Instr>&,
                bool) override {
     if (nt == Nonterm::Imm8 || nt == Nonterm::Imm16)
       return Operand::imm(static_cast<int>(e.value));
@@ -278,7 +278,7 @@ class ShiftingBinder : public OperandBinder {
 
 std::string codeOf(const CoverResult& r) {
   std::string out;
-  for (const MInstr& mi : r.code) out += mi.instr.str() + "\n";
+  for (const Instr& in : r.code) out += in.str() + "\n";
   return out;
 }
 

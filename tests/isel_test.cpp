@@ -38,7 +38,7 @@ class MockBinder : public OperandBinder {
     }
   }
 
-  Operand bind(const Expr& e, Nonterm nt, std::vector<MInstr>&,
+  Operand bind(const Expr& e, Nonterm nt, std::vector<Instr>&,
                bool) override {
     if (nt == Nonterm::Imm8 || nt == Nonterm::Imm16)
       return Operand::imm(static_cast<int>(e.value));
@@ -71,7 +71,7 @@ class IselTest : public ::testing::Test {
 
   std::vector<Opcode> opcodesOf(const CoverResult& r) {
     std::vector<Opcode> out;
-    for (const auto& mi : r.code) out.push_back(mi.instr.op);
+    for (const auto& in : r.code) out.push_back(in.op);
     return out;
   }
 
@@ -103,8 +103,8 @@ TEST_F(IselTest, ImmediateBeatsPool) {
   auto tree = store(Expr::binary(Op::Add, Expr::ref(a), Expr::constant(5)));
   auto r = m.reduce(tree, Nonterm::Stmt, binder);
   ASSERT_TRUE(r.ok);
-  EXPECT_EQ(r.code[1].instr.op, Opcode::ADDK);
-  EXPECT_EQ(r.code[1].instr.a, Operand::imm(5));
+  EXPECT_EQ(r.code[1].op, Opcode::ADDK);
+  EXPECT_EQ(r.code[1].a, Operand::imm(5));
 }
 
 TEST_F(IselTest, MacPatternCoversMultiplyAccumulate) {
@@ -132,10 +132,9 @@ TEST_F(IselTest, RightLeaningAddSpillsThroughTemp) {
   EXPECT_EQ(binder.tempsAllocated, 1);
   // The spill temp is written before being consumed.
   bool spillSeen = false;
-  for (const auto& mi : r.code) {
-    if (mi.instr.op == Opcode::SACL && mi.instr.a.value >= 100)
-      spillSeen = true;
-    if (mi.instr.op == Opcode::ADD && mi.instr.a.value >= 100) {
+  for (const auto& in : r.code) {
+    if (in.op == Opcode::SACL && in.a.value >= 100) spillSeen = true;
+    if (in.op == Opcode::ADD && in.a.value >= 100) {
       EXPECT_TRUE(spillSeen);
     }
   }
@@ -154,8 +153,8 @@ TEST_F(IselTest, ModeRequirementsRideOnInstructions) {
   auto r = m.reduce(tree, Nonterm::Stmt, binder);
   ASSERT_TRUE(r.ok);
   bool satAdd = false;
-  for (const auto& mi : r.code)
-    if (mi.instr.op == Opcode::ADD && mi.need.ovm == 1) satAdd = true;
+  for (const auto& in : r.code)
+    if (in.op == Opcode::ADD && in.need.ovm == 1) satAdd = true;
   EXPECT_TRUE(satAdd);
 }
 
@@ -166,8 +165,8 @@ TEST_F(IselTest, ShiftRules) {
   auto r = m.reduce(tree, Nonterm::Stmt, binder);
   ASSERT_TRUE(r.ok);
   int sfls = 0;
-  for (const auto& mi : r.code)
-    if (mi.instr.op == Opcode::SFL) ++sfls;
+  for (const auto& in : r.code)
+    if (in.op == Opcode::SFL) ++sfls;
   EXPECT_EQ(sfls, 3);
 }
 
@@ -194,7 +193,7 @@ TEST_F(IselTest, CycleCostModelDiffersFromSize) {
   auto tree = store(Expr::binary(Op::Mul, Expr::ref(a), Expr::ref(b)));
   auto r = m.reduce(tree, Nonterm::Stmt, binder);
   ASSERT_TRUE(r.ok);
-  EXPECT_EQ(r.code[0].instr.op, Opcode::MPYXY);
+  EXPECT_EQ(r.code[0].op, Opcode::MPYXY);
 }
 
 TEST_F(IselTest, UncoverableTreeReportsFailure) {

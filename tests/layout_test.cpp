@@ -115,7 +115,7 @@ class BinderTest : public ::testing::Test {
   DataLayout layout;
   ArFile ars;
   CodegenBinder binder;
-  std::vector<MInstr> out;
+  std::vector<Instr> out;
 };
 
 TEST_F(BinderTest, ScalarBindsDirect) {
@@ -165,8 +165,8 @@ TEST_F(BinderTest, DynamicReadRoutesThroughTemp) {
   EXPECT_EQ(o.mode, AddrMode::Direct);  // value parked in a temp
   // LAR + ADRK(base=1) + LAC *AR7 + SACL temp
   ASSERT_GE(out.size(), 3u);
-  EXPECT_EQ(out[0].instr.op, Opcode::LAR);
-  EXPECT_EQ(out.back().instr.op, Opcode::SACL);
+  EXPECT_EQ(out[0].op, Opcode::LAR);
+  EXPECT_EQ(out.back().op, Opcode::SACL);
   binder.endStatement();
 }
 

@@ -2,7 +2,6 @@
 // compaction, loop transformations, peephole, and accumulator promotion.
 #include <gtest/gtest.h>
 
-#include "isel/burs.h"
 #include "opt/accpromote.h"
 #include "opt/compact.h"
 #include "opt/looptrans.h"
@@ -11,19 +10,6 @@
 
 namespace record {
 namespace {
-
-MInstr mi(Opcode op, Operand a = Operand::none(),
-          Operand b = Operand::none(), ModeReq need = {},
-          std::string label = {}, std::string target = {}) {
-  MInstr m;
-  m.instr.op = op;
-  m.instr.a = a;
-  m.instr.b = b;
-  m.instr.label = std::move(label);
-  m.instr.targetLabel = std::move(target);
-  m.need = need;
-  return m;
-}
 
 Instr ins(Opcode op, Operand a = Operand::none(),
           Operand b = Operand::none(), std::string label = {},
@@ -34,6 +20,15 @@ Instr ins(Opcode op, Operand a = Operand::none(),
   i.b = b;
   i.label = std::move(label);
   i.targetLabel = std::move(target);
+  return i;
+}
+
+/// An instruction carrying a mode need.
+Instr mi(Opcode op, Operand a = Operand::none(),
+         Operand b = Operand::none(), ModeReq need = {},
+         std::string label = {}, std::string target = {}) {
+  Instr i = ins(op, a, b, std::move(label), std::move(target));
+  i.need = need;
   return i;
 }
 
@@ -50,27 +45,29 @@ int countOp(const std::vector<Instr>& code, Opcode op) {
 
 TEST(ModeOpt, NaiveSwitchesBeforeEveryUse) {
   TargetConfig cfg;
-  std::vector<MInstr> code = {
+  std::vector<Instr> code = {
       mi(Opcode::ADD, Operand::direct(0), {}, {1, -1}),
       mi(Opcode::ADD, Operand::direct(1), {}, {1, -1}),
       mi(Opcode::HALT),
   };
   ModeOptStats stats;
-  auto out = resolveModes(code, cfg, /*optimize=*/false, &stats);
+  auto out = code;
+  resolveModes(out, cfg, /*optimize=*/false, &stats);
   EXPECT_EQ(stats.switchesInserted, 2);
   EXPECT_EQ(countOp(out, Opcode::SOVM), 2);
 }
 
 TEST(ModeOpt, OptimizedSwitchesOncePerRun) {
   TargetConfig cfg;
-  std::vector<MInstr> code = {
+  std::vector<Instr> code = {
       mi(Opcode::ADD, Operand::direct(0), {}, {1, -1}),
       mi(Opcode::ADD, Operand::direct(1), {}, {1, -1}),
       mi(Opcode::ADD, Operand::direct(2), {}, {0, -1}),
       mi(Opcode::HALT),
   };
   ModeOptStats stats;
-  auto out = resolveModes(code, cfg, /*optimize=*/true, &stats);
+  auto out = code;
+  resolveModes(out, cfg, /*optimize=*/true, &stats);
   EXPECT_EQ(stats.switchesInserted, 2);  // one SOVM, one ROVM
   EXPECT_EQ(countOp(out, Opcode::SOVM), 1);
   EXPECT_EQ(countOp(out, Opcode::ROVM), 1);
@@ -78,12 +75,13 @@ TEST(ModeOpt, OptimizedSwitchesOncePerRun) {
 
 TEST(ModeOpt, ResetStateIsKnownZero) {
   TargetConfig cfg;
-  std::vector<MInstr> code = {
+  std::vector<Instr> code = {
       mi(Opcode::ADD, Operand::direct(0), {}, {0, -1}),  // wrap = reset
       mi(Opcode::HALT),
   };
   ModeOptStats stats;
-  auto out = resolveModes(code, cfg, true, &stats);
+  auto out = code;
+  resolveModes(out, cfg, true, &stats);
   EXPECT_EQ(stats.switchesInserted, 0);
   EXPECT_EQ(out.size(), 2u);
 }
@@ -93,14 +91,15 @@ TEST(ModeOpt, LoopBodySwitchHoistedByDataflow) {
   // Preheader requirement sets OVM=1; the loop body requires OVM=1 too.
   // The dataflow meet over (preheader, backedge) keeps state One, so no
   // switch is needed inside the loop.
-  std::vector<MInstr> code = {
+  std::vector<Instr> code = {
       mi(Opcode::ADD, Operand::direct(0), {}, {1, -1}),
       mi(Opcode::ADD, Operand::direct(1), {}, {1, -1}, "top"),
       mi(Opcode::BANZ, Operand::imm(0), {}, {}, "", "top"),
       mi(Opcode::HALT),
   };
   ModeOptStats stats;
-  auto out = resolveModes(code, cfg, true, &stats);
+  auto out = code;
+  resolveModes(out, cfg, true, &stats);
   EXPECT_EQ(stats.switchesInserted, 1);  // only the preheader SOVM
   // The loop-body instruction must not be preceded by a switch.
   int topIdx = -1;
@@ -112,14 +111,15 @@ TEST(ModeOpt, LoopBodySwitchHoistedByDataflow) {
 
 TEST(ModeOpt, SxmHandledIndependently) {
   TargetConfig cfg;
-  std::vector<MInstr> code = {
+  std::vector<Instr> code = {
       mi(Opcode::SFR, {}, {}, {-1, 1}),
       mi(Opcode::SFR, {}, {}, {-1, 0}),
       mi(Opcode::SFR, {}, {}, {-1, 1}),
       mi(Opcode::HALT),
   };
   ModeOptStats stats;
-  auto out = resolveModes(code, cfg, true, &stats);
+  auto out = code;
+  resolveModes(out, cfg, true, &stats);
   EXPECT_EQ(stats.switchesInserted, 3);  // SSXM, RSXM, SSXM
   EXPECT_EQ(countOp(out, Opcode::SSXM), 2);
   EXPECT_EQ(countOp(out, Opcode::RSXM), 1);
@@ -127,17 +127,22 @@ TEST(ModeOpt, SxmHandledIndependently) {
 
 TEST(ModeOpt, LabelMigratesToInsertedSwitch) {
   TargetConfig cfg;
-  std::vector<MInstr> code = {
-      mi(Opcode::B, {}, {}, {}, "", "sat"),
-      mi(Opcode::ADD, Operand::direct(0), {}, {1, -1}, "sat"),
-      mi(Opcode::HALT),
-  };
-  auto out = resolveModes(code, cfg, true, nullptr);
-  // The branch target must now be the SOVM, or the branch would skip it.
-  for (const auto& in : out) {
-    if (in.label == "sat") {
-      EXPECT_EQ(in.op, Opcode::SOVM);
-    }
+  for (bool optimize : {false, true}) {
+    std::vector<Instr> code = {
+        mi(Opcode::B, {}, {}, {}, "", "sat"),
+        mi(Opcode::ADD, Operand::direct(0), {}, {1, 1}, "sat"),
+        mi(Opcode::HALT),
+    };
+    resolveModes(code, cfg, optimize, nullptr);
+    // The branch target must now be the first switch, or the branch would
+    // skip it: B; sat: SOVM; SSXM; ADD; HALT in both modes.
+    ASSERT_EQ(code.size(), 5u) << "optimize=" << optimize;
+    EXPECT_EQ(code[1].label, "sat");
+    EXPECT_EQ(code[1].op, Opcode::SOVM);
+    EXPECT_EQ(code[2].op, Opcode::SSXM);
+    EXPECT_TRUE(code[2].label.empty());
+    EXPECT_TRUE(code[3].label.empty());
+    EXPECT_EQ(code[3].op, Opcode::ADD);
   }
 }
 
@@ -153,7 +158,8 @@ TEST(Compact, MergesApacLtIntoLta) {
       ins(Opcode::HALT),
   };
   CompactStats stats;
-  auto out = compact(code, cfg, CompactMode::List, &stats);
+  auto out = code;
+  compact(out, cfg, CompactMode::List, &stats);
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(out[0].op, Opcode::LTA);
   EXPECT_EQ(out[0].a, Operand::direct(3));
@@ -167,7 +173,8 @@ TEST(Compact, MergesPacLtIntoLtp) {
       ins(Opcode::PAC),
       ins(Opcode::HALT),
   };
-  auto out = compact(code, cfg, CompactMode::List, nullptr);
+  auto out = code;
+  compact(out, cfg, CompactMode::List, nullptr);
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(out[0].op, Opcode::LTP);
 }
@@ -181,7 +188,8 @@ TEST(Compact, CascadesIntoLtd) {
       ins(Opcode::HALT),
   };
   CompactStats stats;
-  auto out = compact(code, cfg, CompactMode::List, &stats);
+  auto out = code;
+  compact(out, cfg, CompactMode::List, &stats);
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(out[0].op, Opcode::LTD);
   EXPECT_EQ(stats.merges, 2);
@@ -196,7 +204,8 @@ TEST(Compact, MergesApacMpyxyIntoMacxy) {
           Operand::indirect(1, PostMod::Inc)),
       ins(Opcode::HALT),
   };
-  auto out = compact(code, cfg, CompactMode::List, nullptr);
+  auto out = code;
+  compact(out, cfg, CompactMode::List, nullptr);
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(out[0].op, Opcode::MACXY);
 }
@@ -210,7 +219,8 @@ TEST(Compact, MpyxyThenApacDoesNotMerge) {
       ins(Opcode::APAC),
       ins(Opcode::HALT),
   };
-  auto out = compact(code, cfg, CompactMode::List, nullptr);
+  auto out = code;
+  compact(out, cfg, CompactMode::List, nullptr);
   EXPECT_EQ(out.size(), 3u);
 }
 
@@ -221,7 +231,8 @@ TEST(Compact, RespectsFeatureGates) {
       ins(Opcode::APAC),
       ins(Opcode::LT, Operand::direct(3)),
   };
-  auto out = compact(code, cfg, CompactMode::List, nullptr);
+  auto out = code;
+  compact(out, cfg, CompactMode::List, nullptr);
   EXPECT_EQ(out.size(), 2u);  // no LTA without the MAC datapath
 }
 
@@ -232,7 +243,8 @@ TEST(Compact, DoesNotMergeAcrossLabels) {
       ins(Opcode::LT, Operand::direct(3), {}, "L"),
       ins(Opcode::HALT),
   };
-  auto out = compact(code, cfg, CompactMode::List, nullptr);
+  auto out = code;
+  compact(out, cfg, CompactMode::List, nullptr);
   EXPECT_EQ(out.size(), 3u);
 }
 
@@ -247,9 +259,11 @@ TEST(Compact, OptimalReordersToEnableMerge) {
       ins(Opcode::LT, Operand::direct(3)),
       ins(Opcode::HALT),
   };
-  auto greedy = compact(code, cfg, CompactMode::List, nullptr);
+  auto greedy = code;
+  compact(greedy, cfg, CompactMode::List, nullptr);
   EXPECT_EQ(greedy.size(), 4u);
-  auto optimal = compact(code, cfg, CompactMode::Optimal, nullptr);
+  auto optimal = code;
+  compact(optimal, cfg, CompactMode::Optimal, nullptr);
   ASSERT_EQ(optimal.size(), 3u);
   EXPECT_EQ(optimal[0].op, Opcode::LTA);
   EXPECT_EQ(optimal[1].op, Opcode::SACL);
@@ -289,7 +303,8 @@ TEST(LoopTrans, ConvertsSingleInstructionLoopToRpt) {
       ins(Opcode::HALT),
   };
   LoopTransStats stats;
-  auto out = applyLoopTransforms(code, cfg, false, &stats);
+  auto out = code;
+  applyLoopTransforms(out, cfg, false, &stats);
   EXPECT_EQ(stats.rptConversions, 1);
   ASSERT_EQ(out.size(), 3u);
   EXPECT_EQ(out[0].op, Opcode::RPT);
@@ -306,7 +321,8 @@ TEST(LoopTrans, NoRptWithoutHardwareSupport) {
       ins(Opcode::BANZ, Operand::imm(2), {}, "", "L"),
   };
   LoopTransStats stats;
-  auto out = applyLoopTransforms(code, cfg, false, &stats);
+  auto out = code;
+  applyLoopTransforms(out, cfg, false, &stats);
   EXPECT_EQ(stats.rptConversions, 0);
   EXPECT_EQ(out.size(), 3u);
 }
@@ -323,7 +339,8 @@ TEST(LoopTrans, PipelinesMpyxyApacLoop) {
       ins(Opcode::HALT),
   };
   LoopTransStats stats;
-  auto out = applyLoopTransforms(code, cfg, false, &stats);
+  auto out = code;
+  applyLoopTransforms(out, cfg, false, &stats);
   EXPECT_EQ(stats.macPipelined, 1);
   ASSERT_EQ(out.size(), 5u);
   EXPECT_EQ(out[0].op, Opcode::MPYK);  // clear P
@@ -343,11 +360,13 @@ TEST(LoopTrans, RotationOnlyWhenFavoringCycles) {
       ins(Opcode::HALT),
   };
   LoopTransStats sizeStats;
-  auto sizeOut = applyLoopTransforms(code, cfg, false, &sizeStats);
+  auto sizeOut = code;
+  applyLoopTransforms(sizeOut, cfg, false, &sizeStats);
   EXPECT_EQ(sizeStats.macRotations, 0);
   EXPECT_EQ(sizeOut.size(), code.size());
   LoopTransStats cycStats;
-  auto cycOut = applyLoopTransforms(code, cfg, true, &cycStats);
+  auto cycOut = code;
+  applyLoopTransforms(cycOut, cfg, true, &cycStats);
   EXPECT_EQ(cycStats.macRotations, 1);
   // LARK, MPYK, LTA, MPY, BANZ, APAC, HALT
   ASSERT_EQ(cycOut.size(), 7u);
@@ -378,7 +397,8 @@ TEST(Peephole, RemovesRedundantLoadAfterStore) {
       ins(Opcode::ADD, Operand::direct(6)),
   };
   PeepholeStats stats;
-  auto out = peephole(code, cfg, &stats);
+  auto out = code;
+  peephole(out, cfg, &stats);
   EXPECT_EQ(stats.removedLoads, 1);
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(out[1].op, Opcode::ADD);
@@ -390,7 +410,8 @@ TEST(Peephole, KeepsLoadFromDifferentAddress) {
       ins(Opcode::SACL, Operand::direct(5)),
       ins(Opcode::LAC, Operand::direct(6)),
   };
-  auto out = peephole(code, cfg, nullptr);
+  auto out = code;
+  peephole(out, cfg, nullptr);
   EXPECT_EQ(out.size(), 2u);
 }
 
@@ -402,7 +423,8 @@ TEST(Peephole, FusesDelayMoveWhenAccDead) {
       ins(Opcode::LAC, Operand::direct(0)),  // ACC redefined: dead before
   };
   PeepholeStats stats;
-  auto out = peephole(code, cfg, &stats);
+  auto out = code;
+  peephole(out, cfg, &stats);
   EXPECT_EQ(stats.dmovFusions, 1);
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(out[0].op, Opcode::DMOV);
@@ -415,7 +437,8 @@ TEST(Peephole, NoDmovFusionWhenAccLive) {
       ins(Opcode::SACL, Operand::direct(9)),
       ins(Opcode::ADD, Operand::direct(0)),  // reads ACC: still live
   };
-  auto out = peephole(code, cfg, nullptr);
+  auto out = code;
+  peephole(out, cfg, nullptr);
   EXPECT_EQ(out.size(), 3u);
 }
 
@@ -427,7 +450,8 @@ TEST(Peephole, NoDmovFusionWithoutHardware) {
       ins(Opcode::SACL, Operand::direct(9)),
       ins(Opcode::LAC, Operand::direct(0)),
   };
-  auto out = peephole(code, cfg, nullptr);
+  auto out = code;
+  peephole(out, cfg, nullptr);
   EXPECT_EQ(out.size(), 3u);
 }
 
@@ -439,7 +463,8 @@ TEST(Peephole, DropsDeadArLoad) {
       ins(Opcode::LARK, Operand::imm(2), Operand::imm(30)),
   };
   PeepholeStats stats;
-  auto out = peephole(code, cfg, &stats);
+  auto out = code;
+  peephole(out, cfg, &stats);
   EXPECT_EQ(stats.deadArLoads, 1);
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(out[0].b, Operand::imm(20));
@@ -454,7 +479,7 @@ std::function<bool(int)> noArrays() {
 }
 
 TEST(AccPromote, HoistsLoadAndStoreOutOfLoop) {
-  std::vector<MInstr> code = {
+  std::vector<Instr> code = {
       mi(Opcode::LARK, Operand::imm(2), Operand::imm(7)),
       mi(Opcode::LAC, Operand::direct(40), {}, {}, "L"),
       mi(Opcode::LT, Operand::indirect(0, PostMod::Inc)),
@@ -465,21 +490,22 @@ TEST(AccPromote, HoistsLoadAndStoreOutOfLoop) {
       mi(Opcode::HALT),
   };
   AccPromoteStats stats;
-  auto out = promoteAccumulators(code, &stats, noArrays());
+  auto out = code;
+  promoteAccumulators(out, &stats, noArrays());
   EXPECT_EQ(stats.promotions, 1);
   // LAC before the loop, SACL after the BANZ.
   ASSERT_EQ(out.size(), code.size());
-  EXPECT_EQ(out[1].instr.op, Opcode::LAC);
-  EXPECT_TRUE(out[1].instr.label.empty());
-  EXPECT_EQ(out[2].instr.label, "L");
-  EXPECT_EQ(out[2].instr.op, Opcode::LT);
-  EXPECT_EQ(out[5].instr.op, Opcode::BANZ);
-  EXPECT_EQ(out[6].instr.op, Opcode::SACL);
-  EXPECT_EQ(out[7].instr.op, Opcode::HALT);
+  EXPECT_EQ(out[1].op, Opcode::LAC);
+  EXPECT_TRUE(out[1].label.empty());
+  EXPECT_EQ(out[2].label, "L");
+  EXPECT_EQ(out[2].op, Opcode::LT);
+  EXPECT_EQ(out[5].op, Opcode::BANZ);
+  EXPECT_EQ(out[6].op, Opcode::SACL);
+  EXPECT_EQ(out[7].op, Opcode::HALT);
 }
 
 TEST(AccPromote, BlockedWhenVariableTouchedElsewhere) {
-  std::vector<MInstr> code = {
+  std::vector<Instr> code = {
       mi(Opcode::LARK, Operand::imm(2), Operand::imm(7)),
       mi(Opcode::LAC, Operand::direct(40), {}, {}, "L"),
       mi(Opcode::ADD, Operand::direct(40)),  // second access to 40
@@ -492,7 +518,7 @@ TEST(AccPromote, BlockedWhenVariableTouchedElsewhere) {
 }
 
 TEST(AccPromote, BlockedByConservativeIndirectAliasing) {
-  std::vector<MInstr> code = {
+  std::vector<Instr> code = {
       mi(Opcode::LARK, Operand::imm(2), Operand::imm(7)),
       mi(Opcode::LAC, Operand::direct(40), {}, {}, "L"),
       mi(Opcode::ADD, Operand::indirect(0, PostMod::Inc)),
@@ -508,7 +534,7 @@ TEST(AccPromote, BlockedByConservativeIndirectAliasing) {
 }
 
 TEST(AccPromote, BlockedWhenAccUsedAfterStore) {
-  std::vector<MInstr> code = {
+  std::vector<Instr> code = {
       mi(Opcode::LARK, Operand::imm(2), Operand::imm(7)),
       mi(Opcode::LAC, Operand::direct(40), {}, {}, "L"),
       mi(Opcode::ADD, Operand::direct(41)),

@@ -257,6 +257,13 @@ TEST(Isd, ParseErrors) {
                      diag);
   EXPECT_FALSE(rs.has_value());
   EXPECT_TRUE(diag.hasErrors());
+  // A mode bit is 0 or 1.
+  const std::string sat =
+      "rule sat acc <- (sadd acc mem) emit ADD $1 cost 1,1 mode ovm=";
+  DiagEngine okDiag, badDiag;
+  EXPECT_TRUE(parseIsd(sat + "1\n", okDiag).has_value());
+  EXPECT_FALSE(parseIsd(sat + "2\n", badDiag).has_value());
+  EXPECT_TRUE(badDiag.hasErrors());
 }
 
 }  // namespace

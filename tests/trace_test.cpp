@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -167,6 +168,77 @@ TEST(GoldenTrace, CounterInvariants) {
     if (e.ph == 'i' && std::string(e.name) == "isel.rule") ++ruleRemarks;
   EXPECT_EQ(ruleRemarks, res.stats.patternsUsed);
   EXPECT_GT(trace.remarkCount(), 0);
+}
+
+// Every late-pass counter is published from its CompileStats field: summed
+// over the DSPStone kernels on every sweep config, each counter equals the
+// summed field. Three option sets reach every transform the kernels
+// exercise, and those sums must be non-zero, so a row that publishes the
+// wrong field cannot pass on zeros.
+TEST(GoldenTrace, LatePassCountersMatchStats) {
+  using Get = int (*)(const CompileStats&);
+  const std::pair<const char*, Get> fields[] = {
+      {"accpromote.promotions",
+       [](const CompileStats& s) { return s.promote.promotions; }},
+      {"modes.switches_inserted",
+       [](const CompileStats& s) { return s.modes.switchesInserted; }},
+      {"compact.merges",
+       [](const CompileStats& s) { return s.compacted.merges; }},
+      {"compact.blocks_reordered",
+       [](const CompileStats& s) { return s.compacted.blocksReordered; }},
+      {"looptrans.rpt_conversions",
+       [](const CompileStats& s) { return s.loops.rptConversions; }},
+      {"looptrans.mac_pipelined",
+       [](const CompileStats& s) { return s.loops.macPipelined; }},
+      {"looptrans.mac_rotations",
+       [](const CompileStats& s) { return s.loops.macRotations; }},
+      {"peephole.removed_loads",
+       [](const CompileStats& s) { return s.peep.removedLoads; }},
+      {"peephole.dmov_fusions",
+       [](const CompileStats& s) { return s.peep.dmovFusions; }},
+      {"peephole.dead_ar_loads",
+       [](const CompileStats& s) { return s.peep.deadArLoads; }},
+  };
+  CodegenOptions cycles;
+  cycles.cost = CostKind::Cycles;
+  CodegenOptions optimal;
+  optimal.compaction = CompactMode::Optimal;
+  const struct {
+    const char* name;
+    CodegenOptions opt;
+    std::vector<std::string> fires;
+  } runs[] = {
+      {"default",
+       {},
+       {"accpromote.promotions", "compact.merges", "looptrans.mac_pipelined",
+        "peephole.dmov_fusions"}},
+      {"cycles", cycles, {"looptrans.mac_rotations"}},
+      {"optimal", optimal, {"compact.blocks_reordered"}},
+  };
+  for (const auto& run : runs) {
+    TraceContext trace;
+    std::map<std::string, int64_t> sums;
+    for (const Kernel& k : dspstoneKernels()) {
+      Program prog = dfl::parseDflOrDie(k.dfl);
+      for (const auto& pt : difftest::defaultSweep()) {
+        CodegenOptions opt = run.opt;
+        opt.trace = &trace;
+        CompileResult res;
+        try {
+          res = RecordCompiler(pt.cfg, opt).compile(prog);
+        } catch (const std::runtime_error&) {
+          continue;  // capability rejection: no late pass ran
+        }
+        for (const auto& [counter, get] : fields)
+          sums[counter] += get(res.stats);
+      }
+    }
+    for (const auto& [counter, get] : fields)
+      EXPECT_EQ(trace.counterValue(counter), sums[counter])
+          << run.name << ": " << counter;
+    for (const std::string& counter : run.fires)
+      EXPECT_GT(sums[counter], 0) << run.name << ": " << counter;
+  }
 }
 
 TEST(GoldenTrace, RejectionLeavesRemark) {
