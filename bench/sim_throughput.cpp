@@ -23,12 +23,15 @@
 // their median paired ratio: the per-kernel view of the affine loop path
 // (sim/translate.h) and the translation-off ablation. Its rows
 // `long_<kernel>` are verified like the first table's but sit outside both
-// floors.
+// floors. Its `affine` and `column` columns say whether the affine path and
+// its column walk ran; the binary fails when one of kColumnKernels leaves
+// the column walk (a deterministic check, unlike the floors).
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -44,6 +47,10 @@ constexpr double kMinTranslateSpeedup = 1.3;   // translated vs. decoded
 constexpr double kWindowSec = 0.1;  // one timed window
 constexpr int kRounds = 7;          // paired windows per engine and kernel
 static_assert(kRounds % 2 == 1, "odd, so a median is one round's ratio");
+/// The long kernels whose hot loops must run on the column walk: all but
+/// iir_biquad_n_sections, whose carried temps keep it on the row walk.
+const char* const kColumnKernels[] = {"n_real_updates", "n_complex_updates",
+                                      "fir", "convolution"};
 
 /// One timed window: `reps` runs (reset(false) + run, the standard re-arm),
 /// returning instructions/sec over the window.
@@ -156,14 +163,16 @@ bool verifyKernel(const Kernel& k, const Program& prog,
 }
 
 /// The long-loop table: translated vs. decoded us/tick per sim_long kernel.
-/// No floor; a verification failure still fails the bench.
+/// No floor; a verification failure, or a kColumnKernels kernel off the
+/// column walk, still fails the bench.
 int runLongLoops() {
   using namespace record::bench;
   TargetConfig cfg;
   std::printf("\nLong loops at sim_long sizes: translated vs. decode-once\n");
   hr();
-  std::printf("%-24s %8s %7s | %13s %13s %6s %7s\n", "kernel", "cycles",
-              "insns", "translated us", "decoded us", "d/t", "affine");
+  std::printf("%-24s %8s %7s | %13s %13s %6s %7s %7s\n", "kernel", "cycles",
+              "insns", "translated us", "decoded us", "d/t", "affine",
+              "column");
   hr();
   for (const auto& k : longKernels()) {
     auto prog = dfl::parseDflOrDie(k.dfl);
@@ -181,6 +190,7 @@ int runLongLoops() {
     const double usD = 1e6 * insns / best(rates[1]);
     const double dOverT = pairRatio(rates[0], rates[1]).median;
     const bool affine = tra.translateStats().affineRuns > 0;
+    const bool column = tra.translateStats().columnRuns > 0;
     const std::string row = "long_" + k.name;
     auto& g = globalStats();
     g.set(row, "cycles", static_cast<double>(rd.cycles));
@@ -188,10 +198,18 @@ int runLongLoops() {
     g.set(row, "translated_us_per_tick", usT);
     g.set(row, "decoded_us_per_tick", usD);
     g.set(row, "affine", affine ? 1 : 0);
-    std::printf("%-24s %8lld %7lld | %13.2f %13.2f %5.2fx %7s\n",
+    g.set(row, "column", column ? 1 : 0);
+    std::printf("%-24s %8lld %7lld | %13.2f %13.2f %5.2fx %7s %7s\n",
                 k.name.c_str(), static_cast<long long>(rd.cycles),
                 static_cast<long long>(rd.instructions), usT, usD, dOverT,
-                affine ? "yes" : "no");
+                affine ? "yes" : "no", column ? "yes" : "no");
+    if (!column && std::find(std::begin(kColumnKernels),
+                             std::end(kColumnKernels),
+                             k.name) != std::end(kColumnKernels)) {
+      std::fprintf(stderr, "FATAL: %s left the column walk\n",
+                   k.name.c_str());
+      return 1;
+    }
   }
   hr();
   return 0;

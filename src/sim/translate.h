@@ -59,21 +59,42 @@
 // offset within the pass and its span, and each AR its step per pass. At
 // block entry the executor knows the trip count (counter + 1). When the
 // whole run's worst-case ledger fits the budget and every access of every
-// pass lies inside data memory, it runs the whole loop on the affine path:
-// each address is entry AR + k*step + offset (no per-access bounds check,
-// no AR stores), the same RECORD_SEM bodies expand over AffineMemory, the
-// ledger is folded once, and the ARs and counter are written back at exit.
-// When either whole-run check fails, the per-pass walk above runs
-// unchanged: it stays the exact path for budget expiry and traps. At the
-// sizes of the sim_long benchmark this about halves the translated time per
-// tick of fir, convolution, n_real_updates and iir_biquad_n_sections
+// pass lies inside data memory, it runs the whole loop at once: each
+// address is entry AR + k*step + offset (no per-access bounds check, no AR
+// stores), the ledger is folded once, and the ARs and counter are written
+// back at exit. When either whole-run check fails, the per-pass walk above
+// runs unchanged: it stays the exact path for budget expiry and traps.
+//
+// An affine run takes one of two walks, both expanding the same RECORD_SEM
+// bodies and sharing the checks, ledger fold and write-back:
+//
+//   * Columns (op-major): in chunks of kColumnChunk passes, body op 1 runs
+//     over every pass of the chunk, then op 2, and so on. Each op is a
+//     tight loop specialised per kind, its operands strided streams with
+//     base and step hoisted; ACC/T/P flow from op to op through per-chunk
+//     buffers, one value per pass. It is taken when reordering cannot be
+//     observed. At formation (register rule): the body has no mode switch,
+//     and a register an op reads before any def of it in the pass is
+//     written by no other op -- it is invariant, or the op's own scan (the
+//     APAC of a MAC loop), carried in a machine register. Per run (memory
+//     rule, on the run's real slot addresses): every two accesses of
+//     different ops of which one writes (DMOV/LTD write two words) touch
+//     disjoint ranges over the run, or step alike by a non-zero step with
+//     every collision keeping its pass order -- at pass distance d > 0 the
+//     earlier pass's op must also come first in the body.
+//   * Rows (pass-major), otherwise: every pass dispatches the whole body,
+//     addresses recomputed from the slots. A word that one op writes and
+//     another reads every pass -- the carried temps of
+//     iir_biquad_n_sections -- keeps a loop here.
+//
+// At the sim_long sizes the columns run fir, convolution, n_real_updates
+// and n_complex_updates two to three times as fast as the rows do
 // (bench/sim_throughput's long-loop table; numbers in DESIGN.md).
 //
 // Translation is on for every new Machine; Machine::setTranslate(false)
 // turns it off at run time. See DESIGN.md "Hot-region translation".
 #pragma once
 
-#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <iterator>
@@ -160,11 +181,15 @@ struct TransOp {
 /// One memory access of an affine loop body (see Superblock::affine): the
 /// AR it goes through (-1 for a direct address), its address relative to
 /// that AR's value at pass entry (the direct address itself when ar < 0)
-/// and the words it touches from there (DMOV/LTD also touch addr+1).
+/// and the words it touches from there (DMOV/LTD also touch addr+1); the
+/// index of its op in Superblock::affineBody, and whether it stores
+/// (DMOV/LTD count as stores to both words).
 struct AffineAccess {
   int ar = -1;
   int span = 1;
   int64_t offset = 0;
+  int op = 0;
+  bool write = false;
 };
 
 /// One AR an affine loop body moves, with its step per pass.
@@ -172,6 +197,11 @@ struct ArStep {
   int ar = 0;
   int64_t step = 0;
 };
+
+struct ColumnRun;
+/// The column loop of one affine body op: that op over every pass of the
+/// current chunk (see the header comment and translate.cpp).
+using ColumnFn = void (*)(const TransOp& op, ColumnRun& run);
 
 /// One superblock: a straight-line region executed without per-instruction
 /// dispatch. Loop blocks additionally execute their closing branch and
@@ -218,6 +248,13 @@ struct Superblock {
   std::vector<AffineAccess> accesses;
   std::vector<ArStep> arSteps;
   std::vector<int64_t> slots;
+  /// The column walk of an affine loop (see the header comment): one loop
+  /// per affineBody op, empty when the register rule refuses it;
+  /// `columnDefs` masks the registers the body writes (bit 0 ACC, 1 T,
+  /// 2 P); `columnPairs` the access pairs the per-run memory rule checks.
+  std::vector<ColumnFn> columns;
+  unsigned columnDefs = 0;
+  std::vector<std::array<int, 2>> columnPairs;
 };
 
 /// Formation/execution counters, exposed through Machine::translateStats()
@@ -231,6 +268,7 @@ struct TranslateStats {
   int64_t blockInstructions = 0;  // architectural instructions retired inside
   int64_t deopts = 0;             // budget pre-check bailouts (Stay exits)
   int64_t affineRuns = 0;         // loop-block runs taken on the affine path
+  int64_t columnRuns = 0;         // ... of them on its column walk
   /// Fires per fused kind (kFusedKindNames order): completed passes times
   /// the kind's occurrences in the body, summed over the blocks.
   std::array<int64_t, kNumFusedKinds> fusedFires{};
@@ -261,124 +299,18 @@ inline constexpr int kBackEdgeThreshold = 12;
 inline constexpr int kEntryThreshold = 3;
 /// Longest translatable region, in instructions.
 inline constexpr int kMaxBlockLen = 64;
-
-/// Data memory as an affine loop pass sees it: the SimMemory interface with
-/// every indirect address computed from the pass index `k` (operand val is
-/// the access slot), and no bounds checks -- the executor proved every
-/// access of the whole run in range before taking this path. The AR-file
-/// bodies expand over it too but never run: formation drops ADRK/SBRK from
-/// an affine body and refuses LAR/LARK/SAR.
-struct AffineMemory {
-  int64_t* data;
-  const int64_t* slot;  // Superblock::slots
-  int64_t k;            // pass index
-  int* ar;
-  const TargetConfig* cfg;
-
-  int64_t loadWord(int addr) const {
-    return data[static_cast<unsigned>(addr)];
-  }
-  void storeWord(int addr, int64_t v) const {
-    data[static_cast<unsigned>(addr)] = wrap16(v);
-  }
-  int addrOf(const DecOperand& o) const {
-    if (o.kind != 2) return static_cast<int>(o.val);
-    const int64_t* x = slot + 2 * o.val;
-    return static_cast<int>(x[0] + k * x[1]);
-  }
-  int64_t readOp(const DecOperand& o) const {
-    return o.kind == 0 ? static_cast<int64_t>(o.val) : loadWord(addrOf(o));
-  }
-  int bank(const DecOperand& o, int addr) const {
-    return o.bank >= 0 ? o.bank : cfg->bankOf(addr);
-  }
-};
-
-/// Set each access slot's pass-0 address for an affine run of `trips`
-/// passes from the current ARs. False when some access of some pass would
-/// leave data memory (or the 16-bit AR range, where the register would
-/// wrap): the exact walk then traps where the decoded loop does. Addresses
-/// are affine in the pass index, so the first and last pass bound every
-/// other.
-inline bool affineSlots(Superblock& b, const int* ar, int64_t trips,
-                        unsigned dataSize) {
-  const int64_t limit = std::min<int64_t>(dataSize, 0x10000);
-  for (size_t j = 0; j < b.accesses.size(); ++j) {
-    const AffineAccess& x = b.accesses[j];
-    const int64_t first = (x.ar < 0 ? 0 : ar[x.ar]) + x.offset;
-    const int64_t last = first + (trips - 1) * b.slots[2 * j + 1];
-    if (std::min(first, last) < 0 || std::max(first, last) + x.span > limit)
-      return false;
-    b.slots[2 * j] = first;
-  }
-  return true;
-}
+/// Passes per chunk of the column walk: its ACC/T/P buffers hold one value
+/// per pass of a chunk (6 KiB at 256).
+inline constexpr int kColumnChunk = 256;
 
 /// The affine path of a Loop block (see the header comment): run the whole
-/// BANZ loop from its entry, or return false -- touching nothing -- when the
-/// whole run's worst-case ledger does not fit the budget or some access
-/// would leave data memory. Out of line on purpose: GCC lets a computed goto
-/// reach every address-taken label of its function, so sharing
-/// runSuperblock's body would merge the two walks' dispatch graphs.
-[[gnu::noinline]] inline bool runAffine(Superblock& b, const TargetConfig& cfg,
-                                        int64_t* data, unsigned dataSize,
-                                        int* ar, SimState& st,
-                                        int64_t maxCycles, int64_t& cycles,
-                                        int64_t& instructions,
-                                        TranslateStats& stats) {
-  // The loop runs the counter's value + 1 passes from here. Its worst case
-  // fitting the budget means no pass of the exact walk would deopt; every
-  // access in range means none would trap.
-  const int64_t trips = static_cast<int64_t>(ar[b.closeAr]) + 1;
-  if (cycles + trips * b.maxCyclesPerPass > maxCycles ||
-      !affineSlots(b, ar, trips, dataSize))
-    return false;
-
-  int64_t acc = st.acc, tr = st.t, pr = st.p;
-  bool ovm = st.ovm, sxm = st.sxm;
-  int sub = 0;        // fused bodies mark their halves; nothing reads it here
-  int64_t extra = 0;  // XY bank-discount refunds
-  auto xyConflict = [&](bool conflict) {
-    if (!conflict) extra -= 1;
-  };
-  AffineMemory mem{data, b.slots.data(), 0, ar, &cfg};
-  const TransOp* op = nullptr;
-  static const void* const kTbl[] = {
-#define RECORD_TB_LABEL(k) &&TA_##k,
-      RECORD_TB_KINDS(RECORD_TB_LABEL)
-#undef RECORD_TB_LABEL
-      &&TA_End,
-  };
-#define TA_DISPATCH() goto* kTbl[static_cast<size_t>(op->kind)]
-ta_pass:
-  op = b.affineBody.data();
-  TA_DISPATCH();
-#define RECORD_TB_EXEC(k)          \
-  TA_##k : {                       \
-    RECORD_SEM_##k(op->a, op->b);  \
-  }                                \
-  ++op;                            \
-  TA_DISPATCH();
-  RECORD_TB_KINDS(RECORD_TB_EXEC)
-#undef RECORD_TB_EXEC
-#undef TA_DISPATCH
-TA_End:
-  if (++mem.k < trips) goto ta_pass;
-  (void)sub;
-
-  for (const ArStep& s : b.arSteps)
-    ar[s.ar] = static_cast<int>((ar[s.ar] + trips * s.step) & 0xffff);
-  ar[b.closeAr] = 0;
-  st = SimState{acc, tr, pr, ovm, sxm, b.exitPc};
-  const int64_t n = trips * (b.passInsns + 1);
-  cycles += trips * (b.passCycles + b.ctlCyc) + extra;
-  instructions += n;
-  stats.blockInstructions += n;
-  ++stats.blockRuns;
-  ++stats.affineRuns;
-  b.passes += trips;
-  return true;
-}
+/// BANZ loop from its entry, on the column walk when both of its rules
+/// hold and on the row walk otherwise, or return false -- touching nothing
+/// -- when the whole run's worst-case ledger does not fit the budget or
+/// some access would leave data memory.
+bool runAffine(Superblock& b, const TargetConfig& cfg, int64_t* data,
+               unsigned dataSize, int* ar, SimState& st, int64_t maxCycles,
+               int64_t& cycles, int64_t& instructions, TranslateStats& stats);
 
 /// Execute one Loop or Rpt superblock (Entry blocks are walked inline by
 /// Machine::runImpl): an affine loop whole on the affine path when its two

@@ -5,6 +5,7 @@
 // Machine explicitly instead of relying on the default.
 #include <gtest/gtest.h>
 
+#include <random>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -696,7 +697,9 @@ TEST(Translate, CounterWritesAndArLoadsAreNotAffine) {
 
 // At the sim_long sizes the hot loops of every long kernel run on the
 // affine path, n_complex_updates' too: its streams overflow the AR file, so
-// the code generator splits it into two BANZ loops that each fit.
+// the code generator splits it into two BANZ loops that each fit. All but
+// iir_biquad_n_sections run on the column walk; its temps (one word
+// written and read by two ops every pass) keep it on the row walk.
 TEST(Translate, AffinePathTakenByLongKernels) {
   for (const auto& k : longKernels()) {
     SCOPED_TRACE(k.name);
@@ -713,7 +716,156 @@ TEST(Translate, AffinePathTakenByLongKernels) {
     const TranslateStats ts = m.translateStats();
     EXPECT_GE(ts.loopBlocks, 1);
     EXPECT_GE(ts.affineRuns, 3);
+    if (k.name == "iir_biquad_n_sections")
+      EXPECT_EQ(ts.columnRuns, 0);
+    else
+      EXPECT_GE(ts.columnRuns, 3);
   }
+}
+
+// One pin per decision of the column walk's two rules (sim/translate.h):
+// each body runs 40 passes for two ticks against the reference, on the
+// affine path every tick, and on the column walk exactly when `column`.
+TEST(Translate, ColumnWalkLegalityPins) {
+  struct Pin {
+    const char* name;
+    const char* setup;  // before the loop
+    const char* body;
+    bool column;
+  };
+  const Pin pins[] = {
+      // Refused.
+      {"forward copy x[k+1] := x[k] + c, which smears", "",
+       "LAC *AR0+\n ADD 300\n SACL *AR1+", false},
+      {"ACC read before a later op writes it", "",
+       "SACL *AR1+\n LAC *AR0+", false},
+      {"mode switch in the body", "", "SOVM\n ADD *AR0+", false},
+      {"direct word written, then read by another op", "",
+       "LAC *AR0+\n SACL 301\n ADD 301\n SACL *AR1+", false},
+      {"step-0 stream written, then read by another op", "LARK AR2, #302\n",
+       "LAC *AR0+\n SACL *AR2\n ADD *AR2\n SACL *AR1+", false},
+      // Taken.
+      {"fir's backward shift", "LARK AR0, #149\n LARK AR1, #150\n",
+       "LAC *AR0-\n SACL *AR1-", true},
+      {"backward shift x[k+1] := x[k] + c over three ops",
+       "LARK AR0, #149\n LARK AR1, #150\n",
+       "LAC *AR0-\n ADD 300\n SACL *AR1-", true},
+      {"forward copy within one fused op", "", "LAC *AR0+\n SACL *AR1+",
+       true},
+      {"MAC scan", "ZAC\n", "LT *AR0+\n MPY *AR1+\n APAC", true},
+      {"MPY with no LT in the body: T invariant", "LT 300\n ZAC\n",
+       "MPY *AR0+\n APAC", true},
+  };
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(pin.name);
+    auto tp = asmProg(R"(
+      .sym d 300
+      .sym c 3
+)" + initLines("d", 300) + R"(
+      .init c 0 7
+      LARK AR0, #100
+      LARK AR1, #101
+      LARK AR7, #39
+)" + pin.setup + R"(
+ top: )" + pin.body + R"(
+      BANZ AR7, top
+      HALT
+  )");
+    Machine tra(tp);
+    tra.setTranslate(true);
+    ReferenceMachine ref(tp);
+    for (int tick = 0; tick < 2; ++tick) {
+      auto rt = tra.run();
+      auto rr = ref.run();
+      ASSERT_TRUE(rt.halted);
+      EXPECT_EQ(compareWithReference(tra, rt, ref, rr, tp), "") << tick;
+      tra.reset(false);
+      ref.reset(false);
+    }
+    const TranslateStats ts = tra.translateStats();
+    EXPECT_EQ(ts.affineRuns, 2);
+    EXPECT_EQ(ts.columnRuns, pin.column ? 2 : 0);
+  }
+}
+
+/// A random affine BANZ body of 1-6 ops for RandomAffineBodiesMatchReference:
+/// streams on AR0-AR2 from nearby starts (so they overlap forwards and
+/// backwards), direct words among them, and ACC/T/P, and sometimes OVM or
+/// SXM, set before the loop. Data memory is filled by the caller.
+std::string randomAffineBody(std::mt19937_64& rng) {
+  auto pick = [&rng](int n) { return static_cast<int>(rng() % n); };
+  const char* memOps[] = {"LAC", "ADD", "SUB", "SACL", "SACH", "LT",
+                          "MPY", "LTA", "LTP", "LTD", "DMOV", "SPL",
+                          "AND", "OR",  "XOR"};
+  const char* bareOps[] = {"PAC", "APAC", "SPAC", "SFL", "SFR", "NEG",
+                           "ZAC"};
+  const int base = 500 + pick(400);
+  auto direct = [&] { return std::to_string(base - 8 + pick(17)); };
+  std::string src;
+  for (int r = 0; r < 3; ++r)
+    src += " LARK AR" + std::to_string(r) + ", #" +
+           std::to_string(base - 4 + pick(9)) + "\n";
+  src += " LAC " + direct() + "\n LT " + direct() + "\n MPY " + direct() +
+         "\n";
+  if (pick(4) == 0) src += " SOVM\n";
+  if (pick(4) == 0) src += " SSXM\n";
+  src += " LARK AR7, #" + std::to_string(12 + pick(28)) + "\ntop:\n";
+  const int ops = 1 + pick(6);
+  for (int i = 0; i < ops; ++i) {
+    const int k = pick(24);
+    if (k < 15) {
+      const int mode = pick(4);
+      const std::string ar = "*AR" + std::to_string(pick(3));
+      src += std::string(" ") + memOps[k] + " " +
+             (mode == 0   ? ar + "+"
+              : mode == 1 ? ar + "-"
+              : mode == 2 ? ar
+                          : direct());
+    } else if (k < 22) {
+      src += std::string(" ") + bareOps[k - 15];
+    } else {
+      src += std::string(k == 22 ? " ADRK" : " SBRK") + " AR" +
+             std::to_string(pick(3)) + ", #" + std::to_string(1 + pick(3));
+    }
+    src += "\n";
+  }
+  return src + " BANZ AR7, top\n HALT\n";
+}
+
+// Seeded random affine bodies, four ticks each, against the reference: the
+// column walk must be exactly as good as the row walk wherever its rules
+// let it run, and both walks must run often enough for that to mean
+// something. A memory rule that skips the pair checks fails this.
+TEST(Translate, RandomAffineBodiesMatchReference) {
+  TargetConfig cfg;
+  int64_t affine = 0, column = 0;
+  for (uint64_t seed = 1; seed <= 3000; ++seed) {
+    std::mt19937_64 rng(seed);
+    const std::string src = randomAffineBody(rng);
+    TargetProgram tp = asmProg(src, cfg);
+    Machine tra(tp);
+    tra.setTranslate(true);
+    ReferenceMachine ref(tp);
+    for (int addr = 0; addr < cfg.dataWords; ++addr) {
+      const int64_t v = static_cast<int64_t>(rng() % 65536) - 32768;
+      tra.writeData(addr, v);
+      ref.writeData(addr, v);
+    }
+    for (int tick = 0; tick < 4; ++tick) {
+      auto rt = tra.run();
+      auto rr = ref.run();
+      const std::string diff = compareWithReference(tra, rt, ref, rr, tp);
+      ASSERT_EQ(diff, "") << "seed " << seed << " tick " << tick << "\n"
+                          << src;
+      tra.reset(false);
+      ref.reset(false);
+    }
+    affine += tra.translateStats().affineRuns;
+    column += tra.translateStats().columnRuns;
+  }
+  // 4442 column and 7558 row runs of the 12000.
+  EXPECT_GE(column, 3000);
+  EXPECT_GE(affine - column, 5000);
 }
 
 // The fused-kind fire count is completed passes times occurrences, the
