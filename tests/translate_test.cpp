@@ -563,7 +563,8 @@ TEST(Translate, AffineRefusedWhenStreamLeavesMemory) {
 // charged per pass only when both streams hit the same bank, and the affine
 // path's folded ledger must carry exactly the refunds the per-pass walk
 // does -- with both streams in one bank, in different banks, and with one
-// stream crossing the bank boundary mid-loop.
+// stream crossing the bank boundary mid-loop. The body only reads, so the
+// column walk runs it: its refunds are the ones checked.
 TEST(Translate, AffineMacxyLedgerMatchesOnDualBanks) {
   TargetConfig cfg;
   for (const auto& pt : difftest::defaultSweep())
@@ -608,6 +609,7 @@ TEST(Translate, AffineMacxyLedgerMatchesOnDualBanks) {
       ref.reset(false);
     }
     EXPECT_EQ(tra.translateStats().affineRuns, 2);
+    EXPECT_EQ(tra.translateStats().columnRuns, 2);
   }
 }
 
