@@ -14,17 +14,19 @@
 //   --no-mac              core without multiplier datapath
 //   --dual-mul            dual-operand multiplier + 2 memory banks
 //   --no-sat --no-rpt --no-dmov      strip core features
-//   --emit-isd            print the core's instruction-set description
+//   --emit-isd            print the core's BURS rule set as a rule-only
+//                         description (a subset of the --emit-desc grammar)
 //   --emit-desc           print the authoritative target description, the
 //                         embedded src/target/tdsp.isd (insn clauses +
 //                         feature-gated rules, target/desc.h grammar)
-//   --isd FILE            retarget: compile against an ISD text file.
-//   --isd=FILE            Plain rule files swap the BURS rules only; a
-//                         full target description (starting with a
-//                         `target`/`insn` clause) additionally generates
-//                         and installs the ISA/decode tables, so the
-//                         assembler, encoder and simulator cycle hints all
-//                         come from the description
+//   --isd FILE            retarget: compile against a target description
+//   --isd=FILE            (target/desc.h grammar). Its `rule` clauses
+//                         replace the BURS rules; its `insn` clauses, if
+//                         any, generate and install the ISA/decode tables,
+//                         so the assembler, encoder and simulator cycle
+//                         hints come from the description. A rule-only
+//                         file (e.g. --emit-isd output) keeps the default
+//                         tables
 //   --run                 execute on the simulator with zero inputs
 //   --src                 annotate the listing with DFL source lines
 //   --profile[=FILE]      execute under the cycle profiler (implies --run)
@@ -306,8 +308,8 @@ int main(int argc, char** argv) {
   try {
     std::optional<RecordCompiler> compilerStorage;
     // Outlives the compile + run: the simulator's decode reads the active
-    // ISA table, so a table generated from a full description must stay
-    // alive (and installed) until the end of main.
+    // ISA table, so a table generated from a description must stay alive
+    // (and installed) until the end of main.
     std::optional<IsaTable> generatedTable;
     if (!isdFile.empty()) {
       std::ifstream in(isdFile);
@@ -320,33 +322,15 @@ int main(int argc, char** argv) {
       const std::string isdText = ss.str();
       DiagEngine isdDiag;
       isdDiag.setSourceName(isdFile);
-      // A full target description declares itself with a `target` or
-      // `insn` clause; a plain rule file starts straight at `rule`.
-      const bool fullDesc = isdText.find("target ") != std::string::npos ||
-                            isdText.find("insn ") != std::string::npos;
-      if (fullDesc) {
-        auto desc = parseTargetDesc(isdText, isdDiag);
-        if (!desc || !validateDesc(*desc, isdDiag)) {
-          std::fprintf(stderr, "%s", isdDiag.str().c_str());
-          return 1;
-        }
-        auto table = buildIsaTable(*desc, isdDiag);
-        if (!table) {
-          std::fprintf(stderr, "%s", isdDiag.str().c_str());
-          return 1;
-        }
-        generatedTable = std::move(*table);
-        setActiveIsaTable(&*generatedTable);
-        compilerStorage.emplace(rulesFor(*desc, cfg), opt);
-      } else {
-        auto rules = parseIsd(isdText, isdDiag);
-        if (!rules) {
-          std::fprintf(stderr, "%s", isdDiag.str().c_str());
-          return 1;
-        }
-        rules->config = cfg;
-        compilerStorage.emplace(std::move(*rules), opt);
+      auto desc = parseTargetDesc(isdText, isdDiag);
+      if (desc && validateDesc(*desc, isdDiag))
+        generatedTable = buildIsaTable(*desc, isdDiag);
+      if (!generatedTable) {
+        std::fprintf(stderr, "%s", isdDiag.str().c_str());
+        return 1;
       }
+      setActiveIsaTable(&*generatedTable);
+      compilerStorage.emplace(rulesFor(*desc, cfg), opt);
     } else {
       compilerStorage.emplace(cfg, opt);
     }

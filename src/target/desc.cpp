@@ -19,33 +19,15 @@ const FeatureName kFeatures[] = {
     {"rpt", kFeatRpt},   {"dmov", kFeatDmov},
 };
 
-bool parseInt(const std::string& tok, int* out) {
-  if (tok.empty()) return false;
-  size_t i = tok[0] == '-' ? 1 : 0;
-  if (i >= tok.size()) return false;
-  long v = 0;
-  for (; i < tok.size(); ++i) {
-    if (tok[i] < '0' || tok[i] > '9') return false;
-    v = v * 10 + (tok[i] - '0');
-    if (v > 1000000) return false;
-  }
-  *out = tok[0] == '-' ? -static_cast<int>(v) : static_cast<int>(v);
-  return true;
-}
-
-std::vector<std::string> splitWords(const std::string& line) {
-  std::vector<std::string> out;
-  std::string cur;
-  for (char c : line) {
-    if (c == ' ' || c == '\t' || c == '\r') {
-      if (!cur.empty()) out.push_back(std::move(cur));
-      cur.clear();
-    } else {
-      cur += c;
+bool opFromName(const std::string& name, Op& out) {
+  for (int i = 0; i <= static_cast<int>(Op::Store); ++i) {
+    Op op = static_cast<Op>(i);
+    if (name == opName(op)) {
+      out = op;
+      return true;
     }
   }
-  if (!cur.empty()) out.push_back(std::move(cur));
-  return out;
+  return false;
 }
 
 bool opClassFromName(const std::string& name, OpClass* out) {
@@ -67,129 +49,312 @@ uint32_t patternNonterms(const PatNode& p) {
   return m;
 }
 
+/// Bound on every number a description holds. Costs, cycle and operand
+/// counts, mode bits, leaf references and pattern constants all lie far
+/// inside it, and it keeps a `(const v)` inside the `int` of the fixed
+/// immediate it emits.
+constexpr long kMaxDescNumber = 1000000;
+
+/// One parser for every clause. A line is tokenized once; the clause
+/// parsers walk its tokens with a cursor.
 struct DescParser {
   DiagEngine& diag;
   int lineNo = 0;
+  std::vector<std::string> toks;
+  size_t pos = 0;
+
+  explicit DescParser(DiagEngine& d) : diag(d) {}
 
   void error(const std::string& msg) { diag.error({lineNo, 0}, msg); }
 
-  bool parseInsn(const std::vector<std::string>& toks, DescInsn* out) {
-    if (toks.size() < 2) {
+  /// Split a line into words, with each parenthesis a token of its own;
+  /// '#' starts a comment.
+  void tokenize(const std::string& line) {
+    toks.clear();
+    pos = 0;
+    std::string cur;
+    auto flush = [&] {
+      if (!cur.empty()) toks.push_back(std::move(cur));
+      cur.clear();
+    };
+    for (char c : line) {
+      if (c == '#') break;
+      if (c == '(' || c == ')') {
+        flush();
+        toks.push_back(std::string(1, c));
+      } else if (c == ' ' || c == '\t' || c == '\r') {
+        flush();
+      } else {
+        cur += c;
+      }
+    }
+    flush();
+  }
+
+  bool atEnd() const { return pos >= toks.size(); }
+  const std::string& peek() const {
+    static const std::string empty;
+    return atEnd() ? empty : toks[pos];
+  }
+  std::string take() { return atEnd() ? std::string() : toks[pos++]; }
+
+  bool expect(const std::string& word) {
+    if (peek() == word) {
+      ++pos;
+      return true;
+    }
+    error("expected '" + word + "', got '" + peek() + "'");
+    return false;
+  }
+
+  /// The grammar's only number reader: an optionally negative decimal
+  /// integer within kMaxDescNumber. `what` names the number in the
+  /// diagnostic.
+  bool readInt(const std::string& tok, const std::string& what, int* out) {
+    const bool neg = !tok.empty() && tok[0] == '-';
+    bool ok = tok.size() > (neg ? 1u : 0u);
+    long v = 0;
+    for (size_t i = neg ? 1 : 0; ok && i < tok.size(); ++i) {
+      ok = tok[i] >= '0' && tok[i] <= '9';
+      v = v * 10 + (tok[i] - '0');
+      ok = ok && v <= kMaxDescNumber;
+    }
+    if (!ok) {
+      error("bad " + what + " '" + tok + "' (want an integer within +-" +
+            std::to_string(kMaxDescNumber) + ")");
+      return false;
+    }
+    *out = static_cast<int>(neg ? -v : v);
+    return true;
+  }
+
+  bool parseInsn(DescInsn* out) {
+    ++pos;  // "insn"
+    out->name = take();
+    out->line = lineNo;
+    if (out->name.empty()) {
       error("insn clause missing a name");
       return false;
     }
-    out->name = toks[1];
-    out->line = lineNo;
+    const std::string what = "insn '" + out->name + "'";
     bool haveClass = false, haveOperands = false, haveFlags = false,
          haveCycles = false;
     int numOperands = 0;
     std::string flags;
-    size_t i = 2;
-    while (i < toks.size()) {
-      const std::string& kw = toks[i];
+    while (!atEnd()) {
+      const std::string kw = take();
       if (kw == "ar") {
         out->takesAr = true;
-        ++i;
         continue;
       }
       if (kw == "requires") {
-        ++i;
         size_t got = 0;
         uint8_t bit;
-        while (i < toks.size() && featureFromName(toks[i], bit)) {
-          out->needs |= bit;
-          ++i;
-          ++got;
-        }
+        for (; featureFromName(peek(), bit); ++pos, ++got) out->needs |= bit;
         if (got == 0) {
-          error("insn '" + out->name + "': 'requires' lists no features");
+          error(what + ": 'requires' lists no features");
           return false;
         }
         continue;
       }
-      if (i + 1 >= toks.size()) {
-        error("insn '" + out->name + "': '" + kw + "' missing its value");
+      if (atEnd()) {
+        error(what + ": '" + kw + "' missing its value");
         return false;
       }
-      const std::string& val = toks[i + 1];
+      const std::string val = take();
       if (kw == "class") {
         if (!opClassFromName(val, &out->cls)) {
-          error("insn '" + out->name + "': unknown class '" + val + "'");
+          error(what + ": unknown class '" + val + "'");
           return false;
         }
         haveClass = true;
       } else if (kw == "operands") {
-        if (!parseInt(val, &numOperands)) {
-          error("insn '" + out->name + "': bad operand count '" + val + "'");
-          return false;
-        }
+        if (!readInt(val, what + " operand count", &numOperands)) return false;
         haveOperands = true;
       } else if (kw == "flags") {
         flags = val;
         haveFlags = true;
       } else if (kw == "cycles") {
-        if (!parseInt(val, &out->cycles)) {
-          error("insn '" + out->name + "': bad cycle count '" + val + "'");
-          return false;
-        }
+        if (!readInt(val, what + " cycle count", &out->cycles)) return false;
         haveCycles = true;
       } else {
-        error("insn '" + out->name + "': unknown keyword '" + kw + "'");
+        error(what + ": unknown keyword '" + kw + "'");
         return false;
       }
-      i += 2;
     }
     if (!haveClass || !haveOperands || !haveFlags || !haveCycles) {
-      error("insn '" + out->name +
-            "' is missing a clause (need class, operands, flags, cycles)");
+      error(what + " is missing a clause (need class, operands, flags, cycles)");
       return false;
     }
     if (!opInfoParseFlags(numOperands, flags, &out->info)) {
-      error("insn '" + out->name + "': unknown flag char in '" + flags + "'");
+      error(what + ": unknown flag char in '" + flags + "'");
       return false;
     }
     return true;
   }
 
-  bool parseRuleLine(const std::vector<std::string>& toks, DescRule* out) {
-    // The optional `when` gate trails the rule: find the last "when" token
-    // that comes after the (mandatory) "cost" token, split there, and feed
-    // the prefix through the stock ISD parser.
-    size_t costIdx = toks.size(), whenIdx = toks.size();
-    for (size_t i = 0; i < toks.size(); ++i) {
-      if (toks[i] == "cost" && costIdx == toks.size()) costIdx = i;
-      if (toks[i] == "when" && costIdx < i) whenIdx = i;
+  bool parsePattern(PatNode& out) {
+    const std::string t = take();
+    if (t != "(") {
+      Nonterm nt;
+      if (!nontermFromName(t, nt)) {
+        error("unknown pattern leaf '" + t + "'");
+        return false;
+      }
+      out = PatNode::leaf(nt);
+      return true;
     }
-    out->when = 0;
+    const std::string head = take();
+    if (head == "const") {
+      int v;
+      if (!readInt(take(), "pattern constant", &v)) return false;
+      out = PatNode::constant(v);
+      return expect(")");
+    }
+    Op op;
+    if (!opFromName(head, op)) {
+      error("unknown pattern operator '" + head + "'");
+      return false;
+    }
+    std::vector<PatNode> kids;
+    while (peek() != ")") {
+      if (atEnd()) {
+        error("unterminated pattern");
+        return false;
+      }
+      PatNode kid;
+      if (!parsePattern(kid)) return false;
+      kids.push_back(std::move(kid));
+    }
+    ++pos;  // ')'
+    out = PatNode::node(op, std::move(kids));
+    return true;
+  }
+
+  /// `$k` (the k-th pattern leaf) or `%t`; a trailing ',' separates the
+  /// operands of one instruction.
+  bool parseOperand(const std::string& raw,
+                    const std::vector<const PatNode*>& leaves,
+                    OperTemplate& out) {
+    std::string t = raw;
+    while (!t.empty() && t.back() == ',') t.pop_back();
+    if (t == "%t") {
+      out = OperTemplate::temp();
+      return true;
+    }
+    if (t.empty() || t[0] != '$') {
+      error("bad operand '" + raw + "'");
+      return false;
+    }
+    int idx;
+    if (!readInt(t.substr(1), "leaf reference", &idx)) return false;
+    if (idx < 0 || static_cast<size_t>(idx) >= leaves.size()) {
+      error("leaf reference " + t + " out of range");
+      return false;
+    }
+    const PatNode* leaf = leaves[static_cast<size_t>(idx)];
+    if (leaf->kind == PatNode::Kind::ConstLeaf) {
+      out = OperTemplate::fixedImm(static_cast<int>(leaf->cval));
+      return true;
+    }
+    if (leaf->slot < 0) {
+      error("leaf reference " + t + " names a non-operand leaf");
+      return false;
+    }
+    out = OperTemplate::fromSlot(leaf->slot);
+    return true;
+  }
+
+  bool parseRule(DescRule* out) {
+    Rule& r = out->rule;
     out->line = lineNo;
-    if (whenIdx < toks.size()) {
-      if (whenIdx + 1 == toks.size()) {
+    ++pos;  // "rule"
+    r.name = take();
+    if (r.name.empty()) {
+      error("missing rule name");
+      return false;
+    }
+    if (!nontermFromName(take(), r.lhs)) {
+      error("unknown rule lhs nonterminal");
+      return false;
+    }
+    if (!expect("<-") || !parsePattern(r.pat)) return false;
+    assignSlots(r.pat);
+    std::vector<const PatNode*> leaves;
+    collectLeaves(r.pat, leaves);
+
+    if (!expect("emit")) return false;
+    if (peek() == "-") ++pos;  // empty emit sequence
+    while (!atEnd() && peek() != "cost") {
+      if (peek() == ";") {
+        ++pos;
+        continue;
+      }
+      EmitTemplate et;
+      if (!opcodeFromName(take(), et.op)) {
+        error("unknown opcode in emit clause");
+        return false;
+      }
+      for (int n = 0; !atEnd() && peek() != "cost" && peek() != ";"; ++n) {
+        if (n == 2) {
+          error("too many operands in emit clause");
+          return false;
+        }
+        if (!parseOperand(take(), leaves, n == 0 ? et.a : et.b)) return false;
+      }
+      r.emit.push_back(et);
+    }
+
+    if (!expect("cost")) return false;
+    const std::string cost = take();
+    const size_t comma = cost.find(',');
+    if (comma == std::string::npos) {
+      error("bad cost clause '" + cost + "' (expected size,cycles)");
+      return false;
+    }
+    if (!readInt(cost.substr(0, comma), "cost size", &r.size) ||
+        !readInt(cost.substr(comma + 1), "cost cycles", &r.cycles))
+      return false;
+
+    if (peek() == "mode") {
+      ++pos;
+      while (!atEnd() && peek() != "when") {
+        const std::string kv = take();
+        const bool ovm = kv.rfind("ovm=", 0) == 0;
+        if (!ovm && kv.rfind("sxm=", 0) != 0) {
+          error("bad mode clause '" + kv + "'");
+          return false;
+        }
+        int v;
+        if (!readInt(kv.substr(4), "mode bit", &v)) return false;
+        if (v != 0 && v != 1) {
+          error("bad mode clause '" + kv + "' (a mode bit is 0 or 1)");
+          return false;
+        }
+        (ovm ? r.mode.ovm : r.mode.sxm) = static_cast<int8_t>(v);
+      }
+    }
+
+    if (peek() == "when") {
+      ++pos;
+      if (atEnd()) {
         error("'when' gate lists no features");
         return false;
       }
-      for (size_t i = whenIdx + 1; i < toks.size(); ++i) {
+      while (!atEnd()) {
         uint8_t bit;
-        if (!featureFromName(toks[i], bit)) {
-          error("unknown feature '" + toks[i] + "' in when gate");
+        if (!featureFromName(peek(), bit)) {
+          error("unknown feature '" + peek() + "' in when gate");
           return false;
         }
         out->when |= bit;
+        ++pos;
       }
     }
-    std::string ruleText;
-    for (size_t i = 0; i < whenIdx; ++i) {
-      if (i) ruleText += ' ';
-      ruleText += toks[i];
-    }
-    DiagEngine sub;
-    auto rs = parseIsd(ruleText, sub);
-    for (const Diagnostic& d : sub.all())
-      diag.error({lineNo, d.loc.col}, d.message);
-    if (!rs || rs->rules.size() != 1) {
-      if (!sub.hasErrors()) error("rule line did not parse as one rule");
+    if (!atEnd()) {
+      error("trailing tokens after rule");
       return false;
     }
-    out->rule = std::move(rs->rules[0]);
     return true;
   }
 };
@@ -269,7 +434,7 @@ std::string featureMaskNames(uint8_t mask) {
 
 std::string TargetDesc::str() const {
   std::ostringstream os;
-  os << "target " << name << "\n\n";
+  if (!name.empty()) os << "target " << name << "\n\n";
   for (const DescInsn& i : insns) {
     os << "insn " << i.name << " class " << opClassName(i.cls)
        << " operands " << i.info.numOperands << " flags "
@@ -278,13 +443,9 @@ std::string TargetDesc::str() const {
     if (i.needs) os << " requires " << featureMaskNames(i.needs);
     os << " cycles " << i.cycles << "\n";
   }
-  os << "\n";
+  if (!insns.empty()) os << "\n";
   for (const DescRule& r : rules) {
-    RuleSet one;
-    one.rules.push_back(r.rule);
-    std::string s = one.str();
-    while (!s.empty() && s.back() == '\n') s.pop_back();
-    os << s;
+    os << ruleText(r.rule);
     if (r.when) os << " when " << featureMaskNames(r.when);
     os << "\n";
   }
@@ -295,38 +456,35 @@ std::optional<TargetDesc> parseTargetDesc(const std::string& text,
                                           DiagEngine& diag) {
   const int errorsBefore = diag.errorCount();
   TargetDesc desc;
-  desc.name.clear();
-  DescParser p{diag};
+  DescParser p(diag);
   std::istringstream is(text);
   std::string line;
   while (std::getline(is, line)) {
     ++p.lineNo;
-    // '#' starts a comment, exactly as in the stock ISD tokenizer.
-    size_t hash = line.find('#');
-    if (hash != std::string::npos) line.resize(hash);
-    std::vector<std::string> toks = splitWords(line);
-    if (toks.empty()) continue;
-    if (toks[0] == "target") {
-      if (toks.size() != 2) {
+    p.tokenize(line);
+    if (p.toks.empty()) continue;
+    const std::string& kw = p.toks[0];
+    if (kw == "target") {
+      if (p.toks.size() != 2) {
         p.error("target clause wants exactly one name");
         continue;
       }
-      desc.name = toks[1];
+      desc.name = p.toks[1];
       desc.line = p.lineNo;
-    } else if (toks[0] == "insn") {
+    } else if (kw == "insn") {
       DescInsn insn;
-      if (p.parseInsn(toks, &insn)) desc.insns.push_back(std::move(insn));
-    } else if (toks[0] == "rule") {
+      if (p.parseInsn(&insn)) desc.insns.push_back(std::move(insn));
+    } else if (kw == "rule") {
       DescRule rule;
-      if (p.parseRuleLine(toks, &rule))
-        desc.rules.push_back(std::move(rule));
+      if (p.parseRule(&rule)) desc.rules.push_back(std::move(rule));
     } else {
-      p.error("unknown directive '" + toks[0] + "'");
+      p.error("unknown directive '" + kw + "'");
     }
   }
-  if (desc.name.empty()) {
-    diag.error({1, 0}, "description has no 'target NAME' clause");
-  }
+  // A rule-only description keeps the default table and needs no name.
+  if (desc.name.empty() && !desc.insns.empty())
+    diag.error({desc.insns.front().line, 0},
+               "description has insn clauses but no 'target NAME' clause");
   if (diag.errorCount() > errorsBefore) return std::nullopt;
   return desc;
 }
@@ -371,7 +529,8 @@ bool validateDesc(const TargetDesc& desc, DiagEngine& diag) {
                           std::to_string(it->second) + ")");
     int slots = RuleSet::numSlots(r);
     for (const EmitTemplate& e : r.emit) {
-      if (!byName.count(opcodeName(e.op)))
+      // A rule-only description keeps the default table's every opcode.
+      if (!desc.insns.empty() && !byName.count(opcodeName(e.op)))
         diag.error(loc, "rule '" + r.name + "' emits " + opcodeName(e.op) +
                             " which has no insn clause");
       for (const OperTemplate* ot : {&e.a, &e.b}) {
@@ -439,7 +598,7 @@ namespace {
 bool applyInsns(const TargetDesc& desc, IsaTable& t,
                 std::array<int, kNumOpcodes>& seen, DiagEngine& diag) {
   const int errorsBefore = diag.errorCount();
-  t.name = desc.name;
+  if (!desc.name.empty()) t.name = desc.name;
   for (const DescInsn& i : desc.insns) {
     Opcode op;
     if (!opcodeFromName(i.name, op)) {

@@ -1,9 +1,8 @@
 // Target-description compiler (the "tblgen" of this repo): parses a textual
-// target description -- the ISD rule grammar of src/target/isd.h extended
-// with per-opcode `insn` clauses (operand constraints, encoding flags,
-// decode cycle hints, datapath feature requirements) and per-rule `when`
-// feature gates -- and compiles it into the tables the rest of the system
-// runs on:
+// target description -- per-opcode `insn` clauses (operand constraints,
+// encoding flags, decode cycle hints, datapath feature requirements) and
+// the BURS `rule` clauses of src/target/isd.h with per-rule `when` feature
+// gates -- and compiles it into the tables the rest of the system runs on:
 //
 //   * a RuleSet of BURS rules for src/isel/burs (rulesFor),
 //   * an IsaTable driving the assembler/encoder/optimizer predicates and
@@ -14,18 +13,22 @@
 // default IsaTable and every default RuleSet are compiled from it (see
 // target/tdsp.h).
 //
-// Grammar (one clause per line, '#' starts a comment):
+// Grammar, the only one for description and rule text (one clause per
+// physical line; '#' starts a comment and means nothing else):
 //
 //   target NAME
 //   insn NAME class CLS operands N flags FLAGS [ar] [requires FEAT...]
-//        cycles N                      (one physical line per clause)
+//        cycles N
 //   rule NAME nt <- PATTERN emit OP $k ; OP2 ... cost S,C
 //        [mode ovm=V sxm=V] [when FEAT...]
 //
-// `rule` lines are exactly RuleSet::str() / parseIsd() syntax plus the
-// optional trailing `when` gate (a conjunction of feature names: mac,
-// dualmul, sat, rpt, dmov). `flags` uses the opInfoFlags() alphabet
-// ("-" = none).
+// `target` is required exactly when there are `insn` clauses. A rule-only
+// description (no `insn`, usually no `target`) keeps the default IsaTable:
+// RuleSet::str() prints one, and TargetDesc::str() of one equals it.
+// `$k` names the k-th pattern leaf (isd.h), `%t` a fresh memory temp. The
+// `when` gate is a conjunction of feature names (mac, dualmul, sat, rpt,
+// dmov); `flags` uses the opInfoFlags() alphabet ("-" = none). Every
+// number is a decimal integer within +-1000000.
 #pragma once
 
 #include <cstdint>
@@ -60,7 +63,7 @@ struct DescRule {
 /// A parsed target description. str() renders the canonical text form
 /// (comments dropped); parseTargetDesc(str()) is a fixed point.
 struct TargetDesc {
-  std::string name = "tdsp";
+  std::string name;  // empty for a rule-only description
   int line = 0;  // line of the `target` clause
   std::vector<DescInsn> insns;
   std::vector<DescRule> rules;
@@ -80,7 +83,8 @@ std::optional<TargetDesc> parseTargetDesc(const std::string& text,
 
 /// Structural well-formedness: insn names resolve to known opcodes and are
 /// unique, operand/cycle counts are in range, every emitted opcode has an
-/// insn clause, emit operand slots are in range, the zero-cost chain-rule
+/// insn clause (unless there are none: a rule-only description keeps the
+/// default table), emit operand slots are in range, the zero-cost chain-rule
 /// subgraph is acyclic (positive-cost cycles like load/spill are
 /// legitimate), and every rule's lhs nonterminal is reachable from the
 /// start symbol (stmt). Emits located diagnostics; returns false on any.
@@ -92,7 +96,8 @@ bool validateDesc(const TargetDesc& desc, DiagEngine& diag);
 RuleSet rulesFor(const TargetDesc& desc, const TargetConfig& cfg);
 
 /// Compile the insn clauses of a retargeting description into an IsaTable:
-/// rows the description does not name keep their defaultIsaTable() values.
+/// rows the description does not name keep their defaultIsaTable() values,
+/// and so does the name of a rule-only description.
 /// Returns nullopt with located diagnostics when an insn name is unknown.
 std::optional<IsaTable> buildIsaTable(const TargetDesc& desc,
                                       DiagEngine& diag);

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdio>
-#include <sstream>
 
 namespace record {
 
@@ -11,20 +9,6 @@ namespace {
 
 const char* const kNontermNames[kNumNonterms] = {"stmt", "acc", "mem",
                                                  "imm8", "imm16"};
-
-/// Preorder list of a pattern's leaves (NtLeaf and ConstLeaf alike) --
-/// the index space the textual `$k` operand references live in.
-void collectLeaves(const PatNode& p, std::vector<const PatNode*>& out) {
-  switch (p.kind) {
-    case PatNode::Kind::ConstLeaf:
-    case PatNode::Kind::NtLeaf:
-      out.push_back(&p);
-      return;
-    case PatNode::Kind::OpNode:
-      for (const auto& k : p.kids) collectLeaves(k, out);
-      return;
-  }
-}
 
 void assignSlotsRec(PatNode& p, int& next) {
   if (p.kind == PatNode::Kind::NtLeaf) {
@@ -35,17 +19,6 @@ void assignSlotsRec(PatNode& p, int& next) {
     return;
   }
   for (auto& k : p.kids) assignSlotsRec(k, next);
-}
-
-bool opFromName(const std::string& name, Op& out) {
-  for (int i = 0; i <= static_cast<int>(Op::Store); ++i) {
-    Op op = static_cast<Op>(i);
-    if (name == opName(op)) {
-      out = op;
-      return true;
-    }
-  }
-  return false;
 }
 
 }  // namespace
@@ -104,6 +77,18 @@ std::string PatNode::str() const {
     }
   }
   return "?";
+}
+
+void collectLeaves(const PatNode& p, std::vector<const PatNode*>& out) {
+  switch (p.kind) {
+    case PatNode::Kind::ConstLeaf:
+    case PatNode::Kind::NtLeaf:
+      out.push_back(&p);
+      return;
+    case PatNode::Kind::OpNode:
+      for (const auto& k : p.kids) collectLeaves(k, out);
+      return;
+  }
 }
 
 void assignSlots(PatNode& pat) {
@@ -195,291 +180,55 @@ RuleSet::IndexCache& RuleSet::IndexCache::operator=(const IndexCache&) {
 
 RuleSet::IndexCache::~IndexCache() { delete ptr.load(); }
 
-std::string RuleSet::str() const {
-  std::ostringstream os;
-  for (const Rule& r : rules) {
-    os << "rule " << r.name << " " << nontermName(r.lhs) << " <- "
-       << r.pat.str();
-    os << " emit";
-    std::vector<const PatNode*> leaves;
-    collectLeaves(r.pat, leaves);
-    auto operandText = [&](const OperTemplate& ot) -> std::string {
-      switch (ot.kind) {
-        case OperTemplate::Kind::None:
-          return "";
-        case OperTemplate::Kind::Slot:
-          // Render as the all-leaves index the parser's `$k` expects.
-          for (size_t i = 0; i < leaves.size(); ++i)
-            if (leaves[i]->kind == PatNode::Kind::NtLeaf &&
-                leaves[i]->slot == ot.slot)
-              return "$" + std::to_string(i);
-          return "$?";
-        case OperTemplate::Kind::FixedImm:
-          return "#" + std::to_string(ot.imm);
-        case OperTemplate::Kind::Temp:
-          return "%t";
-      }
-      return "";
-    };
-    if (r.emit.empty()) os << " -";
-    for (size_t j = 0; j < r.emit.size(); ++j) {
-      if (j > 0) os << " ;";
-      os << " " << opcodeName(r.emit[j].op);
-      std::string a = operandText(r.emit[j].a);
-      std::string b = operandText(r.emit[j].b);
-      if (!a.empty()) os << " " << a;
-      if (!b.empty()) os << ", " << b;
+std::string ruleText(const Rule& r) {
+  std::vector<const PatNode*> leaves;
+  collectLeaves(r.pat, leaves);
+  // Slot and fixed-immediate operands both print as the `$k` of the leaf
+  // they came from: a fixed immediate is only ever made from a (const v).
+  auto operandText = [&](const OperTemplate& ot) -> std::string {
+    switch (ot.kind) {
+      case OperTemplate::Kind::None:
+        return "";
+      case OperTemplate::Kind::Temp:
+        return "%t";
+      case OperTemplate::Kind::Slot:
+      case OperTemplate::Kind::FixedImm:
+        break;
     }
-    os << " cost " << r.size << "," << r.cycles;
-    if (r.mode.ovm != -1 || r.mode.sxm != -1) {
-      os << " mode";
-      if (r.mode.ovm != -1) os << " ovm=" << int{r.mode.ovm};
-      if (r.mode.sxm != -1) os << " sxm=" << int{r.mode.sxm};
+    for (size_t i = 0; i < leaves.size(); ++i) {
+      const PatNode& l = *leaves[i];
+      if (ot.kind == OperTemplate::Kind::Slot
+              ? l.kind == PatNode::Kind::NtLeaf && l.slot == ot.slot
+              : l.kind == PatNode::Kind::ConstLeaf && l.cval == ot.imm)
+        return "$" + std::to_string(i);
     }
-    os << "\n";
+    return "$?";
+  };
+  std::string s = "rule " + r.name + " " + nontermName(r.lhs) + " <- " +
+                  r.pat.str() + " emit";
+  if (r.emit.empty()) s += " -";
+  for (size_t j = 0; j < r.emit.size(); ++j) {
+    if (j > 0) s += " ;";
+    s += " ";
+    s += opcodeName(r.emit[j].op);
+    std::string a = operandText(r.emit[j].a);
+    std::string b = operandText(r.emit[j].b);
+    if (!a.empty()) s += " " + a;
+    if (!b.empty()) s += ", " + b;
   }
-  return os.str();
+  s += " cost " + std::to_string(r.size) + "," + std::to_string(r.cycles);
+  if (r.mode.ovm != -1 || r.mode.sxm != -1) {
+    s += " mode";
+    if (r.mode.ovm != -1) s += " ovm=" + std::to_string(r.mode.ovm);
+    if (r.mode.sxm != -1) s += " sxm=" + std::to_string(r.mode.sxm);
+  }
+  return s;
 }
 
-namespace {
-
-struct IsdParser {
-  DiagEngine& diag;
-  int lineNo = 0;
-  std::vector<std::string> toks;
-  size_t pos = 0;
-
-  explicit IsdParser(DiagEngine& d) : diag(d) {}
-
-  void error(const std::string& msg) { diag.error({lineNo, 0}, msg); }
-
-  bool atEnd() const { return pos >= toks.size(); }
-  const std::string& peek() const {
-    static const std::string empty;
-    return atEnd() ? empty : toks[pos];
-  }
-  std::string take() { return atEnd() ? std::string() : toks[pos++]; }
-
-  bool expect(const std::string& word) {
-    if (peek() == word) {
-      ++pos;
-      return true;
-    }
-    error("expected '" + word + "', got '" + peek() + "'");
-    return false;
-  }
-
-  void tokenize(const std::string& line) {
-    toks.clear();
-    pos = 0;
-    std::string cur;
-    auto flush = [&] {
-      if (!cur.empty()) toks.push_back(cur);
-      cur.clear();
-    };
-    for (char c : line) {
-      if (c == '#') break;  // comment
-      if (c == '(' || c == ')') {
-        flush();
-        toks.push_back(std::string(1, c));
-      } else if (c == ' ' || c == '\t' || c == '\r') {
-        flush();
-      } else {
-        cur += c;
-      }
-    }
-    flush();
-  }
-
-  bool parsePattern(PatNode& out) {
-    std::string t = take();
-    if (t == "(") {
-      std::string head = take();
-      if (head == "const") {
-        try {
-          out = PatNode::constant(std::stoll(take()));
-        } catch (...) {
-          error("bad constant in pattern");
-          return false;
-        }
-        return expect(")");
-      }
-      Op op;
-      if (!opFromName(head, op)) {
-        error("unknown pattern operator '" + head + "'");
-        return false;
-      }
-      std::vector<PatNode> kids;
-      while (peek() != ")") {
-        if (atEnd()) {
-          error("unterminated pattern");
-          return false;
-        }
-        PatNode kid;
-        if (!parsePattern(kid)) return false;
-        kids.push_back(std::move(kid));
-      }
-      ++pos;  // consume ')'
-      out = PatNode::node(op, std::move(kids));
-      return true;
-    }
-    Nonterm nt;
-    if (!nontermFromName(t, nt)) {
-      error("unknown pattern leaf '" + t + "'");
-      return false;
-    }
-    out = PatNode::leaf(nt);
-    return true;
-  }
-
-  bool parseOperand(const std::string& raw,
-                    const std::vector<const PatNode*>& leaves,
-                    OperTemplate& out) {
-    std::string t = raw;
-    while (!t.empty() && t.back() == ',') t.pop_back();
-    if (t.empty()) {
-      error("empty operand");
-      return false;
-    }
-    if (t == "%t") {
-      out = OperTemplate::temp();
-      return true;
-    }
-    if (t[0] == '#') {
-      try {
-        out = OperTemplate::fixedImm(static_cast<int>(std::stol(t.substr(1))));
-      } catch (...) {
-        error("bad immediate '" + t + "'");
-        return false;
-      }
-      return true;
-    }
-    if (t[0] == '$') {
-      size_t idx;
-      try {
-        idx = static_cast<size_t>(std::stoul(t.substr(1)));
-      } catch (...) {
-        error("bad leaf reference '" + t + "'");
-        return false;
-      }
-      if (idx >= leaves.size()) {
-        error("leaf reference " + t + " out of range");
-        return false;
-      }
-      const PatNode* leaf = leaves[idx];
-      if (leaf->kind == PatNode::Kind::ConstLeaf) {
-        out = OperTemplate::fixedImm(static_cast<int>(leaf->cval));
-        return true;
-      }
-      if (leaf->slot < 0) {
-        error("leaf reference " + t + " names a non-operand leaf");
-        return false;
-      }
-      out = OperTemplate::fromSlot(leaf->slot);
-      return true;
-    }
-    error("bad operand '" + raw + "'");
-    return false;
-  }
-
-  bool parseRule(Rule& r) {
-    if (!expect("rule")) return false;
-    r.name = take();
-    if (r.name.empty()) {
-      error("missing rule name");
-      return false;
-    }
-    if (!nontermFromName(take(), r.lhs)) {
-      error("unknown rule lhs nonterminal");
-      return false;
-    }
-    if (!expect("<-")) return false;
-    if (!parsePattern(r.pat)) return false;
-    assignSlots(r.pat);
-    std::vector<const PatNode*> leaves;
-    collectLeaves(r.pat, leaves);
-
-    if (!expect("emit")) return false;
-    if (peek() == "-") ++pos;  // empty emit sequence
-    while (!atEnd() && peek() != "cost") {
-      if (peek() == ";") {
-        ++pos;
-        continue;
-      }
-      EmitTemplate et;
-      if (!opcodeFromName(take(), et.op)) {
-        error("unknown opcode in emit clause");
-        return false;
-      }
-      int nOperands = 0;
-      while (!atEnd() && peek() != "cost" && peek() != ";") {
-        OperTemplate ot;
-        if (!parseOperand(take(), leaves, ot)) return false;
-        if (nOperands == 0)
-          et.a = ot;
-        else if (nOperands == 1)
-          et.b = ot;
-        else {
-          error("too many operands in emit clause");
-          return false;
-        }
-        ++nOperands;
-      }
-      r.emit.push_back(et);
-    }
-
-    if (!expect("cost")) return false;
-    int size = 0, cycles = 0;
-    if (std::sscanf(take().c_str(), "%d,%d", &size, &cycles) != 2) {
-      error("bad cost clause (expected size,cycles)");
-      return false;
-    }
-    r.size = size;
-    r.cycles = cycles;
-
-    if (peek() == "mode") {
-      ++pos;
-      while (!atEnd()) {
-        std::string kv = take();
-        int v = 0;
-        const bool ovm = std::sscanf(kv.c_str(), "ovm=%d", &v) == 1;
-        if ((ovm || std::sscanf(kv.c_str(), "sxm=%d", &v) == 1) &&
-            (v == 0 || v == 1)) {
-          (ovm ? r.mode.ovm : r.mode.sxm) = static_cast<int8_t>(v);
-        } else {
-          error("bad mode clause '" + kv + "'");
-          return false;
-        }
-      }
-    }
-    if (!atEnd()) {
-      error("trailing tokens after rule");
-      return false;
-    }
-    return true;
-  }
-};
-
-}  // namespace
-
-std::optional<RuleSet> parseIsd(const std::string& text, DiagEngine& diag) {
-  RuleSet rs;
-  IsdParser p(diag);
-  std::istringstream is(text);
-  std::string line;
-  bool ok = true;
-  while (std::getline(is, line)) {
-    ++p.lineNo;
-    p.tokenize(line);
-    if (p.toks.empty()) continue;
-    Rule r;
-    if (p.parseRule(r))
-      rs.rules.push_back(std::move(r));
-    else
-      ok = false;
-  }
-  if (!ok || diag.hasErrors()) return std::nullopt;
-  return rs;
+std::string RuleSet::str() const {
+  std::string s;
+  for (const Rule& r : rules) s += ruleText(r) + "\n";
+  return s;
 }
 
 }  // namespace record

@@ -4,24 +4,25 @@
 // and nonterminal leaves (storage classes: accumulator, memory word,
 // immediates) into a sequence of target instructions.
 //
-// The textual form round-trips (RuleSet::str <-> parseIsd) so retargeting
-// experiments can edit rule sets as text. A rule is one line; this one is
-// wrapped here to fit:
+// The textual form is the `rule` clause of the target-description grammar
+// (target/desc.h): RuleSet::str() prints a rule-only description, and
+// parseTargetDesc() reads it back. A rule is one line; this one is wrapped
+// here to fit:
 //
 //   rule mac acc <- (add acc (mul mem mem)) emit LT $1 ; MPY $2 ; APAC
 //        cost 3,3
 //
-// `$k` refers to the k-th pattern leaf (preorder over ALL leaves); `#v` is
-// a literal immediate; `%t` is a fresh one-word memory temp.
+// `$k` refers to the k-th pattern leaf (preorder over ALL leaves): a
+// storage-class leaf gives the operand slot, a `(const v)` leaf the fixed
+// immediate v. `%t` is a fresh one-word memory temp. `#` only ever starts a
+// comment.
 #pragma once
 
 #include <atomic>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "ir/expr.h"
-#include "support/diag.h"
 #include "target/config.h"
 
 namespace record {
@@ -116,7 +117,8 @@ struct RuleSet {
   /// Number of operand slots (Mem/Imm leaves) of a rule's pattern.
   static int numSlots(const Rule& r);
 
-  /// Textual ISD; parseIsd() accepts exactly this format.
+  /// Textual ISD, one ruleText() line per rule: a rule-only description
+  /// that parseTargetDesc() reads back.
   std::string str() const;
 
   /// The matcher's lookup tables for `rules`, built on first use and then
@@ -139,10 +141,12 @@ struct RuleSet {
   mutable IndexCache index_;
 };
 
-/// Parse a textual ISD. Returns nullopt (with diagnostics) on any error.
-/// The parsed rule set carries a default TargetConfig; callers retargeting
-/// to a specific core overwrite `config` afterwards.
-std::optional<RuleSet> parseIsd(const std::string& text, DiagEngine& diag);
+/// One rule in the textual form, without a trailing newline.
+std::string ruleText(const Rule& r);
+
+/// Preorder list of a pattern's leaves (NtLeaf and ConstLeaf alike): the
+/// index space the textual `$k` operand references live in.
+void collectLeaves(const PatNode& p, std::vector<const PatNode*>& out);
 
 /// Assign slot numbers to the Mem/Imm leaves of `pat` (preorder,
 /// left-to-right, starting at 0). Used by rule builders.

@@ -11,6 +11,7 @@
 #include "dfl/frontend.h"
 #include "dspstone/harness.h"
 #include "dspstone/kernels.h"
+#include "target/desc.h"
 #include "target/encode.h"
 #include "target/tdsp.h"
 
@@ -27,15 +28,15 @@ TEST(IsdRetarget, CompilerFromIsdTextMatchesBuiltin) {
   // Round-trip the description through its textual form -- the "explicit
   // target model" a user would author or ISE would emit.
   DiagEngine diag;
-  auto parsed = parseIsd(builtin.str(), diag);
-  ASSERT_TRUE(parsed.has_value()) << diag.str();
-  parsed->config = cfg;
+  auto desc = parseTargetDesc(builtin.str(), diag);
+  ASSERT_TRUE(desc.has_value()) << diag.str();
+  const RuleSet parsed = rulesFor(*desc, cfg);
 
   for (const char* kn : {"dot_product", "complex_update", "fir"}) {
     const Kernel& k = kernelByName(kn);
     auto prog = dfl::parseDflOrDie(k.dfl);
     auto fromText =
-        RecordCompiler(*parsed, recordOptions()).compile(prog);
+        RecordCompiler(parsed, recordOptions()).compile(prog);
     auto fromBuiltin =
         RecordCompiler(cfg, recordOptions()).compile(prog);
     EXPECT_EQ(fromText.stats.sizeWords, fromBuiltin.stats.sizeWords) << kn;
@@ -74,11 +75,11 @@ TEST(IsdRetarget, CustomRuleChangesSelection) {
   TargetConfig cfg;
   RuleSet rules = rulesFor(tdspDesc(), cfg);
   DiagEngine diag;
-  auto extra = parseIsd(
+  auto extra = parseTargetDesc(
       "rule inc acc <- (add acc (const 1))  emit ADDK $1  cost 0,0\n",
       diag);
   ASSERT_TRUE(extra.has_value()) << diag.str();
-  rules.rules.push_back(extra->rules[0]);
+  rules.rules.push_back(extra->rules.at(0).rule);
   rules.config = cfg;
 
   auto prog = dfl::parseDflOrDie(

@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+#include <utility>
+
 #include "support/diag.h"
 #include "target/asmtext.h"
+#include "target/desc.h"
 #include "target/encode.h"
 #include "target/isa.h"
 #include "target/isd.h"
@@ -204,27 +209,83 @@ TEST(Isd, TdspRuleSetFeatureGating) {
   EXPECT_FALSE(hasRule2("smacxy"));
 }
 
+// Every field of two rules, emit operands included.
+void expectSameRule(const Rule& a, const Rule& b) {
+  SCOPED_TRACE(a.name);
+  EXPECT_EQ(a.name, b.name);
+  EXPECT_EQ(a.lhs, b.lhs);
+  EXPECT_EQ(a.pat.str(), b.pat.str());
+  EXPECT_EQ(a.size, b.size);
+  EXPECT_EQ(a.cycles, b.cycles);
+  EXPECT_EQ(a.mode.ovm, b.mode.ovm);
+  EXPECT_EQ(a.mode.sxm, b.mode.sxm);
+  ASSERT_EQ(a.emit.size(), b.emit.size());
+  for (size_t j = 0; j < a.emit.size(); ++j) {
+    EXPECT_EQ(a.emit[j].op, b.emit[j].op);
+    for (auto [x, y] : {std::pair{&a.emit[j].a, &b.emit[j].a},
+                        std::pair{&a.emit[j].b, &b.emit[j].b}}) {
+      EXPECT_EQ(x->kind, y->kind) << "emit " << j;
+      EXPECT_EQ(x->slot, y->slot) << "emit " << j;
+      EXPECT_EQ(x->imm, y->imm) << "emit " << j;
+    }
+  }
+}
+
+/// Parse rule-only text into the rule set it describes.
+std::optional<RuleSet> parseRules(const std::string& text, DiagEngine& diag) {
+  auto desc = parseTargetDesc(text, diag);
+  if (!desc) return std::nullopt;
+  return rulesFor(*desc, TargetConfig{});
+}
+
 TEST(Isd, TextRoundTrip) {
   TargetConfig cfg;
   cfg.hasDualMul = true;
   auto rs = rulesFor(tdspDesc(), cfg);
   std::string text = rs.str();
   DiagEngine diag;
-  auto back = parseIsd(text, diag);
+  auto back = parseRules(text, diag);
   ASSERT_TRUE(back.has_value()) << diag.str();
   ASSERT_EQ(back->rules.size(), rs.rules.size());
-  for (size_t i = 0; i < rs.rules.size(); ++i) {
-    EXPECT_EQ(back->rules[i].name, rs.rules[i].name);
-    EXPECT_EQ(back->rules[i].lhs, rs.rules[i].lhs);
-    EXPECT_EQ(back->rules[i].pat.str(), rs.rules[i].pat.str());
-    EXPECT_EQ(back->rules[i].size, rs.rules[i].size);
-    EXPECT_EQ(back->rules[i].cycles, rs.rules[i].cycles);
-    EXPECT_EQ(back->rules[i].mode.ovm, rs.rules[i].mode.ovm);
-    EXPECT_EQ(back->rules[i].mode.sxm, rs.rules[i].mode.sxm);
-    ASSERT_EQ(back->rules[i].emit.size(), rs.rules[i].emit.size());
-    for (size_t j = 0; j < rs.rules[i].emit.size(); ++j)
-      EXPECT_EQ(back->rules[i].emit[j].op, rs.rules[i].emit[j].op);
-  }
+  for (size_t i = 0; i < rs.rules.size(); ++i)
+    expectSameRule(back->rules[i], rs.rules[i]);
+  EXPECT_EQ(back->str(), text);
+}
+
+// An emit operand naming a (const v) leaf is a fixed immediate; it prints
+// as that leaf's `$k`, so the text reads back to the same rule.
+TEST(Isd, ConstLeafOperandRoundTrips) {
+  const std::string text =
+      "rule inc acc <- (add acc (const 1)) emit ADDK $1 cost 0,0\n";
+  DiagEngine diag;
+  auto rs = parseRules(text, diag);
+  ASSERT_TRUE(rs.has_value()) << diag.str();
+  ASSERT_EQ(rs->rules.size(), 1u);
+  const EmitTemplate& e = rs->rules[0].emit.at(0);
+  EXPECT_EQ(e.a.kind, OperTemplate::Kind::FixedImm);
+  EXPECT_EQ(e.a.imm, 1);
+  EXPECT_EQ(rs->str(), text);
+  DiagEngine diag2;
+  auto again = parseRules(rs->str(), diag2);
+  ASSERT_TRUE(again.has_value()) << diag2.str();
+  expectSameRule(again->rules.at(0), rs->rules[0]);
+  EXPECT_EQ(again->str(), rs->str());
+}
+
+// A rule-only file needs no target clause, and a leading comment, even
+// one that mentions a clause keyword, changes nothing.
+TEST(Isd, CommentedRuleFileParsesSame) {
+  const RuleSet rs = rulesFor(tdspDesc(), TargetConfig{});
+  DiagEngine diag;
+  auto desc = parseTargetDesc("# cheaper insn costs\n" + rs.str(), diag);
+  ASSERT_TRUE(desc.has_value()) << diag.str();
+  EXPECT_TRUE(desc->name.empty());
+  EXPECT_TRUE(desc->insns.empty());
+  EXPECT_TRUE(validateDesc(*desc, diag)) << diag.str();
+  ASSERT_EQ(desc->rules.size(), rs.rules.size());
+  for (size_t i = 0; i < rs.rules.size(); ++i)
+    expectSameRule(desc->rules[i].rule, rs.rules[i]);
+  EXPECT_EQ(desc->str(), rs.str());
 }
 
 TEST(Isd, ChainRuleDetection) {
@@ -253,16 +314,16 @@ TEST(Isd, NumSlots) {
 
 TEST(Isd, ParseErrors) {
   DiagEngine diag;
-  auto rs = parseIsd("rule broken acc <- (bogus acc) emit NOP cost 1,1\n",
-                     diag);
+  auto rs = parseTargetDesc(
+      "rule broken acc <- (bogus acc) emit NOP cost 1,1\n", diag);
   EXPECT_FALSE(rs.has_value());
   EXPECT_TRUE(diag.hasErrors());
   // A mode bit is 0 or 1.
   const std::string sat =
       "rule sat acc <- (sadd acc mem) emit ADD $1 cost 1,1 mode ovm=";
   DiagEngine okDiag, badDiag;
-  EXPECT_TRUE(parseIsd(sat + "1\n", okDiag).has_value());
-  EXPECT_FALSE(parseIsd(sat + "2\n", badDiag).has_value());
+  EXPECT_TRUE(parseTargetDesc(sat + "1\n", okDiag).has_value());
+  EXPECT_FALSE(parseTargetDesc(sat + "2\n", badDiag).has_value());
   EXPECT_TRUE(badDiag.hasErrors());
 }
 

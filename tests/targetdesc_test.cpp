@@ -12,8 +12,9 @@
 //     encoded words; the kernels keep their simulated cycles and profiler
 //     attribution.
 //   * Well-formedness properties of every default rule set, and robustness
-//     of the description pipeline: 50 seeded mutations of tdsp.isd either
-//     compile or produce located diagnostics -- never a crash.
+//     of the description pipeline: 50 seeded mutations each of tdsp.isd and
+//     of the rule-only default rule set either compile or produce located
+//     diagnostics -- never a crash.
 //   * The ISE bridge: rules from a netlist extraction drive the full
 //     RecordCompiler pipeline and the result runs correctly.
 #include <gtest/gtest.h>
@@ -23,6 +24,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "codegen/pipeline.h"
@@ -116,9 +118,9 @@ TEST(IsdGolden, DefaultRulesMatchGoldenFile) {
   const std::string golden =
       readFile(std::string(RECORD_GOLDEN_DIR) + "/tdsp_default_rules.isd");
   EXPECT_EQ(rulesFor(tdspDesc(), TargetConfig{}).str(), golden);
-  // The golden text itself round-trips through the ISD parser.
+  // The golden text itself round-trips as a rule-only description.
   DiagEngine diag;
-  auto rs = parseIsd(golden, diag);
+  auto rs = parseTargetDesc(golden, diag);
   ASSERT_TRUE(rs.has_value()) << diag.str();
   EXPECT_EQ(rs->str(), golden);
 }
@@ -426,24 +428,35 @@ TEST(IsdProps, GeneratedRuleSetsAreWellFormed) {
     EXPECT_TRUE(lhsSeen.count(Nonterm::Acc)) << pt.name;
     // Every default rule set round-trips through the ISD text form.
     DiagEngine diag;
-    auto back = parseIsd(rs.str(), diag);
+    auto back = parseTargetDesc(rs.str(), diag);
     ASSERT_TRUE(back.has_value()) << pt.name << "\n" << diag.str();
     EXPECT_EQ(back->str(), rs.str()) << pt.name;
   }
 }
 
+// Every diagnostic names its clause's line, except the whole-grammar
+// zero-cost chain-rule cycle check.
+void expectLocated(const DiagEngine& diag) {
+  for (const auto& d : diag.all())
+    EXPECT_TRUE(d.loc.line > 0 ||
+                d.message.find("chain-rule cycle") != std::string::npos)
+        << d.message;
+}
+
 // Run the whole description pipeline on arbitrary text: it must either
-// succeed end-to-end or report diagnostics -- never crash, never return
-// success with errors pending.
+// succeed end-to-end or report located diagnostics -- never crash, never
+// return success with errors pending.
 void runDescPipeline(const std::string& text) {
   DiagEngine diag;
   auto desc = parseTargetDesc(text, diag);
   if (!desc.has_value()) {
     EXPECT_GT(diag.errorCount(), 0) << "parse failed without diagnostics";
+    expectLocated(diag);
     return;
   }
   if (!validateDesc(*desc, diag)) {
     EXPECT_GT(diag.errorCount(), 0) << "validate failed without diagnostics";
+    expectLocated(diag);
     return;
   }
   // A validated description must compile all the way to tables and rules;
@@ -471,66 +484,83 @@ void runDescPipeline(const std::string& text) {
   }
 }
 
+// Mutate both forms of the grammar: the full description and the
+// rule-only text of the default rule set.
 TEST(IsdProps, SeededMutationsNeverCrash) {
-  std::vector<std::string> baseLines;
-  {
-    std::istringstream in(tdspIsdText());
-    std::string line;
-    while (std::getline(in, line)) baseLines.push_back(line);
-  }
-  ASSERT_GT(baseLines.size(), 10u);
-
-  for (uint64_t seed = 1; seed <= 50; ++seed) {
-    uint64_t s = seed * 0x9e3779b97f4a7c15ull;
-    auto rnd = [&s](uint64_t n) {
-      s ^= s << 13;
-      s ^= s >> 7;
-      s ^= s << 17;
-      return n ? s % n : 0;
-    };
-    std::vector<std::string> lines = baseLines;
-    int edits = 1 + static_cast<int>(rnd(3));
-    for (int e = 0; e < edits && !lines.empty(); ++e) {
-      size_t i = rnd(lines.size());
-      switch (rnd(6)) {
-        case 0:  // delete a line
-          lines.erase(lines.begin() + static_cast<long>(i));
-          break;
-        case 1:  // duplicate a line (dup insn/rule diagnostics)
-          lines.insert(lines.begin() + static_cast<long>(i), lines[i]);
-          break;
-        case 2:  // truncate mid-line (clause cut off)
-          if (!lines[i].empty()) lines[i].resize(rnd(lines[i].size()));
-          break;
-        case 3: {  // replace one word with garbage
-          std::istringstream ws(lines[i]);
-          std::vector<std::string> words;
-          std::string w;
-          while (ws >> w) words.push_back(w);
-          if (!words.empty()) {
-            words[rnd(words.size())] = "bogus";
-            std::string joined;
-            for (const auto& ww : words)
-              joined += (joined.empty() ? "" : " ") + ww;
-            lines[i] = joined;
-          }
-          break;
-        }
-        case 4: {  // swap two lines (reorder clauses)
-          size_t j = rnd(lines.size());
-          std::swap(lines[i], lines[j]);
-          break;
-        }
-        case 5:  // inject a garbage clause
-          lines.insert(lines.begin() + static_cast<long>(i),
-                       "zzz quux 12 ; nonsense");
-          break;
-      }
+  const std::pair<const char*, std::string> bases[] = {
+      {"full", tdspIsdText()},
+      {"rule-only", rulesFor(tdspDesc(), TargetConfig{}).str()}};
+  for (const auto& [form, base] : bases) {
+    std::vector<std::string> baseLines;
+    {
+      std::istringstream in(base);
+      std::string line;
+      while (std::getline(in, line)) baseLines.push_back(line);
     }
-    std::string text;
-    for (const auto& l : lines) text += l + "\n";
-    SCOPED_TRACE("mutation seed " + std::to_string(seed));
-    runDescPipeline(text);
+    ASSERT_GT(baseLines.size(), 10u);
+
+    for (uint64_t seed = 1; seed <= 50; ++seed) {
+      uint64_t s = seed * 0x9e3779b97f4a7c15ull;
+      auto rnd = [&s](uint64_t n) {
+        s ^= s << 13;
+        s ^= s >> 7;
+        s ^= s << 17;
+        return n ? s % n : 0;
+      };
+      std::vector<std::string> lines = baseLines;
+      int edits = 1 + static_cast<int>(rnd(3));
+      for (int e = 0; e < edits && !lines.empty(); ++e) {
+        size_t i = rnd(lines.size());
+        switch (rnd(7)) {
+          case 0:  // delete a line
+            lines.erase(lines.begin() + static_cast<long>(i));
+            break;
+          case 1:  // duplicate a line (dup insn/rule diagnostics)
+            lines.insert(lines.begin() + static_cast<long>(i), lines[i]);
+            break;
+          case 2:  // truncate mid-line (clause cut off)
+            if (!lines[i].empty()) lines[i].resize(rnd(lines[i].size()));
+            break;
+          case 3: {  // replace one word with garbage
+            std::istringstream ws(lines[i]);
+            std::vector<std::string> words;
+            std::string w;
+            while (ws >> w) words.push_back(w);
+            if (!words.empty()) {
+              words[rnd(words.size())] = "bogus";
+              std::string joined;
+              for (const auto& ww : words)
+                joined += (joined.empty() ? "" : " ") + ww;
+              lines[i] = joined;
+            }
+            break;
+          }
+          case 4: {  // swap two lines (reorder clauses)
+            size_t j = rnd(lines.size());
+            std::swap(lines[i], lines[j]);
+            break;
+          }
+          case 5:  // inject a garbage clause
+            lines.insert(lines.begin() + static_cast<long>(i),
+                         "zzz quux 12 ; nonsense");
+            break;
+          case 6: {  // swap a number for one out of range
+            std::string& l = lines[i];
+            size_t at = l.find_first_of("0123456789");
+            if (at == std::string::npos) break;
+            size_t end = l.find_first_not_of("0123456789", at);
+            l.replace(at, (end == std::string::npos ? l.size() : end) - at,
+                      "99999999999");
+            break;
+          }
+        }
+      }
+      std::string text;
+      for (const auto& l : lines) text += l + "\n";
+      SCOPED_TRACE(std::string(form) + " mutation seed " +
+                   std::to_string(seed));
+      runDescPipeline(text);
+    }
   }
 }
 
@@ -616,6 +646,16 @@ TEST(IsdProps, MalformedDescriptionsDiagnoseWithLocations) {
                 "chain-rule cycle", /*wantLocated=*/false);
   // Garbage clause text.
   expectRejects(std::string(kToyDesc) + "zzz quux 12\n", "unknown directive");
+  // Numbers are range-checked and wholly numeric.
+  expectRejects(std::string(kToyDesc) +
+                    "rule big acc <- mem emit LAC $0 cost 99999999999,1\n",
+                "99999999999");
+  expectRejects(std::string(kToyDesc) +
+                    "rule big acc <- (const 99999999999) emit LAC $0 cost 1,1\n",
+                "pattern constant");
+  expectRejects(std::string(kToyDesc) +
+                    "rule junk acc <- mem emit LAC $0 cost 1,1x\n",
+                "1x");
 }
 
 // Every simulator engine charges 2 cycles for a branch and 1 for anything
@@ -663,7 +703,7 @@ TEST(IsdBridge, ExtractionRulesDriveFullCompiler) {
 
   // The generated grammar round-trips as ISD text like any other rule set.
   DiagEngine diag;
-  auto back = parseIsd(rs.str(), diag);
+  auto back = parseTargetDesc(rs.str(), diag);
   ASSERT_TRUE(back.has_value()) << diag.str();
   EXPECT_EQ(back->str(), rs.str());
 
