@@ -133,6 +133,14 @@ TEST_P(KernelConfigMatrix, CompilesAndVerifies) {
   compileAndVerify(GetParam().kernel, GetParam().config);
 }
 
+// The kernel_config names short enough that gtest's printed parameter bytes
+// fall inside the first 100 characters of the listed test name.
+bool isShortArs2Case(std::string_view kernel, std::string_view config) {
+  return config == "ars2" &&
+         (kernel == "real_update" || kernel == "dot_product" ||
+          kernel == "convolution");
+}
+
 std::vector<MatrixCase> matrixCases() {
   std::vector<MatrixCase> out;
   for (const char* k : {"real_update", "complex_multiply", "complex_update",
@@ -140,8 +148,10 @@ std::vector<MatrixCase> matrixCases() {
                         "iir_biquad_one_section", "iir_biquad_n_sections",
                         "dot_product", "convolution"}) {
     if (std::string_view(k) == "fir") continue;  // FirConfigMatrix, below
-    for (const char* c : {"dualmul", "ars2", "nofeat", "cycles"})
+    for (const char* c : {"dualmul", "ars2", "nofeat", "cycles"}) {
+      if (isShortArs2Case(k, c)) continue;  // Ars2ConfigMatrix, below
       out.push_back({k, c});
+    }
   }
   return out;
 }
@@ -153,10 +163,12 @@ INSTANTIATE_TEST_SUITE_P(AllKernels, KernelConfigMatrix,
                                   info.param.config;
                          });
 
-// gtest prints a MatrixCase as the raw bytes of its two pointers, which ASLR
-// moves from run to run, so the listed name of a KernelConfigMatrix test is
-// not stable. fir's cases are plain tests, whose names are the same on every
-// run; the other kernels keep their parameterized names.
+// gtest prints a MatrixCase as the raw bytes of its two pointers. ASLR moves
+// their high bytes from run to run, and the low byte moves whenever the
+// linked string literals shift, so a listed KernelConfigMatrix name that
+// reaches those bytes is not stable. fir's cases and the three short ars2
+// cases are plain tests, whose names are the same on every run and build;
+// the other cases keep their parameterized names.
 TEST(FirConfigMatrix, CompilesAndVerifiesDualmul) {
   compileAndVerify("fir", "dualmul");
 }
@@ -168,6 +180,15 @@ TEST(FirConfigMatrix, CompilesAndVerifiesNofeat) {
 }
 TEST(FirConfigMatrix, CompilesAndVerifiesCycles) {
   compileAndVerify("fir", "cycles");
+}
+TEST(Ars2ConfigMatrix, CompilesAndVerifiesRealUpdate) {
+  compileAndVerify("real_update", "ars2");
+}
+TEST(Ars2ConfigMatrix, CompilesAndVerifiesDotProduct) {
+  compileAndVerify("dot_product", "ars2");
+}
+TEST(Ars2ConfigMatrix, CompilesAndVerifiesConvolution) {
+  compileAndVerify("convolution", "ars2");
 }
 
 // ---------------------------------------------------------------------------
