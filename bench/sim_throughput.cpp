@@ -26,12 +26,19 @@
 // floors. Its `affine` and `column` columns say whether the affine path and
 // its column walk ran; the binary fails when one of kColumnKernels leaves
 // the column walk (a deterministic check, unlike the floors).
+//
+// A last report-only row, `symbol_io`, times the host side of a tick on
+// the first sim_long kernel: nanoseconds per writeSymbol and per
+// readSymbol word over its whole input frames, and per reset(false), on
+// Machine and on ReferenceMachine (best of kRounds windows; no floor).
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
 #include <iterator>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -215,6 +222,93 @@ int runLongLoops() {
   return 0;
 }
 
+/// Best-of-kRounds nanoseconds per call of `pass`, which makes `calls`
+/// calls and returns a value kept live (so no read is optimised away).
+/// Passes per window are calibrated like windowOf's runs.
+template <class Pass>
+double bestNsPerCall(Pass&& pass, int64_t calls) {
+  volatile int64_t sink = 0;
+  auto window = [&](int passes) {
+    bench::DualTimer t;
+    int64_t acc = 0;
+    for (int i = 0; i < passes; ++i) acc += pass();
+    sink = sink + acc;
+    return t.elapsed().steadySec;
+  };
+  int passes = 1;
+  for (;; passes *= 2) {
+    const double sec = window(passes);
+    if (sec >= kWindowSec / 8) {
+      passes =
+          std::max(1, static_cast<int>(std::ceil(passes * kWindowSec / sec)));
+      break;
+    }
+  }
+  double best = std::numeric_limits<double>::infinity();
+  for (int r = 0; r < kRounds; ++r)
+    best = std::min(best, 1e9 * window(passes) /
+                              (static_cast<double>(passes) * calls));
+  return best;
+}
+
+/// ns per writeSymbol word, per readSymbol word and per reset(false) on
+/// engine `m`, over `stim`'s input frames: the host I/O of a tick.
+template <class Engine>
+std::array<double, 3> symbolIoNs(Engine& m, const Stimulus& stim) {
+  int64_t words = 0;
+  for (const auto& [name, vals] : stim.arrays)
+    words += static_cast<int64_t>(vals.size());
+  auto writes = [&] {
+    for (const auto& [name, vals] : stim.arrays)
+      for (size_t i = 0; i < vals.size(); ++i)
+        m.writeSymbol(name, static_cast<int>(i), vals[i]);
+    return int64_t{0};
+  };
+  auto reads = [&] {
+    int64_t sum = 0;
+    for (const auto& [name, vals] : stim.arrays)
+      for (size_t i = 0; i < vals.size(); ++i)
+        sum += m.readSymbol(name, static_cast<int>(i));
+    return sum;
+  };
+  auto reset = [&] {
+    m.reset(false);
+    return int64_t{0};
+  };
+  return {bestNsPerCall(writes, words), bestNsPerCall(reads, words),
+          bestNsPerCall(reset, 1)};
+}
+
+/// The report-only `symbol_io` row: host I/O cost per call on each engine.
+void runSymbolIo() {
+  using namespace record::bench;
+  const Kernel& k = longKernels().front();
+  auto prog = dfl::parseDflOrDie(k.dfl);
+  auto tp = RecordCompiler(TargetConfig{}, recordOptions()).compile(prog).prog;
+  const Stimulus stim = defaultStimulus(prog, 1, 1);
+  Machine dec(tp);
+  ReferenceMachine ref(tp);
+  const auto d = symbolIoNs(dec, stim);
+  const auto r = symbolIoNs(ref, stim);
+  std::printf("\nSymbol I/O on %s (ns per call, best window, no floor)\n",
+              k.name.c_str());
+  hr();
+  std::printf("%-24s %14s %14s %14s\n", "engine", "writeSymbol/w",
+              "readSymbol/w", "reset(false)");
+  hr();
+  std::printf("%-24s %14.2f %14.2f %14.2f\n", "Machine", d[0], d[1], d[2]);
+  std::printf("%-24s %14.2f %14.2f %14.2f\n", "ReferenceMachine", r[0], r[1],
+              r[2]);
+  hr();
+  auto& g = globalStats();
+  g.set("symbol_io", "machine_write_ns", d[0]);
+  g.set("symbol_io", "machine_read_ns", d[1]);
+  g.set("symbol_io", "machine_reset_ns", d[2]);
+  g.set("symbol_io", "reference_write_ns", r[0]);
+  g.set("symbol_io", "reference_read_ns", r[1]);
+  g.set("symbol_io", "reference_reset_ns", r[2]);
+}
+
 int runBench() {
   using namespace record::bench;
   TargetConfig cfg;
@@ -283,6 +377,7 @@ int runBench() {
   std::printf("geomean speedup (translated vs. decoded):   %.2fx\n",
               speedupTD);
   if (runLongLoops() != 0) return 1;
+  runSymbolIo();
   writeGlobalStats("sim_throughput");
 
   if (speedupDR < kMinSpeedup) {

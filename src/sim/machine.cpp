@@ -54,26 +54,6 @@ void Machine::reset(bool clearData) {
   for (const auto& [addr, val] : prog_.dataInit) writeData(addr, val);
 }
 
-void Machine::writeData(int addr, int64_t v) {
-  if (addr < 0 || static_cast<size_t>(addr) >= data_.size()) badWrite(addr);
-  if (activeProfile_) activeProfile_->noteAccess(addr);
-  data_[static_cast<size_t>(addr)] = wrap16(v);
-}
-
-int64_t Machine::readData(int addr) const {
-  if (addr < 0 || static_cast<size_t>(addr) >= data_.size()) badRead(addr);
-  if (activeProfile_) activeProfile_->noteAccess(addr);
-  return data_[static_cast<size_t>(addr)];
-}
-
-void Machine::writeSymbol(const std::string& sym, int offset, int64_t v) {
-  writeData(symbols_.base(sym) + offset, v);
-}
-
-int64_t Machine::readSymbol(const std::string& sym, int offset) const {
-  return readData(symbols_.base(sym) + offset);
-}
-
 // ---------------------------------------------------------------------------
 // Decode
 // ---------------------------------------------------------------------------
@@ -298,8 +278,8 @@ void Machine::decodeAll() {
     ++res.instructions;                                                   \
     if constexpr (kProfile) {                                             \
       if (d->target >= 0)                                                 \
-        activeProfile_->noteBranch(pcThis, d->target, branched);          \
-      activeProfile_->commit(pcThis, d->op, cyc, 1);                      \
+        profile_->noteBranch(pcThis, d->target, branched);                \
+      profile_->commit(pcThis, d->op, cyc, 1);                            \
     }                                                                     \
     if (--repsLeft > 0) {                                                 \
       branched = false;                                                   \
@@ -337,15 +317,9 @@ template <bool kProfile, bool kTranslate>
 RunResult Machine::runImpl(int64_t maxCycles) {
   static_assert(!(kProfile && kTranslate),
                 "profiled runs bypass translation by construction");
-  // Profiling hooks fire only between here and return, so data-memory
-  // traffic from external setup (writeSymbol, reset) is never attributed
-  // to the program.
-  if constexpr (kProfile) activeProfile_ = profile_;
-  struct Deactivate {
-    Profile** p;
-    ~Deactivate() { *p = nullptr; }
-  } deactivate{&activeProfile_};
-
+  // Profiling hooks fire only inside this loop; the host accessors
+  // (writeSymbol, reset, ...) carry none, so setup traffic is never
+  // attributed to the program.
   RunResult res;
   const DecodedOp* const ops = decoded_.data();
   const unsigned codeSize = static_cast<unsigned>(decoded_.size());
@@ -357,7 +331,7 @@ RunResult Machine::runImpl(int64_t maxCycles) {
   // Data access with the same bounds/trap semantics as writeData/readData;
   // only a profiled run observes the accesses.
   auto note = [&](int addr) {
-    if constexpr (kProfile) activeProfile_->noteAccess(addr);
+    if constexpr (kProfile) profile_->noteAccess(addr);
   };
   const SimMemory<decltype(note)> mem{
       data_.data(), static_cast<unsigned>(data_.size()), ar_.data(),
@@ -392,7 +366,7 @@ RunResult Machine::runImpl(int64_t maxCycles) {
   auto xyConflict = [&](bool conflict) {
     cyc = conflict ? 2 : 1;
     if constexpr (kProfile) {
-      if (conflict) activeProfile_->noteConflict();
+      if (conflict) profile_->noteConflict();
     }
   };
 
@@ -575,7 +549,7 @@ RunResult Machine::runImpl(int64_t maxCycles) {
       res.halted = true;
       res.cycles += cyc;
       ++res.instructions;
-      if constexpr (kProfile) activeProfile_->commit(pcThis, d->op, cyc, 1);
+      if constexpr (kProfile) profile_->commit(pcThis, d->op, cyc, 1);
       flush();
       return res;
     }
@@ -594,7 +568,7 @@ RunResult Machine::runImpl(int64_t maxCycles) {
     // so the ledger (and any attached profile) stays consistent. State is
     // flushed as-is -- a partially-executed instruction keeps its partial
     // effects, exactly like the pre-decode loop.
-    if constexpr (kProfile) activeProfile_->abortPending();
+    if constexpr (kProfile) profile_->abortPending();
     flush();
     res.status = RunStatus::Trapped;
     res.trapped = true;

@@ -15,6 +15,11 @@
 // as ReferenceMachine (sim/reference.h), the independent oracle for
 // differential pinning and the throughput baseline of bench/sim_throughput.
 //
+// Host I/O (readData/writeData, readSymbol/writeSymbol) is inline: a
+// steady-state symbol access is the memo's name compare, a bounds check and
+// a load or store, with no call. The program is fixed for the Machine's
+// lifetime: decode, label resolution and the symbol memo all read it once.
+//
 // A Machine is single-threaded, const accessors included: readSymbol
 // updates the symbol memo (sim/symbols.h), so one Machine must not be read
 // from two threads at once. Separate Machines over one shared
@@ -33,6 +38,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/semantics.h"
 #include "sim/symbols.h"
 #include "sim/translate.h"
 #include "target/isa.h"
@@ -71,15 +77,27 @@ class Machine {
 
   // Data-memory access. Words are 16-bit: writeData canonicalizes through
   // wrap16, so storage always holds the sign-extended value of the low 16
-  // bits and readData returns it without further extension.
-  void writeData(int addr, int64_t v);
-  int64_t readData(int addr) const;
+  // bits and readData returns it without further extension. The throws
+  // are out of line (badRead/badWrite, sim/semantics.h). run() never goes
+  // through these host accessors, so an attached profiler never sees them.
+  void writeData(int addr, int64_t v) {
+    if (static_cast<unsigned>(addr) >= data_.size()) badWrite(addr);
+    data_[static_cast<size_t>(addr)] = wrap16(v);
+  }
+  int64_t readData(int addr) const {
+    if (static_cast<unsigned>(addr) >= data_.size()) badRead(addr);
+    return data_[static_cast<size_t>(addr)];
+  }
   /// Symbol-relative access via the program's layout, resolved through a
   /// per-machine one-entry memo (sim/symbols.h): consecutive words of one
-  /// symbol cost a name compare, not a symbol-table scan. Throws "unknown
-  /// symbol: X" before any range check.
-  void writeSymbol(const std::string& sym, int offset, int64_t v);
-  int64_t readSymbol(const std::string& sym, int offset = 0) const;
+  /// symbol cost an inline name compare, not a symbol-table scan. Throws
+  /// "unknown symbol: X" before any range check.
+  void writeSymbol(const std::string& sym, int offset, int64_t v) {
+    writeData(symbols_.base(sym) + offset, v);
+  }
+  int64_t readSymbol(const std::string& sym, int offset = 0) const {
+    return readData(symbols_.base(sym) + offset);
+  }
 
   RunResult run(int64_t maxCycles = 10'000'000);
 
@@ -144,10 +162,7 @@ class Machine {
   const TargetProgram& prog_;
   SymbolResolver symbols_;  // writeSymbol/readSymbol name -> base address
   std::function<Opcode(Opcode)> decodeFault_;
-  Profile* profile_ = nullptr;        // attached collector (may be null)
-  Profile* activeProfile_ = nullptr;  // == profile_ only while run()ning, so
-                                      // external setup accesses (writeSymbol
-                                      // between runs, reset) are not counted
+  Profile* profile_ = nullptr;  // attached collector (may be null)
   std::vector<int> rawTarget_;  // per instruction, label-resolved at
                                 // construction; -1 if not a branch
   std::vector<DecodedOp> decoded_;

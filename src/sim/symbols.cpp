@@ -5,11 +5,12 @@
 namespace record {
 
 int SymbolResolver::scan(const std::string& sym) const {
-  const auto& tab = prog_.symbolAddr;
-  for (size_t i = 0; i < tab.size(); ++i)
-    if (tab[i].first == sym) {
-      last_ = i;
-      return tab[i].second;
+  for (const auto& [name, addr] : prog_.symbolAddr)
+    if (name == sym) {
+      lastName_ = name.data();
+      lastLen_ = name.size();
+      lastBase_ = addr;
+      return addr;
     }
   throw std::runtime_error("unknown symbol: " + sym);
 }

@@ -5,12 +5,16 @@
 //
 // Hosts move data through the symbol API one word at a time (whole input
 // frames and output arrays per tick), nearly always for the same symbol as
-// the previous call. The resolver therefore keeps a one-entry memo -- the
-// index of the last resolved TargetProgram::symbolAddr entry -- in front of
-// the linear scan. A hit re-checks that entry's name against the
-// requested one, so the memo can never return a stale address: a caller
-// that reuses one std::string buffer for a different name, or a program
-// whose symbol table changed, simply misses and rescans.
+// the previous call. The resolver therefore keeps a one-entry memo in
+// front of the linear scan: the last resolved name (a pointer to the bytes
+// of its TargetProgram::symbolAddr entry, and their length) and that
+// entry's base address. A hit is a length compare and an inline byte
+// compare against the requested name -- no call, no string built -- so the
+// memo can never return a stale address: a caller that reuses one
+// std::string buffer for a different name simply misses and rescans. The
+// memo points into the program's symbol table, so the table must not
+// change while the resolver lives; both engines already assume their
+// program is fixed once they are constructed.
 #pragma once
 
 #include <cstddef>
@@ -29,9 +33,13 @@ class SymbolResolver {
   /// TargetProgram::addrOf). Throws std::runtime_error("unknown symbol: X")
   /// when the program has no such symbol.
   int base(const std::string& sym) const {
-    const auto& tab = prog_.symbolAddr;
-    if (last_ < tab.size() && tab[last_].first == sym)
-      return tab[last_].second;
+    const size_t n = sym.size();
+    if (n == lastLen_) {
+      const char* s = sym.data();
+      size_t i = 0;
+      while (i < n && s[i] == lastName_[i]) ++i;
+      if (i == n) return lastBase_;
+    }
     return scan(sym);
   }
 
@@ -43,8 +51,10 @@ class SymbolResolver {
   // memo needs no synchronization: an engine is single-threaded, const
   // accessors included, and each engine owns its resolver. It must not move
   // into the shared TargetProgram, which CompileService hands to many
-  // threads at once.
-  mutable size_t last_ = std::numeric_limits<size_t>::max();
+  // threads at once. No name is npos bytes long, so the memo starts empty.
+  mutable const char* lastName_ = nullptr;
+  mutable size_t lastLen_ = std::numeric_limits<size_t>::max();
+  mutable int lastBase_ = 0;
 };
 
 }  // namespace record

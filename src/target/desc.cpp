@@ -55,6 +55,13 @@ uint32_t patternNonterms(const PatNode& p) {
 /// immediate it emits.
 constexpr long kMaxDescNumber = 1000000;
 
+/// Line `line` of the description `diag` is reading: every diagnostic
+/// names the file when the caller set one (DiagEngine::setSourceName).
+/// Line 0 is the whole description.
+SourceLoc at(const DiagEngine& diag, int line) {
+  return {line, 0, diag.sourceName()};
+}
+
 /// One parser for every clause. A line is tokenized once; the clause
 /// parsers walk its tokens with a cursor.
 struct DescParser {
@@ -65,7 +72,7 @@ struct DescParser {
 
   explicit DescParser(DiagEngine& d) : diag(d) {}
 
-  void error(const std::string& msg) { diag.error({lineNo, 0}, msg); }
+  void error(const std::string& msg) { diag.error(at(diag, lineNo), msg); }
 
   /// Split a line into words, with each parenthesis a token of its own;
   /// '#' starts a comment.
@@ -483,7 +490,7 @@ std::optional<TargetDesc> parseTargetDesc(const std::string& text,
   }
   // A rule-only description keeps the default table and needs no name.
   if (desc.name.empty() && !desc.insns.empty())
-    diag.error({desc.insns.front().line, 0},
+    diag.error(at(diag, desc.insns.front().line),
                "description has insn clauses but no 'target NAME' clause");
   if (diag.errorCount() > errorsBefore) return std::nullopt;
   return desc;
@@ -495,7 +502,7 @@ bool validateDesc(const TargetDesc& desc, DiagEngine& diag) {
   std::map<std::string, int> insnLine;
   std::map<std::string, const DescInsn*> byName;
   for (const DescInsn& i : desc.insns) {
-    SourceLoc loc{i.line, 0};
+    const SourceLoc loc = at(diag, i.line);
     Opcode op;
     const bool known = opcodeFromName(i.name, op);
     if (!known) diag.error(loc, "insn '" + i.name + "' names no known opcode");
@@ -522,7 +529,7 @@ bool validateDesc(const TargetDesc& desc, DiagEngine& diag) {
   std::map<std::string, int> ruleLine;
   for (const DescRule& dr : desc.rules) {
     const Rule& r = dr.rule;
-    SourceLoc loc{dr.line, 0};
+    const SourceLoc loc = at(diag, dr.line);
     auto [it, fresh] = ruleLine.emplace(r.name, dr.line);
     if (!fresh)
       diag.error(loc, "duplicate rule '" + r.name + "' (first at line " +
@@ -551,11 +558,13 @@ bool validateDesc(const TargetDesc& desc, DiagEngine& diag) {
 
   Nonterm cyc;
   if (zeroCostChainCycle(desc, /*useCycles=*/false, &cyc))
-    diag.error({0, 0}, std::string("zero-size chain-rule cycle through ") +
-                           nontermName(cyc));
+    diag.error(at(diag, 0),
+               std::string("zero-size chain-rule cycle through ") +
+                   nontermName(cyc));
   if (zeroCostChainCycle(desc, /*useCycles=*/true, &cyc))
-    diag.error({0, 0}, std::string("zero-cycle chain-rule cycle through ") +
-                           nontermName(cyc));
+    diag.error(at(diag, 0),
+               std::string("zero-cycle chain-rule cycle through ") +
+                   nontermName(cyc));
 
   // Reachability from the start symbol: a rule whose lhs no usable
   // derivation ever asks for is dead weight (or a typo).
@@ -573,7 +582,7 @@ bool validateDesc(const TargetDesc& desc, DiagEngine& diag) {
   }
   for (const DescRule& dr : desc.rules) {
     if (!(reachable & (1u << static_cast<int>(dr.rule.lhs))))
-      diag.error({dr.line, 0},
+      diag.error(at(diag, dr.line),
                  "rule '" + dr.rule.name + "': nonterminal " +
                      nontermName(dr.rule.lhs) +
                      " is unreachable from the start symbol");
@@ -602,7 +611,8 @@ bool applyInsns(const TargetDesc& desc, IsaTable& t,
   for (const DescInsn& i : desc.insns) {
     Opcode op;
     if (!opcodeFromName(i.name, op)) {
-      diag.error({i.line, 0}, "insn '" + i.name + "' names no known opcode");
+      diag.error(at(diag, i.line),
+                 "insn '" + i.name + "' names no known opcode");
       continue;
     }
     size_t idx = static_cast<size_t>(op);
@@ -634,7 +644,7 @@ std::optional<IsaTable> buildCompleteIsaTable(const TargetDesc& desc,
   for (int i = 0; i < kNumOpcodes; ++i) {
     if (seen[i] == 1) continue;
     std::string op = opcodeName(static_cast<Opcode>(i));
-    diag.error({desc.line, 0},
+    diag.error(at(diag, desc.line),
                seen[i] == 0 ? "description has no insn clause for opcode '" +
                                   op + "'"
                             : "description names opcode '" + op + "' " +

@@ -10,18 +10,29 @@
 // ceilings set just above the measured counts: a change that puts heap
 // traffic back on a per-node path fails here long before it shows in
 // timing noise.
+//
+// The simulator's host I/O is pinned the same way, at zero: after one
+// warm-up call per symbol, a tick's reset(false) and whole-frame
+// writeSymbol/readSymbol traffic allocates nothing on either engine.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <new>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "codegen/baseline.h"
 #include "codegen/pipeline.h"
 #include "dfl/frontend.h"
 #include "difftest/difftest.h"
+#include "dspstone/harness.h"
 #include "dspstone/kernels.h"
+#include "sim/machine.h"
+#include "sim/reference.h"
+#include "target/asmtext.h"
 
 namespace {
 std::atomic<int64_t> gNews{0};
@@ -128,6 +139,59 @@ TEST(AllocBudget, GeneratedCorpusOnTheSweep) {
               kCorpusPrograms, static_cast<long long>(total),
               static_cast<double>(total) / kCorpusPrograms);
   EXPECT_LE(total, kCorpusBudget);
+}
+
+using Frames = std::vector<std::pair<std::string, std::vector<int64_t>>>;
+
+/// Allocations of one host tick on `m` -- reset(false), then every word of
+/// every frame written and read back -- after an unmeasured warm-up tick.
+template <class Engine>
+int64_t symbolIoAllocs(Engine& m, const Frames& frames) {
+  auto tick = [&] {
+    m.reset(false);
+    int64_t sum = 0;
+    for (const auto& [name, vals] : frames) {
+      for (size_t i = 0; i < vals.size(); ++i)
+        m.writeSymbol(name, static_cast<int>(i), vals[i]);
+      for (size_t i = 0; i < vals.size(); ++i)
+        sum += m.readSymbol(name, static_cast<int>(i));
+    }
+    return sum;
+  };
+  const int64_t warm = tick();
+  const int64_t before = gNews.load(std::memory_order_relaxed);
+  EXPECT_EQ(tick(), warm);
+  return gNews.load(std::memory_order_relaxed) - before;
+}
+
+TEST(AllocBudget, SymbolIoAllocatesNothing) {
+  // A sim_long kernel's input frames and scalars, as a host streams them.
+  const Kernel& k = longKernels().front();
+  const Program prog = dfl::parseDflOrDie(k.dfl);
+  const TargetProgram kernel =
+      RecordCompiler(TargetConfig{}, recordOptions()).compile(prog).prog;
+  const Stimulus stim = defaultStimulus(prog, 1, 1);
+  Frames kernelFrames(stim.arrays.begin(), stim.arrays.end());
+  for (const auto& [name, vals] : stim.scalars)
+    kernelFrames.push_back({name, {vals.front()}});
+  ASSERT_FALSE(kernelFrames.empty());
+  // Names past any std::string's inline buffer: a memo that copied or
+  // built a name would allocate here.
+  const TargetProgram longNames = assembleOrDie(
+      ".sym coefficients_of_stage_x 8\n.sym coefficients_of_stage_y 8\n"
+      ".init coefficients_of_stage_x 0 5\nHALT\n",
+      TargetConfig{});
+  const Frames longFrames = {{"coefficients_of_stage_x", {1, 2, 3, 4}},
+                             {"coefficients_of_stage_y", {-7, 40000}}};
+
+  auto check = [](const TargetProgram& tp, const Frames& frames) {
+    Machine dec(tp);
+    ReferenceMachine ref(tp);
+    EXPECT_EQ(symbolIoAllocs(dec, frames), 0) << "Machine";
+    EXPECT_EQ(symbolIoAllocs(ref, frames), 0) << "ReferenceMachine";
+  };
+  check(kernel, kernelFrames);
+  check(longNames, longFrames);
 }
 
 }  // namespace

@@ -616,6 +616,59 @@ TYPED_TEST(SymbolIo, OutOfRangeOnHitThrowsSameMessage) {
   EXPECT_EQ(m.readSymbol("b", 0), 5);
 }
 
+TYPED_TEST(SymbolIo, NegativeOffsetThrowsOutOfRange) {
+  TypeParam m(this->tp);
+  ASSERT_EQ(this->tp.addrOf("a"), 0);
+  EXPECT_EQ(this->thrown([&] { m.readSymbol("a", -1); }),
+            "data read out of range: -1");
+  m.writeSymbol("a", 0, 3);  // prime the memo, then miss low on a hit
+  EXPECT_EQ(this->thrown([&] { m.readSymbol("a", -1); }),
+            "data read out of range: -1");
+  EXPECT_EQ(this->thrown([&] { m.writeSymbol("a", -1, 1); }),
+            "data write out of range: -1");
+  EXPECT_EQ(this->thrown([&] { m.writeData(-1, 1); }),
+            "data write out of range: -1");
+  EXPECT_EQ(m.readSymbol("a", 0), 3);
+}
+
+TYPED_TEST(SymbolIo, LongNamesDifferingInTheLastByteResolve) {
+  // Longer than any std::string's inline buffer, and equal in length, so
+  // only a compare of every byte tells them apart.
+  const std::string x = "coefficients_of_stage_x";
+  const std::string y = "coefficients_of_stage_y";
+  TargetProgram tp = asmProg(".sym " + x + " 3\n.sym " + y + " 3\n"
+                             ".sym c 1\nHALT\n");
+  TypeParam m(tp);
+  for (int i = 0; i < 3; ++i) {
+    m.writeSymbol(x, i, 100 + i);
+    m.writeSymbol(std::string(y), i, 200 + i);  // a fresh buffer every call
+    m.writeSymbol("c", 0, i);
+  }
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(m.readData(tp.addrOf(x) + i), 100 + i);
+    EXPECT_EQ(m.readData(tp.addrOf(y) + i), 200 + i);
+    EXPECT_EQ(m.readSymbol(y, i), 200 + i);
+    EXPECT_EQ(m.readSymbol(x, i), 100 + i);
+  }
+  EXPECT_EQ(m.readSymbol("c"), 2);
+  EXPECT_EQ(this->thrown([&] { m.readSymbol("coefficients_of_stage_z"); }),
+            "unknown symbol: coefficients_of_stage_z");
+}
+
+TYPED_TEST(SymbolIo, NameExtendingTheCachedOneResolvesItsOwnSymbol) {
+  TargetProgram tp = asmProg(".sym a 2\n.sym ab 2\nHALT\n");
+  TypeParam m(tp);
+  m.writeSymbol("a", 1, 5);
+  m.writeSymbol("ab", 1, 6);  // "a" is cached: a prefix, not a match
+  m.writeSymbol("a", 0, 7);   // and back: "ab" cached, "a" its prefix
+  EXPECT_EQ(m.readData(tp.addrOf("a") + 1), 5);
+  EXPECT_EQ(m.readData(tp.addrOf("ab") + 1), 6);
+  EXPECT_EQ(m.readData(tp.addrOf("a")), 7);
+  EXPECT_EQ(m.readSymbol("ab", 1), 6);
+  EXPECT_EQ(this->thrown([&] { m.readSymbol("abc"); }), "unknown symbol: abc");
+  EXPECT_EQ(m.readSymbol("a", 1), 5);
+}
+
 TEST(SymbolIo, EnginesHoldIdenticalMemoryAfterSameWrites) {
   auto tp = asmProg(R"(
       .sym a 4

@@ -658,6 +658,49 @@ TEST(IsdProps, MalformedDescriptionsDiagnoseWithLocations) {
                 "1x");
 }
 
+// With a source name set, every diagnostic -- the parser's, validateDesc's
+// and the table builder's -- renders as "name:line:col", so a bad
+// `recordc --isd=FILE` points at FILE.
+TEST(IsdProps, DiagnosticsNameTheirFile) {
+  auto diagnose = [](const std::string& text, bool build) {
+    DiagEngine diag;
+    diag.setSourceName("bad.isd");
+    if (auto desc = parseTargetDesc(text, diag)) {
+      if (build)
+        (void)buildIsaTable(*desc, diag);
+      else
+        (void)validateDesc(*desc, diag);
+    }
+    EXPECT_GT(diag.errorCount(), 0) << text;
+    return diag.str();
+  };
+  // Parser: an out-of-range cost on line 1.
+  const std::string parse = diagnose(
+      "rule big acc <- mem emit LAC $0 cost 99999999999,0\n", false);
+  EXPECT_EQ(parse.rfind("bad.isd:1:", 0), 0u) << parse;
+  // validateDesc: a duplicate insn clause on line 6.
+  const std::string dup = diagnose(
+      std::string(kToyDesc) +
+          "insn LAC class load-store operands 1 flags aCm cycles 1\n",
+      false);
+  EXPECT_NE(dup.find("bad.isd:6:0: error: duplicate insn"), std::string::npos)
+      << dup;
+  // The table builder, handed a description validateDesc was not run on.
+  const std::string build = diagnose(
+      "target toy\ninsn FROB class acc-alu operands 0 flags - cycles 1\n",
+      true);
+  EXPECT_NE(build.find("bad.isd:2:0: error: insn 'FROB'"), std::string::npos)
+      << build;
+  // A whole-grammar diagnostic has no line but still names the file.
+  const std::string cycle = diagnose(std::string(kToyDesc) +
+                                         "rule l0 acc <- mem emit - cost 0,0\n"
+                                         "rule s0 mem <- acc emit - cost 0,0\n",
+                                     false);
+  EXPECT_NE(cycle.find("bad.isd: error: zero-size chain-rule cycle"),
+            std::string::npos)
+      << cycle;
+}
+
 // Every simulator engine charges 2 cycles for a branch and 1 for anything
 // else, and the translated ledger reads the description's value: a
 // description that disagrees is rejected at the offending insn's line.
